@@ -31,7 +31,7 @@ supports the unrestricted integer range.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -44,6 +44,7 @@ SMALL_MS = (2, 3, 4, 5, 6, 7)
 RADICAND_MULTIPLIERS = {m: m * (m - 1) + 2 for m in SMALL_MS}
 
 DEFAULT_SCAN_CAP = 10**6
+MIN_SCAN_CAP = 8
 
 
 def _check_n(n: int) -> None:
@@ -244,8 +245,8 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
     quadratic certificate exists.
     """
     _check_n(n)
-    if scan_cap < 8:
-        raise ValueError(f"scan_cap must be >= 8, got {scan_cap}")
+    if scan_cap < MIN_SCAN_CAP:
+        raise ValueError(f"scan_cap must be >= {MIN_SCAN_CAP}, got {scan_cap}")
     best: Fraction | None = None
     argmins: set[int] = set()
     tail: TailWitness | None = None
@@ -353,87 +354,19 @@ class CensusReport:
         return len(self.per_n)
 
 
-def _census_ns(start: int, stop: int, even_only: bool) -> range:
-    if even_only:
-        first = start + (start % 2)
-        return range(first, stop + 1, 2)
-    return range(start, stop + 1)
-
-
-def _census_chunk(args: tuple[int, int, bool]) -> dict[int, SmallBound]:
-    start, stop, even_only = args
-    return {n: lower_bound_small(n) for n in _census_ns(start, stop, even_only)}
-
-
-def census(
-    start: int,
-    stop: int,
-    *,
-    even_only: bool = True,
-    workers: int = 1,
-) -> CensusReport:
+def census(start: int, stop: int, *, even_only: bool = True) -> CensusReport:
     """Census of smallest-argmin classes over [start, stop].
 
     even_only restricts to even n (the self-intersections that occur on
     abelian and bielliptic surfaces, and the domain of the published
-    counts).  workers > 1 partitions the range into contiguous chunks
-    evaluated in parallel; the merge is deterministic, so results are
-    identical for any worker count.
+    counts).
     """
     if not 2 <= start <= stop:
         raise ValueError(f"census needs 2 <= start <= stop, got [{start}, {stop}]")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    per_n: dict[int, SmallBound] = {}
-    if workers == 1:
-        per_n = _census_chunk((start, stop, even_only))
-    else:
-        chunks = _partition(start, stop, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(
-                _census_chunk, [(a, b, even_only) for a, b in chunks]
-            ):
-                per_n.update(part)
-    counts: dict[int, int] = {}
-    for bound in per_n.values():
-        sm = bound.smallest_argmin
-        counts[sm] = counts.get(sm, 0) + 1
+    ns = range(start + start % 2, stop + 1, 2) if even_only else range(start, stop + 1)
+    per_n = {n: lower_bound_small(n) for n in ns}
+    counts = Counter(bound.smallest_argmin for bound in per_n.values())
     return CensusReport(start, stop, even_only, per_n, dict(sorted(counts.items())))
-
-
-def _partition(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous cover of [start, stop] by at most `parts` intervals."""
-    total = stop - start + 1
-    parts = min(parts, total)
-    size, extra = divmod(total, parts)
-    out = []
-    lo = start
-    for i in range(parts):
-        hi = lo + size - 1 + (1 if i < extra else 0)
-        out.append((lo, hi))
-        lo = hi + 1
-    return out
-
-
-def merge_census(reports: list[CensusReport]) -> CensusReport:
-    """Deterministic merge of censuses over consecutive subranges."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    reports = sorted(reports, key=lambda r: r.start)
-    per_n: dict[int, SmallBound] = {}
-    for rep in reports:
-        per_n.update(rep.per_n)
-    counts: dict[int, int] = {}
-    for bound in per_n.values():
-        sm = bound.smallest_argmin
-        counts[sm] = counts.get(sm, 0) + 1
-    return CensusReport(
-        reports[0].start,
-        reports[-1].stop,
-        reports[0].even_only,
-        per_n,
-        dict(sorted(counts.items())),
-    )
 
 
 # ---------------------------------------------------------------------------

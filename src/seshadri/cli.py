@@ -5,13 +5,18 @@ bielliptic group (types, intersect, fiber-degrees, star-check, ratio).
 Output formats: aligned text (default), CSV (RFC-style commas, "."
 decimal points), and JSON.
 
+Each command computes its values once into one report dict, which is
+its JSON output, and hands it to _emit.  The command's text and CSV
+renderers only read that dict, so the three formats cannot disagree.
+_emit alone fills in the schema keys, writes and exits.
+
 Every JSON report carries the keys {command, inputs, status,
 exact_values, decimal_renderings, certificates, paper_expectations}.
 Exact rationals appear as "p/q" strings; radicals as {"coef": "p/q",
 "radicand": "n"}.  Decimal renderings never feed back into computation.
 
-Exit codes: 0 all checks pass; 1 a verification produced a discrepancy,
-counterexample or uncertified result; 2 usage error.
+Exit codes: 0 all checks pass (status "ok"); 1 a verification produced a
+discrepancy, counterexample or uncertified result; 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NoReturn
 
 import click
 
@@ -29,6 +36,20 @@ from .exactmath import RadicalBound, format_decimal
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
+
+FORMATS = ("text", "csv", "json")
+NO_CSV = ("text", "json")
+
+#: schema keys of every JSON report, with the values a report may leave out
+SCHEMA_DEFAULTS = {
+    "command": None, "inputs": {}, "status": "ok", "exact_values": {},
+    "decimal_renderings": {}, "certificates": {}, "paper_expectations": {},
+}
+
+#: prior-bound columns in the order bound prints them
+PRIOR_COLUMNS = ("abelian_7_8", "hr_093", "ssz_7_9")
+#: columns of the comparison table
+TABLE_COLUMNS = ("n", "abelian_7_8", "hr_093", "new_bound")
 
 
 def _rat_str(value: Fraction) -> str:
@@ -40,28 +61,38 @@ def _radical_json(rb: RadicalBound) -> dict:
     return {"coef": _rat_str(rb.coef), "radicand": str(rb.radicand)}
 
 
-def _emit_json(report: dict) -> None:
-    base = {
-        "command": report.get("command"),
-        "inputs": report.get("inputs", {}),
-        "status": report.get("status", "ok"),
-        "exact_values": report.get("exact_values", {}),
-        "decimal_renderings": report.get("decimal_renderings", {}),
-        "certificates": report.get("certificates", {}),
-        "paper_expectations": report.get("paper_expectations", {}),
-    }
-    for key, value in report.items():
-        if key not in base:
-            base[key] = value
-    click.echo(json.dumps(base, sort_keys=True, indent=2))
+def _join(values, sep: str = " ") -> str:
+    return sep.join(map(str, values))
 
 
-def _emit_csv(rows: list[list], header: list[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
+def _emit(fmt: str, report: dict, text: Callable, csv_table: Callable | None = None) -> NoReturn:
+    """Write the report in fmt and exit 0 if its status is "ok", else 1.
+
+    text(report) gives the lines of the text rendering and csv_table(report)
+    the CSV header and rows; only the one for fmt is called.
+    """
+    if fmt == "json":
+        click.echo(json.dumps({**SCHEMA_DEFAULTS, **report}, sort_keys=True, indent=2))
+    elif fmt == "csv":
+        header, rows = csv_table(report)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        click.echo(buf.getvalue(), nl=False)
+    else:
+        click.echo("\n".join(text(report)))
+    sys.exit(EXIT_OK if report.get("status", "ok") == "ok" else EXIT_DISCREPANCY)
+
+
+def _format_option(formats: tuple[str, ...] = FORMATS):
+    return click.option("--format", "fmt", type=click.Choice(formats), default="text")
+
+
+_decimals_option = click.option("--decimals", default=4, show_default=True,
+                                type=click.IntRange(min=0))
+_full_precision_option = click.option("--full-precision", is_flag=True,
+                                      help="Keep trailing zeros in decimals.")
 
 
 def _positive_int(_ctx, param, value):
@@ -70,77 +101,82 @@ def _positive_int(_ctx, param, value):
     return value
 
 
+_n_option = click.option("--n", required=True, type=int, callback=_positive_int,
+                         help="Self-intersection N = L^2 (>= 2).")
+
+
 @click.group()
 def cli() -> None:
     """Exact Seshadri-constant lower bounds on abelian and bielliptic surfaces."""
 
 
-# ---------------------------------------------------------------------------
-# bound
-# ---------------------------------------------------------------------------
-
-
 @cli.command()
-@click.option("--n", required=True, type=int, callback=_positive_int,
-              help="Self-intersection N = L^2 (>= 2).")
-@click.option("--scan-cap", default=bounds.DEFAULT_SCAN_CAP, show_default=True, type=int)
-@click.option("--decimals", default=4, show_default=True, type=int)
-@click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
-@click.option("--full-precision", is_flag=True, help="Keep trailing zeros in decimals.")
+@_n_option
+@click.option("--scan-cap", default=bounds.DEFAULT_SCAN_CAP, show_default=True,
+              type=click.IntRange(min=bounds.MIN_SCAN_CAP))
+@_decimals_option
+@_format_option()
+@_full_precision_option
 def bound(n: int, scan_cap: int, decimals: int, fmt: str, full_precision: bool) -> None:
-    """Certified lower bound for epsilon(L, x) at self-intersection N."""
+    """Certified lower bound for epsilon(L, x) at self-intersection N.
+
+    The status is "discrepancy" when the certified minimum over all m
+    differs from the six-term minimum printed as the bound.
+    """
     trim = not full_precision
     small = bounds.lower_bound_small(n)
     cert = bounds.certified_min(n, scan_cap)
     priors = {name: comparison.prior_bound(name, n) for name in comparison.PRIOR_BOUND_NAMES}
-    status = "ok" if cert.certified else "uncertified"
-
-    if fmt == "json":
-        report = {
-            "command": "bound",
-            "inputs": {"n": n, "scan_cap": scan_cap, "decimals": decimals},
-            "status": status,
-            "exact_values": {
-                "lower_bound": _rat_str(small.value),
-                "priors": {k: _radical_json(v) for k, v in priors.items()},
-            },
-            "decimal_renderings": {
-                "lower_bound": format_decimal(small.value, decimals, trim),
-                "priors": {k: v.decimal(decimals, trim) for k, v in priors.items()},
-            },
-            "argmins": sorted(small.argmins),
-            "certificates": {"certified_min": _cert_json(cert)},
-            "paper_expectations": {},
-        }
-        _emit_json(report)
-    elif fmt == "csv":
-        _emit_csv(
-            [[n, _rat_str(small.value), format_decimal(small.value, decimals, trim),
-              " ".join(map(str, sorted(small.argmins))),
-              priors["abelian_7_8"].decimal(decimals, trim),
-              priors["hr_093"].decimal(decimals, trim),
-              priors["ssz_7_9"].decimal(decimals, trim), status]],
-            ["n", "bound", "bound_decimal", "argmins", "abelian_7_8", "hr_093",
-             "ssz_7_9", "status"],
-        )
+    if not cert.certified:
+        status = "uncertified"
+    elif cert.value != small.value:
+        status = "discrepancy"
     else:
-        click.echo(f"N = {n}")
-        click.echo(
-            f"lower bound: {_rat_str(small.value)}"
-            f" = {format_decimal(small.value, decimals, trim)}"
-            f"   (minimizing m: {{{', '.join(map(str, sorted(small.argmins)))}}})"
-        )
-        for name in ("abelian_7_8", "hr_093", "ssz_7_9"):
-            click.echo(f"prior {name:<12} {priors[name].decimal(decimals, trim)}")
-        if cert.certified:
-            w = cert.tail_witness
-            click.echo(
-                f"certified over all m >= 2 (scanned to m={cert.scanned_to}, "
-                f"tail cutoff m={w.cutoff})"
-            )
-        else:
-            click.echo(f"UNCERTIFIED at scan cap {scan_cap}")
-    sys.exit(EXIT_OK if cert.certified else EXIT_DISCREPANCY)
+        status = "ok"
+    _emit(fmt, {
+        "command": "bound",
+        "inputs": {"n": n, "scan_cap": scan_cap, "decimals": decimals},
+        "status": status,
+        "exact_values": {
+            "lower_bound": _rat_str(small.value),
+            "priors": {k: _radical_json(v) for k, v in priors.items()},
+        },
+        "decimal_renderings": {
+            "lower_bound": format_decimal(small.value, decimals, trim),
+            "priors": {k: v.decimal(decimals, trim) for k, v in priors.items()},
+        },
+        "argmins": sorted(small.argmins),
+        "certificates": {"certified_min": _cert_json(cert)},
+    }, _bound_text, _bound_csv)
+
+
+def _bound_text(r: dict) -> list[str]:
+    decimal = r["decimal_renderings"]
+    cert = r["certificates"]["certified_min"]
+    lines = [
+        f"N = {r['inputs']['n']}",
+        f"lower bound: {r['exact_values']['lower_bound']} = {decimal['lower_bound']}"
+        f"   (minimizing m: {{{_join(r['argmins'], ', ')}}})",
+    ]
+    lines += [f"prior {name:<12} {decimal['priors'][name]}" for name in PRIOR_COLUMNS]
+    if cert["certified"]:
+        lines.append(f"certified over all m >= 2 (scanned to m={cert['scanned_to']}, "
+                     f"tail cutoff m={cert['tail']['cutoff']})")
+    else:
+        lines.append(f"UNCERTIFIED at scan cap {r['inputs']['scan_cap']}")
+    if r["status"] == "discrepancy":
+        lines.append(f"DISCREPANCY: the certified minimum is {cert['value']}")
+    return lines
+
+
+def _bound_csv(r: dict) -> tuple[list[str], list[list]]:
+    decimal = r["decimal_renderings"]
+    return (
+        ["n", "bound", "bound_decimal", "argmins", *PRIOR_COLUMNS, "status"],
+        [[r["inputs"]["n"], r["exact_values"]["lower_bound"], decimal["lower_bound"],
+          _join(r["argmins"]), *(decimal["priors"][k] for k in PRIOR_COLUMNS),
+          r["status"]]],
+    )
 
 
 def _cert_json(cert: bounds.BoundCertificate) -> dict:
@@ -161,16 +197,11 @@ def _cert_json(cert: bounds.BoundCertificate) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# omega
-# ---------------------------------------------------------------------------
-
-
 @cli.command()
-@click.option("--n", required=True, type=int, callback=_positive_int)
+@_n_option
 @click.option("--d", type=int, default=None, help="Degree L.C.")
 @click.option("--m", type=int, default=None, help="Multiplicity (>= 2).")
-@click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
+@_format_option()
 def omega(n: int, d: int | None, m: int | None, fmt: str) -> None:
     """Membership and extremal coordinates of the admissible set."""
     if d is None and m is None:
@@ -186,61 +217,45 @@ def omega(n: int, d: int | None, m: int | None, fmt: str) -> None:
         info["m_max"] = bounds.m_max(n, d)
     if d is not None and m is not None:
         info["contains"] = bounds.omega_contains(n, d, m)
-    if fmt == "json":
-        _emit_json({
-            "command": "omega",
-            "inputs": {"n": n, "d": d, "m": m},
-            "status": "ok",
-            "membership": info,
-        })
-    elif fmt == "csv":
-        _emit_csv([[n, d, m, info.get("contains"), info.get("d_min"), info.get("m_max")]],
-                  ["n", "d", "m", "contains", "d_min", "m_max"])
-    else:
-        for key, value in info.items():
-            click.echo(f"{key}: {value}")
-    sys.exit(EXIT_OK)
+    _emit(fmt, {
+        "command": "omega",
+        "inputs": {"n": n, "d": d, "m": m},
+        "membership": info,
+    }, lambda r: [f"{key}: {value}" for key, value in r["membership"].items()], _omega_csv)
 
 
-# ---------------------------------------------------------------------------
-# candidates
-# ---------------------------------------------------------------------------
+def _omega_csv(r: dict) -> tuple[list[str], list[list]]:
+    header = ["n", "d", "m", "contains", "d_min", "m_max"]
+    row = {**r["inputs"], **r["membership"]}
+    return header, [[row.get(key) for key in header]]
 
 
 @cli.command()
-@click.option("--n", required=True, type=int, callback=_positive_int)
+@_n_option
 @click.option("--max-m", default=7, show_default=True, type=int)
-@click.option("--decimals", default=4, show_default=True, type=int)
-@click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
+@_decimals_option
+@_format_option()
 def candidates(n: int, max_m: int, decimals: int, fmt: str) -> None:
     """Candidate values below sqrt(N): admissible ratios and fiber integers."""
     if max_m < 2:
         raise click.UsageError(f"--max-m must be >= 2, got {max_m}")
     values = bounds.candidate_values(n, max_m)
-    if fmt == "json":
-        _emit_json({
-            "command": "candidates",
-            "inputs": {"n": n, "max_m": max_m},
-            "status": "ok",
-            "exact_values": {"candidates": [
-                {"value": _rat_str(v), "kind": kind} for v, kind in values
-            ]},
-            "decimal_renderings": {"candidates": [
-                format_decimal(v, decimals) for v, _ in values
-            ]},
-        })
-    elif fmt == "csv":
-        _emit_csv([[_rat_str(v), format_decimal(v, decimals), kind] for v, kind in values],
-                  ["value", "decimal", "kind"])
-    else:
-        for v, kind in values:
-            click.echo(f"{_rat_str(v):>12}  {format_decimal(v, decimals):>10}  {kind}")
-    sys.exit(EXIT_OK)
+    _emit(fmt, {
+        "command": "candidates",
+        "inputs": {"n": n, "max_m": max_m},
+        "exact_values": {"candidates": [{"value": _rat_str(v), "kind": kind}
+                                        for v, kind in values]},
+        "decimal_renderings": {"candidates": [format_decimal(v, decimals) for v, _ in values]},
+    }, _candidates_text, lambda r: (["value", "decimal", "kind"], _candidate_rows(r)))
 
 
-# ---------------------------------------------------------------------------
-# census
-# ---------------------------------------------------------------------------
+def _candidates_text(r: dict) -> list[str]:
+    return [f"{value:>12}  {decimal:>10}  {kind}" for value, decimal, kind in _candidate_rows(r)]
+
+
+def _candidate_rows(r: dict) -> list[list[str]]:
+    return [[c["value"], decimal, c["kind"]] for c, decimal in zip(
+        r["exact_values"]["candidates"], r["decimal_renderings"]["candidates"])]
 
 
 @cli.command()
@@ -248,65 +263,53 @@ def candidates(n: int, max_m: int, decimals: int, fmt: str) -> None:
 @click.option("--to", "stop", required=True, type=int)
 @click.option("--include-odd", is_flag=True,
               help="Census all integers, not just even self-intersections.")
-@click.option("--parallel", default=1, show_default=True, type=int)
 @click.option("--per-n", "verbose", is_flag=True, help="List every examined N.")
-@click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
-def census(start: int, stop: int, include_odd: bool, parallel: int, verbose: bool,
-           fmt: str) -> None:
+@_format_option()
+def census(start: int, stop: int, include_odd: bool, verbose: bool, fmt: str) -> None:
     """Classify each N by the smallest minimizing multiplicity."""
     if not 2 <= start <= stop:
         raise click.UsageError(f"need 2 <= from <= to, got [{start}, {stop}]")
-    if parallel < 1:
-        raise click.UsageError(f"--parallel must be >= 1, got {parallel}")
-    report = bounds.census(start, stop, even_only=not include_odd, workers=parallel)
-    if fmt == "json":
-        payload = {
-            "command": "census",
-            "inputs": {"from": start, "to": stop, "even_only": report.even_only},
-            "status": "ok",
-            "counts": {str(k): v for k, v in report.counts.items()},
-            "n_examined": report.n_examined,
+    result = bounds.census(start, stop, even_only=not include_odd)
+    report = {
+        "command": "census",
+        "inputs": {"from": start, "to": stop, "even_only": result.even_only},
+        "counts": {str(k): v for k, v in result.counts.items()},
+        "n_examined": result.n_examined,
+    }
+    if verbose:
+        report["per_n"] = {
+            str(n): {"value": _rat_str(b.value), "argmins": sorted(b.argmins)}
+            for n, b in sorted(result.per_n.items())
         }
-        if verbose:
-            payload["per_n"] = {
-                str(n): {"value": _rat_str(b.value), "argmins": sorted(b.argmins)}
-                for n, b in sorted(report.per_n.items())
-            }
-        _emit_json(payload)
-    elif fmt == "csv":
-        if verbose:
-            _emit_csv(
-                [[n, _rat_str(b.value), " ".join(map(str, sorted(b.argmins))),
-                  b.smallest_argmin] for n, b in sorted(report.per_n.items())],
-                ["n", "value", "argmins", "smallest_argmin"],
-            )
-        else:
-            _emit_csv([[m, c] for m, c in report.counts.items()], ["m", "count"])
-    else:
-        domain = "even N" if report.even_only else "all N"
-        click.echo(f"census over {domain} in [{start}, {stop}]: "
-                   f"{report.n_examined} values")
-        for m, count in report.counts.items():
-            click.echo(f"  m={m}: {count}")
-        if verbose:
-            for n, b in sorted(report.per_n.items()):
-                click.echo(f"  N={n}: {_rat_str(b.value)} at "
-                           f"{{{', '.join(map(str, sorted(b.argmins)))}}}")
-    sys.exit(EXIT_OK)
+    _emit(fmt, report, _census_text, _census_csv)
 
 
-# ---------------------------------------------------------------------------
-# table
-# ---------------------------------------------------------------------------
+def _census_text(r: dict) -> list[str]:
+    inputs = r["inputs"]
+    domain = "even N" if inputs["even_only"] else "all N"
+    lines = [f"census over {domain} in [{inputs['from']}, {inputs['to']}]: "
+             f"{r['n_examined']} values"]
+    lines += [f"  m={m}: {count}" for m, count in r["counts"].items()]
+    lines += [f"  N={n}: {b['value']} at {{{_join(b['argmins'], ', ')}}}"
+              for n, b in r.get("per_n", {}).items()]
+    return lines
+
+
+def _census_csv(r: dict) -> tuple[list[str], list[list]]:
+    if "per_n" not in r:
+        return ["m", "count"], [[m, c] for m, c in r["counts"].items()]
+    return (["n", "value", "argmins", "smallest_argmin"],
+            [[n, b["value"], _join(b["argmins"]), b["argmins"][0]]
+             for n, b in r["per_n"].items()])
 
 
 @cli.command()
 @click.option("--preset", type=click.Choice(["paper"]), default=None,
               help="Use the eight published self-intersections.")
 @click.option("--ns", default=None, help="Comma-separated self-intersections.")
-@click.option("--decimals", default=4, show_default=True, type=int)
-@click.option("--full-precision", is_flag=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
+@_decimals_option
+@_full_precision_option
+@_format_option()
 def table(preset: str | None, ns: str | None, decimals: int, full_precision: bool,
           fmt: str) -> None:
     """Comparison table: prior bounds versus the new bound."""
@@ -322,44 +325,35 @@ def table(preset: str | None, ns: str | None, decimals: int, full_precision: boo
     if any(v < 2 for v in values):
         raise click.UsageError("every N must be >= 2")
     trim = not full_precision
-    rows = comparison.comparison_table(values, decimals)
-    rendered = [
-        (row.n,
-         row.abelian_7_8.decimal(decimals, trim),
-         row.hr_093.decimal(decimals, trim),
-         format_decimal(row.new_bound.value, decimals, trim))
-        for row in rows
-    ]
-    if fmt == "json":
-        _emit_json({
-            "command": "table",
-            "inputs": {"ns": values, "decimals": decimals},
-            "status": "ok",
-            "exact_values": {"rows": [
-                {"n": row.n,
-                 "abelian_7_8": _radical_json(row.abelian_7_8),
-                 "hr_093": _radical_json(row.hr_093),
-                 "new_bound": _rat_str(row.new_bound.value)}
-                for row in rows
-            ]},
-            "decimal_renderings": {"rows": [
-                {"n": n, "abelian_7_8": ab, "hr_093": hr, "new_bound": nb}
-                for n, ab, hr, nb in rendered
-            ]},
-        })
-    elif fmt == "csv":
-        _emit_csv([list(r) for r in rendered],
-                  ["n", "abelian_7_8", "hr_093", "new_bound"])
-    else:
-        click.echo(f"{'L^2':>8}  {'abelian_7_8':>12}  {'hr_093':>10}  {'new_bound':>10}")
-        for n, ab, hr, nb in rendered:
-            click.echo(f"{n:>8}  {ab:>12}  {hr:>10}  {nb:>10}")
-    sys.exit(EXIT_OK)
+    rows = comparison.comparison_table(values)
+    _emit(fmt, {
+        "command": "table",
+        "inputs": {"ns": values, "decimals": decimals},
+        "exact_values": {"rows": [
+            {"n": row.n,
+             "abelian_7_8": _radical_json(row.abelian_7_8),
+             "hr_093": _radical_json(row.hr_093),
+             "new_bound": _rat_str(row.new_bound.value)}
+            for row in rows
+        ]},
+        "decimal_renderings": {"rows": [
+            {"n": row.n,
+             "abelian_7_8": row.abelian_7_8.decimal(decimals, trim),
+             "hr_093": row.hr_093.decimal(decimals, trim),
+             "new_bound": format_decimal(row.new_bound.value, decimals, trim)}
+            for row in rows
+        ]},
+    }, _table_text, lambda r: (list(TABLE_COLUMNS), _table_rows(r)))
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
+def _table_rows(r: dict) -> list[list]:
+    return [[row[key] for key in TABLE_COLUMNS] for row in r["decimal_renderings"]["rows"]]
+
+
+def _table_text(r: dict) -> list[str]:
+    lines = [f"{'L^2':>8}  {'abelian_7_8':>12}  {'hr_093':>10}  {'new_bound':>10}"]
+    lines += [f"{n:>8}  {ab:>12}  {hr:>10}  {nb:>10}" for n, ab, hr, nb in _table_rows(r)]
+    return lines
 
 
 @cli.command()
@@ -367,9 +361,8 @@ def table(preset: str | None, ns: str | None, decimals: int, full_precision: boo
               help="Upper end of the certified-minimum agreement sweep.")
 @click.option("--scan-cap", default=100_000, show_default=True, type=int,
               help="Scan cap for the per-multiplicity comparison sweep.")
-@click.option("--parallel", default=1, show_default=True, type=int)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def verify(agreement_to: int, scan_cap: int, parallel: int, fmt: str) -> None:
+@_format_option(NO_CSV)
+def verify(agreement_to: int, scan_cap: int, fmt: str) -> None:
     """Re-run every finite computation and compare against expectations.
 
     Expectations that the source states exactly (the 1072 inequality
@@ -379,39 +372,30 @@ def verify(agreement_to: int, scan_cap: int, parallel: int, fmt: str) -> None:
     analytic threshold against the stated 8776, the per-multiplicity
     violation census) are reported as investigations and never fail.
     """
-    anchored: list[tuple[str, bool, str]] = []
-    investigations: list[tuple[str, str]] = []
+    anchored: dict[str, dict] = {}
+    investigations: dict[str, str] = {}
+
+    def anchor(name: str, passed: bool, detail: str) -> None:
+        anchored[name] = {"pass": passed, "detail": detail}
 
     t = bounds.sqrt58_threshold()
-    anchored.append(("sqrt58_threshold", t == 1072, f"computed {t}, expected 1072"))
+    anchor("sqrt58_threshold", t == 1072, f"computed {t}, expected 1072")
 
     ceiling = bounds.ceiling_threshold(even_only=True)
-    anchored.append((
-        "ceiling_threshold_even",
-        ceiling.threshold == 4982,
-        f"computed {ceiling.threshold} (last failure N={ceiling.last_failure}, "
-        f"scan to {ceiling.scanned_to} + analytic tail), expected 4982",
-    ))
+    anchor("ceiling_threshold_even", ceiling.threshold == 4982,
+           f"computed {ceiling.threshold} (last failure N={ceiling.last_failure}, "
+           f"scan to {ceiling.scanned_to} + analytic tail), expected 4982")
 
     expected_counts = {2: 1, 3: 59, 4: 4656, 5: 274, 6: 9, 7: 1}
-    cens = bounds.census(2, 10_000, even_only=True, workers=parallel)
-    anchored.append((
-        "census_even_counts",
-        cens.counts == expected_counts,
-        f"computed {cens.counts}, expected {expected_counts}",
-    ))
+    cens = bounds.census(2, 10_000, even_only=True)
+    anchor("census_even_counts", cens.counts == expected_counts,
+           f"computed {cens.counts}, expected {expected_counts}")
 
     diffs = comparison.table_vs_printed()
-    undocumented = [d for d in diffs if not d.documented]
-    documented = [d for d in diffs if d.documented]
-    anchored.append((
-        "table_regeneration",
-        not undocumented,
-        ("all cells match the printed table" if not diffs else
-         "; ".join(f"({d.n},{d.column}): computed {d.computed}, printed {d.printed}"
-                   f"{' [documented erratum]' if d.documented else ''}"
-                   for d in diffs)),
-    ))
+    anchor("table_regeneration", all(d.documented for d in diffs),
+           "all cells match the printed table" if not diffs else
+           "; ".join(f"({d.n},{d.column}): computed {d.computed}, printed {d.printed}"
+                     f"{' [documented erratum]' if d.documented else ''}" for d in diffs))
 
     agree_bad = []
     uncertified = []
@@ -421,29 +405,22 @@ def verify(agreement_to: int, scan_cap: int, parallel: int, fmt: str) -> None:
             uncertified.append(n)
         elif cert.value != bounds.lower_bound_small(n).value:
             agree_bad.append(n)
-    anchored.append((
-        "theorem_agreement",
-        not agree_bad and not uncertified,
-        f"swept N in [2, {agreement_to}]: "
-        f"{len(agree_bad)} disagreements {agree_bad[:5]}, "
-        f"{len(uncertified)} uncertified {uncertified[:5]}",
-    ))
+    anchor("theorem_agreement", not agree_bad and not uncertified,
+           f"swept N in [2, {agreement_to}]: "
+           f"{len(agree_bad)} disagreements {agree_bad[:5]}, "
+           f"{len(uncertified)} uncertified {uncertified[:5]}")
 
     dom_bad = [n for n in range(2, 10_001) if not comparison.dominance_check(n)]
-    anchored.append((
-        "dominance_chain",
-        not dom_bad,
-        f"swept N in [2, 10000]: {len(dom_bad)} violations {dom_bad[:5]}",
-    ))
+    anchor("dominance_chain", not dom_bad,
+           f"swept N in [2, 10000]: {len(dom_bad)} violations {dom_bad[:5]}")
 
     analytic = bounds.analytic_threshold()
     analytic_even = bounds.analytic_threshold(even_only=True)
-    investigations.append((
-        "analytic_threshold",
+    investigations["analytic_threshold"] = (
         f"all-integer {analytic.threshold} (per-m {analytic.per_m}), "
         f"even-N {analytic_even.threshold} (per-m {analytic_even.per_m}); "
-        f"stated figure 8776",
-    ))
+        f"stated figure 8776"
+    )
 
     f7_viol = 0
     f7_unc = []
@@ -453,55 +430,51 @@ def verify(agreement_to: int, scan_cap: int, parallel: int, fmt: str) -> None:
             f7_unc.append(n)
         elif rep.violations:
             f7_viol += 1
-    investigations.append((
-        "per_m_comparison_f7",
+    investigations["per_m_comparison_f7"] = (
         f"N in [2, 1070]: {f7_viol} values with certified violation lists, "
         f"uncertified at {f7_unc} (threshold above sqrt(N) there); "
-        f"theorem-level minimum unaffected (see theorem_agreement)",
-    ))
+        f"theorem-level minimum unaffected (see theorem_agreement)"
+    )
 
-    all_int_census = bounds.census(2, 10_000, even_only=False, workers=parallel)
+    all_int_census = bounds.census(2, 10_000, even_only=False)
     all_int_ceiling = bounds.ceiling_threshold(even_only=False)
-    investigations.append((
-        "all_integer_variants",
+    investigations["all_integer_variants"] = (
         f"census over all N in [2, 10000]: {all_int_census.counts}; "
         f"ceiling threshold over all integers: {all_int_ceiling.threshold} "
-        f"(last failure N={all_int_ceiling.last_failure})",
-    ))
+        f"(last failure N={all_int_ceiling.last_failure})"
+    )
 
-    ok = all(item[1] for item in anchored)
-    if fmt == "json":
-        _emit_json({
-            "command": "verify",
-            "inputs": {"agreement_to": agreement_to, "scan_cap": scan_cap},
-            "status": "ok" if ok else "discrepancy",
-            "paper_expectations": {
-                name: {"pass": passed, "detail": detail}
-                for name, passed, detail in anchored
+    ok = all(check["pass"] for check in anchored.values())
+    _emit(fmt, {
+        "command": "verify",
+        "inputs": {"agreement_to": agreement_to, "scan_cap": scan_cap},
+        "status": "ok" if ok else "discrepancy",
+        "paper_expectations": anchored,
+        "investigations": investigations,
+        "certificates": {
+            "ceiling_threshold": {
+                "threshold": ceiling.threshold,
+                "last_failure": ceiling.last_failure,
+                "scanned_to": ceiling.scanned_to,
+                "analytic_per_m": ceiling.analytic.per_m,
             },
-            "investigations": {name: detail for name, detail in investigations},
-            "certificates": {
-                "ceiling_threshold": {
-                    "threshold": ceiling.threshold,
-                    "last_failure": ceiling.last_failure,
-                    "scanned_to": ceiling.scanned_to,
-                    "analytic_per_m": ceiling.analytic.per_m,
-                },
-                "analytic_threshold": {
-                    m: {"threshold": c.threshold, "poly": list(c.poly)}
-                    for m, c in analytic.certificates.items()
-                },
+            "analytic_threshold": {
+                m: {"threshold": c.threshold, "poly": list(c.poly)}
+                for m, c in analytic.certificates.items()
             },
-        })
-    else:
-        click.echo("anchored expectations:")
-        for name, passed, detail in anchored:
-            click.echo(f"  [{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-        click.echo("investigations (reported, not gating):")
-        for name, detail in investigations:
-            click.echo(f"  [INFO] {name}: {detail}")
-        click.echo("verify: " + ("all anchored checks pass" if ok else "DISCREPANCY"))
-    sys.exit(EXIT_OK if ok else EXIT_DISCREPANCY)
+        },
+    }, _verify_text)
+
+
+def _verify_text(r: dict) -> list[str]:
+    lines = ["anchored expectations:"]
+    lines += [f"  [{'PASS' if check['pass'] else 'FAIL'}] {name}: {check['detail']}"
+              for name, check in r["paper_expectations"].items()]
+    lines.append("investigations (reported, not gating):")
+    lines += [f"  [INFO] {name}: {detail}" for name, detail in r["investigations"].items()]
+    lines.append("verify: " + ("all anchored checks pass" if r["status"] == "ok"
+                               else "DISCREPANCY"))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -527,81 +500,65 @@ _type_option = click.option("--type", "type_index", required=True,
 
 
 @bielliptic_group.command(name="types")
-@click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
+@_format_option()
 def bielliptic_types(fmt: str) -> None:
     """Dump the seven-row table of numerical invariants."""
-    kinds = bielliptic.SURFACE_KINDS
-    if fmt == "json":
-        _emit_json({
-            "command": "bielliptic types",
-            "inputs": {},
-            "status": "ok",
-            "types": [
-                {"type": k.type_index, "group": k.group, "gamma": k.group_order,
-                 "multiplicities": list(k.fiber_multiplicities), "mu": k.mu,
-                 "basis": list(k.basis_labels)}
-                for k in kinds
-            ],
-        })
-    elif fmt == "csv":
-        _emit_csv(
-            [[k.type_index, k.group, k.group_order,
-              " ".join(map(str, k.fiber_multiplicities)), k.mu,
-              " ".join(k.basis_labels)] for k in kinds],
-            ["type", "group", "gamma", "multiplicities", "mu", "basis"],
-        )
-    else:
-        click.echo(f"{'type':>4}  {'group':<6} {'gamma':>5}  {'mults':<10} "
-                   f"{'mu':>2}  basis")
-        for k in kinds:
-            mults = ",".join(map(str, k.fiber_multiplicities))
-            click.echo(f"{k.type_index:>4}  {k.group:<6} {k.group_order:>5}  "
-                       f"{mults:<10} {k.mu:>2}  {', '.join(k.basis_labels)}")
-    sys.exit(EXIT_OK)
+    _emit(fmt, {
+        "command": "bielliptic types",
+        "types": [
+            {"type": k.type_index, "group": k.group, "gamma": k.group_order,
+             "multiplicities": list(k.fiber_multiplicities), "mu": k.mu,
+             "basis": list(k.basis_labels)}
+            for k in bielliptic.SURFACE_KINDS
+        ],
+    }, _types_text, _types_csv)
+
+
+def _types_text(r: dict) -> list[str]:
+    lines = [f"{'type':>4}  {'group':<6} {'gamma':>5}  {'mults':<10} {'mu':>2}  basis"]
+    lines += [f"{k['type']:>4}  {k['group']:<6} {k['gamma']:>5}  "
+              f"{_join(k['multiplicities'], ','):<10} {k['mu']:>2}  {_join(k['basis'], ', ')}"
+              for k in r["types"]]
+    return lines
+
+
+def _types_csv(r: dict) -> tuple[list[str], list[list]]:
+    return (["type", "group", "gamma", "multiplicities", "mu", "basis"],
+            [[k["type"], k["group"], k["gamma"], _join(k["multiplicities"]), k["mu"],
+              _join(k["basis"])] for k in r["types"]])
 
 
 @bielliptic_group.command(name="intersect")
 @_type_option
 @click.option("--c1", required=True)
 @click.option("--c2", required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_format_option(NO_CSV)
 def bielliptic_intersect(type_index: int, c1: str, c2: str, fmt: str) -> None:
     """Intersection number of two divisor classes."""
     kind = bielliptic.surface_kind(type_index)
     d1, d2 = _parse_class(c1), _parse_class(c2)
-    value = bielliptic.intersect(kind, d1, d2)
-    if fmt == "json":
-        _emit_json({
-            "command": "bielliptic intersect",
-            "inputs": {"type": type_index, "c1": str(d1), "c2": str(d2)},
-            "status": "ok",
-            "exact_values": {"intersection": str(value)},
-        })
-    else:
-        click.echo(str(value))
-    sys.exit(EXIT_OK)
+    _emit(fmt, {
+        "command": "bielliptic intersect",
+        "inputs": {"type": type_index, "c1": str(d1), "c2": str(d2)},
+        "exact_values": {"intersection": str(bielliptic.intersect(kind, d1, d2))},
+    }, lambda r: [r["exact_values"]["intersection"]])
 
 
 @bielliptic_group.command(name="fiber-degrees")
 @_type_option
 @click.option("--class", "divisor", required=True, help="Divisor class a,b.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_format_option(NO_CSV)
 def bielliptic_fiber_degrees(type_index: int, divisor: str, fmt: str) -> None:
     """Degrees L.E and L.F of a divisor class against the two fibrations."""
     kind = bielliptic.surface_kind(type_index)
     cls = _parse_class(divisor)
     deg_e, deg_f = bielliptic.fiber_degrees(kind, cls)
-    if fmt == "json":
-        _emit_json({
-            "command": "bielliptic fiber-degrees",
-            "inputs": {"type": type_index, "class": str(cls)},
-            "status": "ok",
-            "exact_values": {"deg_E": str(deg_e), "deg_F": str(deg_f)},
-        })
-    else:
-        click.echo(f"L.E = {deg_e}")
-        click.echo(f"L.F = {deg_f}")
-    sys.exit(EXIT_OK)
+    _emit(fmt, {
+        "command": "bielliptic fiber-degrees",
+        "inputs": {"type": type_index, "class": str(cls)},
+        "exact_values": {"deg_E": str(deg_e), "deg_F": str(deg_f)},
+    }, lambda r: [f"L.E = {r['exact_values']['deg_E']}",
+                  f"L.F = {r['exact_values']['deg_F']}"])
 
 
 @bielliptic_group.command(name="star-check")
@@ -609,7 +566,7 @@ def bielliptic_fiber_degrees(type_index: int, divisor: str, fmt: str) -> None:
 @click.option("--mults", default="", help="Comma-separated multiplicities >= 2.")
 @click.option("--components", "r", default=None, type=int,
               help="Component count for the reduced-curve form.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_format_option(NO_CSV)
 def bielliptic_star_check(c2_value: int, mults: str, r: int | None, fmt: str) -> None:
     """Check C^2 against 2r + sum m_i(m_i - 1)  (r = 1: irreducible form)."""
     try:
@@ -623,16 +580,12 @@ def bielliptic_star_check(c2_value: int, mults: str, r: int | None, fmt: str) ->
             passed = bielliptic.star_check_reducible(c2_value, r, mult_list)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if fmt == "json":
-        _emit_json({
-            "command": "bielliptic star-check",
-            "inputs": {"c2": c2_value, "mults": mult_list, "components": r},
-            "status": "ok" if passed else "violation",
-            "holds": passed,
-        })
-    else:
-        click.echo("true" if passed else "false")
-    sys.exit(EXIT_OK if passed else EXIT_DISCREPANCY)
+    _emit(fmt, {
+        "command": "bielliptic star-check",
+        "inputs": {"c2": c2_value, "mults": mult_list, "components": r},
+        "status": "ok" if passed else "violation",
+        "holds": passed,
+    }, lambda report: ["true" if report["holds"] else "false"])
 
 
 @bielliptic_group.command(name="ratio")
@@ -640,8 +593,8 @@ def bielliptic_star_check(c2_value: int, mults: str, r: int | None, fmt: str) ->
 @click.option("--ample", required=True, help="Ample class a,b.")
 @click.option("--curve", required=True, help="Curve class a,b.")
 @click.option("--m", default=1, show_default=True, type=int)
-@click.option("--decimals", default=4, show_default=True, type=int)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_decimals_option
+@_format_option(NO_CSV)
 def bielliptic_ratio(type_index: int, ample: str, curve: str, m: int,
                      decimals: int, fmt: str) -> None:
     """L.C / m as an exact rational."""
@@ -650,17 +603,12 @@ def bielliptic_ratio(type_index: int, ample: str, curve: str, m: int,
         value = bielliptic.seshadri_ratio(kind, _parse_class(ample), _parse_class(curve), m)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if fmt == "json":
-        _emit_json({
-            "command": "bielliptic ratio",
-            "inputs": {"type": type_index, "ample": ample, "curve": curve, "m": m},
-            "status": "ok",
-            "exact_values": {"ratio": _rat_str(value)},
-            "decimal_renderings": {"ratio": format_decimal(value, decimals)},
-        })
-    else:
-        click.echo(f"{_rat_str(value)} = {format_decimal(value, decimals)}")
-    sys.exit(EXIT_OK)
+    _emit(fmt, {
+        "command": "bielliptic ratio",
+        "inputs": {"type": type_index, "ample": ample, "curve": curve, "m": m},
+        "exact_values": {"ratio": _rat_str(value)},
+        "decimal_renderings": {"ratio": format_decimal(value, decimals)},
+    }, lambda r: [f"{r['exact_values']['ratio']} = {r['decimal_renderings']['ratio']}"])
 
 
 def main() -> None:

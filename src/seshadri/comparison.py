@@ -59,7 +59,7 @@ class TableRow:
     new_bound: SmallBound
 
 
-def comparison_table(ns: list[int], decimals: int = 4) -> list[TableRow]:
+def comparison_table(ns: list[int]) -> list[TableRow]:
     """One row per n: the two prior bounds and the new minimum.
 
     The new bound is checked exactly (not at rendered precision) to
@@ -143,7 +143,7 @@ def table_vs_printed(decimals: int = 4) -> list[CellDiscrepancy]:
     regeneration byte-matches the source after separator normalization.
     """
     discrepancies = []
-    for row in comparison_table(list(PAPER_TABLE_NS), decimals):
+    for row in comparison_table(list(PAPER_TABLE_NS)):
         printed = PAPER_TABLE_PRINTED[row.n]
         computed = (
             row.abelian_7_8.decimal(decimals),

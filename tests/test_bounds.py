@@ -17,7 +17,6 @@ from seshadri.bounds import (
     lower_bound_small,
     m_max,
     m_max_closed_form,
-    merge_census,
     omega_contains,
     sqrt58_threshold,
     sqrt_linear_threshold,
@@ -258,24 +257,6 @@ class TestCensus:
         report = census(600, 700, even_only=False)
         for n, bound in report.per_n.items():
             assert bound == lower_bound_small(n)
-
-    def test_merge_determinism(self):
-        whole = census(2, 2000, even_only=True)
-        for parts in (2, 8):
-            edges = [2 + (i * 1999) // parts for i in range(parts)] + [2001]
-            pieces = [
-                census(edges[i], edges[i + 1] - 1, even_only=True)
-                for i in range(parts)
-            ]
-            merged = merge_census(pieces)
-            assert merged.counts == whole.counts
-            assert merged.per_n == whole.per_n
-
-    def test_parallel_workers_bit_identical(self):
-        serial = census(2, 1500, even_only=True, workers=1)
-        parallel = census(2, 1500, even_only=True, workers=4)
-        assert serial.per_n == parallel.per_n
-        assert serial.counts == parallel.counts
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """CLI surface: subcommands, formats, schema stability, exit codes."""
 
 import json
+from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
+from seshadri import bounds
 from seshadri.cli import cli
 
 JSON_SCHEMA_KEYS = {
@@ -48,6 +51,37 @@ class TestBound:
         result = run("bound", "--n", "100", "--full-precision")
         assert "9.4000" in result.output
 
+    def test_value_disagreeing_with_certificate_is_a_discrepancy(self, monkeypatch):
+        wrong = bounds.SmallBound(100, Fraction(47, 5) + Fraction(1, 5), frozenset({4}))
+        monkeypatch.setattr(bounds, "lower_bound_small", lambda n: wrong)
+        text = run("bound", "--n", "100")
+        assert text.exit_code == 1
+        assert "DISCREPANCY: the certified minimum is 47/5" in text.output
+        result = run("bound", "--n", "100", "--format", "json")
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert payload["status"] == "discrepancy"
+        assert payload["exact_values"]["lower_bound"] == "48/5"
+        assert payload["certificates"]["certified_min"]["value"] == "47/5"
+        csv_row = run("bound", "--n", "100", "--format", "csv").output.splitlines()[1]
+        assert csv_row.endswith(",discrepancy")
+
+
+@pytest.mark.parametrize("args", [
+    ["bound", "--n", "2", "--decimals", "-1"],
+    ["bound", "--n", "2", "--scan-cap", "3"],
+    ["bound", "--n", "2", "--scan-cap", "7", "--format", "json"],
+    ["candidates", "--n", "10", "--decimals", "-1"],
+    ["table", "--ns", "2,100", "--decimals", "-1", "--format", "csv"],
+    ["bielliptic", "ratio", "--type", "1", "--ample", "2,3", "--curve", "1,1",
+     "--decimals", "-1"],
+])
+def test_bad_numeric_input_is_a_usage_error(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+
 
 class TestOmega:
     def test_membership(self):
@@ -90,13 +124,6 @@ class TestCensus:
 
     def test_bad_range(self):
         assert run("census", "--from", "10", "--to", "2").exit_code == 2
-
-    def test_parallelism_is_byte_identical(self):
-        serial = run("census", "--from", "2", "--to", "1500", "--per-n",
-                     "--format", "json")
-        parallel = run("census", "--from", "2", "--to", "1500", "--per-n",
-                       "--format", "json", "--parallel", "4")
-        assert serial.output == parallel.output
 
     def test_csv_format(self):
         result = run("census", "--from", "42", "--to", "42", "--format", "csv")
