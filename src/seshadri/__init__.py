@@ -47,11 +47,8 @@ from .bielliptic import (
 from .comparison import comparison_table, dominance_check, prior_bound
 from .exactmath import (
     RadicalBound,
-    Rat,
     ceil_sqrt,
     format_decimal,
-    isqrt,
-    rad_cmp,
     rat_cmp_sqrt,
     sqrt_linear_cmp,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "BoundCertificate",
     "CensusReport",
     "DivisorClass",
-    "Rat",
     "RadicalBound",
     "SURFACE_KINDS",
     "SmallBound",
@@ -82,12 +78,10 @@ __all__ = [
     "fiber_degrees",
     "format_decimal",
     "intersect",
-    "isqrt",
     "lower_bound_small",
     "m_max",
     "omega_contains",
     "prior_bound",
-    "rad_cmp",
     "rat_cmp_sqrt",
     "self_int",
     "seshadri_ratio",

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .exactmath import Rat
-
 __all__ = [
     "DivisorClass",
     "SurfaceKind",
@@ -134,14 +132,12 @@ def class_of_F(kind: SurfaceKind) -> DivisorClass:
     return DivisorClass(0, kind.group_order // kind.mu)
 
 
-def intersect(kind: SurfaceKind, c1: DivisorClass, c2: DivisorClass) -> int:
+def intersect(c1: DivisorClass, c2: DivisorClass) -> int:
     """Intersection number a1*b2 + a2*b1.
 
     Independent of the surface type once classes are given in basis
-    coordinates; the kind parameter is kept for interface symmetry and
-    validation hooks.
+    coordinates.
     """
-    del kind
     return c1.a * c2.b + c2.a * c1.b
 
 
@@ -202,10 +198,10 @@ def elliptic_values(n: int) -> list[int]:
 
 def seshadri_ratio(
     kind: SurfaceKind, ample: DivisorClass, curve: DivisorClass, m: int
-) -> Rat:
+) -> Fraction:
     """L.C / m as an exact rational, for ample L and multiplicity m >= 1."""
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
     if not is_ample_numeric(ample):
         raise ValueError(f"divisor class {ample} is not numerically ample")
-    return Fraction(intersect(kind, ample, curve), m)
+    return Fraction(intersect(ample, curve), m)

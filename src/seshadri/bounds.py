@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .exactmath import ceil_sqrt, rat_cmp_sqrt, sqrt_linear_cmp
 
@@ -43,6 +43,9 @@ SMALL_MS = (2, 3, 4, 5, 6, 7)
 # N*(2 + m*(m-1)) for m = 2..7: radicand multipliers 4, 8, 14, 22, 32, 44
 RADICAND_MULTIPLIERS = {m: m * (m - 1) + 2 for m in SMALL_MS}
 
+# 420: d/m for m in SMALL_MS is the integer d*(420//m) over 420
+SMALL_MS_LCM = lcm(*SMALL_MS)
+
 DEFAULT_SCAN_CAP = 10**6
 MIN_SCAN_CAP = 8
 
@@ -50,6 +53,11 @@ MIN_SCAN_CAP = 8
 def _check_n(n: int) -> None:
     if n < 2:
         raise ValueError(f"self-intersection must be >= 2, got {n}")
+
+
+def _check_scan_cap(scan_cap: int) -> None:
+    if scan_cap < MIN_SCAN_CAP:
+        raise ValueError(f"scan_cap must be >= {MIN_SCAN_CAP}, got {scan_cap}")
 
 
 def _check_m(m: int) -> None:
@@ -122,12 +130,16 @@ class SmallBound:
 
 
 def lower_bound_small(n: int) -> SmallBound:
-    """The six-term minimum over m in 2..7, as an exact rational."""
+    """The six-term minimum over m in 2..7, as an exact rational.
+
+    The ratios are compared as numerators over the common denominator
+    SMALL_MS_LCM; only the returned minimum becomes a Fraction.
+    """
     _check_n(n)
-    ratios = {m: Fraction(d_min(n, m), m) for m in SMALL_MS}
-    value = min(ratios.values())
-    argmins = frozenset(m for m, v in ratios.items() if v == value)
-    return SmallBound(n, value, argmins)
+    scaled = {m: d_min(n, m) * (SMALL_MS_LCM // m) for m in SMALL_MS}
+    best = min(scaled.values())
+    argmins = frozenset(m for m, v in scaled.items() if v == best)
+    return SmallBound(n, Fraction(best, SMALL_MS_LCM), argmins)
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +255,28 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
     ratios approach sqrt(n) from within distance 1/m, so for every n with
     some ratio below sqrt(n) the scan reaches one, after which the
     quadratic certificate exists.
+
+    The running minimum best_d/best_m is compared with each d_min(n,m)/m
+    by cross-multiplication; it starts at 1/0, which that comparison
+    places above every ratio.
     """
     _check_n(n)
-    if scan_cap < MIN_SCAN_CAP:
-        raise ValueError(f"scan_cap must be >= {MIN_SCAN_CAP}, got {scan_cap}")
-    best: Fraction | None = None
+    _check_scan_cap(scan_cap)
+    best_d, best_m = 1, 0
     argmins: set[int] = set()
     tail: TailWitness | None = None
     m = 2
     while m <= scan_cap:
-        ratio = Fraction(d_min(n, m), m)
-        if best is None or ratio < best:
-            best, argmins = ratio, {m}
+        d = d_min(n, m)
+        if d * best_m < best_d * m:
+            best_d, best_m, argmins = d, m, {m}
+            best = Fraction(d, m)
             tail = tail_cutoff(n, best)
-        elif ratio == best:
+        elif d * best_m == best_d * m:
             argmins.add(m)
         if tail is not None and tail.cutoff <= m + 1:
             return BoundCertificate(n, best, frozenset(argmins), m, tail)
         m += 1
-    assert best is not None
     return BoundCertificate(n, best, frozenset(argmins), scan_cap, None)
 
 
@@ -309,6 +324,7 @@ def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     tail-domination certificate at threshold f(n,7) bounds the search.
     """
     _check_n(n)
+    _check_scan_cap(scan_cap)
     if n >= 1072 and sqrt_linear_cmp(7, 58, 8, 44, 8, n):
         return F7Report(n, Fraction(d_min(n, 7), 7), "holds_analytic", (), None, None)
     d7 = d_min(n, 7)
@@ -509,8 +525,7 @@ def ceiling_threshold(*, even_only: bool = True) -> CeilingThreshold:
     first = 2
     step = 2 if even_only else 1
     for n in range(first, scan_to + 1, step):
-        small = lower_bound_small(n)
-        if small.value != Fraction(d_min(n, 4), 4):
+        if 4 not in lower_bound_small(n).argmins:
             last_failure = n
     threshold = first if last_failure is None else last_failure + step
     return CeilingThreshold(threshold, last_failure, scan_to, analytic, even_only)

@@ -357,9 +357,11 @@ def _table_text(r: dict) -> list[str]:
 
 
 @cli.command()
-@click.option("--agreement-to", default=100_000, show_default=True, type=int,
+@click.option("--agreement-to", default=100_000, show_default=True,
+              type=click.IntRange(min=2),
               help="Upper end of the certified-minimum agreement sweep.")
-@click.option("--scan-cap", default=100_000, show_default=True, type=int,
+@click.option("--scan-cap", default=100_000, show_default=True,
+              type=click.IntRange(min=bounds.MIN_SCAN_CAP),
               help="Scan cap for the per-multiplicity comparison sweep.")
 @_format_option(NO_CSV)
 def verify(agreement_to: int, scan_cap: int, fmt: str) -> None:
@@ -535,12 +537,11 @@ def _types_csv(r: dict) -> tuple[list[str], list[list]]:
 @_format_option(NO_CSV)
 def bielliptic_intersect(type_index: int, c1: str, c2: str, fmt: str) -> None:
     """Intersection number of two divisor classes."""
-    kind = bielliptic.surface_kind(type_index)
     d1, d2 = _parse_class(c1), _parse_class(c2)
     _emit(fmt, {
         "command": "bielliptic intersect",
         "inputs": {"type": type_index, "c1": str(d1), "c2": str(d2)},
-        "exact_values": {"intersection": str(bielliptic.intersect(kind, d1, d2))},
+        "exact_values": {"intersection": str(bielliptic.intersect(d1, d2))},
     }, lambda r: [r["exact_values"]["intersection"]])
 
 

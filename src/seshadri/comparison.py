@@ -8,14 +8,16 @@ the form (irrational constant) * sqrt(N):
     abelian_7_8  sqrt(7/8)*sqrt(N)  = (1/4)*sqrt(14N)  (abelian surfaces)
     hr_093       0.93*sqrt(N)                          (bielliptic surfaces)
 
-Each is held as a RadicalBound with a single radicand so that all
-comparisons stay exact.  The chain
+Each is held as a RadicalBound (p/q)*sqrt(k) with a single radicand k,
+for display.  Comparisons read p, q and k from it and decide in integers:
+a rational r against it by rat_cmp_sqrt(r / (p/q), k), two radicals by
+cross-multiplying their squares p^2*k/q^2.  The chain
 
     d_min(N,m)/m >= sqrt(N(2+m(m-1)))/m >= sqrt(14N)/4
                  >= 0.93*sqrt(N) > sqrt(7/9)*sqrt(N)
 
 holds link by link for every m in 2..7 and every N >= 2 (the last link
-strictly for every N >= 1); dominance_check verifies it in exact
+strictly for every N >= 1); dominance_check verifies it in integer
 arithmetic for a given N.
 
 The eight-row comparison table is regenerated from the exact values.  Two
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import SMALL_MS, SmallBound, d_min, lower_bound_small
-from .exactmath import RadicalBound, format_decimal
+from .exactmath import RadicalBound, format_decimal, rat_cmp_sqrt
 
 PRIOR_BOUND_NAMES = ("ssz_7_9", "abelian_7_8", "hr_093")
 
@@ -71,36 +73,45 @@ def comparison_table(ns: list[int]) -> list[TableRow]:
         small = lower_bound_small(n)
         abelian = prior_bound("abelian_7_8", n)
         hr = prior_bound("hr_093", n)
-        if abelian.cmp(small.value) > 0 or hr.cmp(small.value) > 0:
+        if any(rat_cmp_sqrt(small.value / prior.coef, prior.radicand) < 0
+               for prior in (abelian, hr)):
             raise AssertionError(f"dominance chain violated at n={n}")
         rows.append(TableRow(n, abelian, hr, small))
     return rows
 
 
+def _square(bound: RadicalBound) -> tuple[int, int]:
+    """(p^2*k, q^2): the square of (p/q)*sqrt(k) as numerator and denominator."""
+    return bound.coef.numerator ** 2 * bound.radicand, bound.coef.denominator ** 2
+
+
 def dominance_check(n: int) -> bool:
     """Every link of the chain, exactly, for all m in 2..7.
 
+    Each link compares squares by integer cross-multiplication, with the
+    prior bounds read from prior_bound, so the bounds checked are the
+    ones printed:
     f >= g is the ceiling property (d_min(n,m)^2 >= n*(2+m(m-1)));
     g >= sqrt(14N)/4 cross-multiplies to (m-4)^2 >= 0;
     sqrt(14N)/4 >= 0.93*sqrt(N) reduces to 14/16 >= 8649/10000;
     the final link is strict: 8649*9 > 7*10000.
-    All are still evaluated per n through the exact comparisons.
+    All are evaluated per n.
     """
     if n < 2:
         raise ValueError(f"self-intersection must be >= 2, got {n}")
-    abelian = prior_bound("abelian_7_8", n)
-    hr = prior_bound("hr_093", n)
-    ssz = prior_bound("ssz_7_9", n)
+    ab_num, ab_den = _square(prior_bound("abelian_7_8", n))
+    hr_num, hr_den = _square(prior_bound("hr_093", n))
+    ssz_num, ssz_den = _square(prior_bound("ssz_7_9", n))
     for m in SMALL_MS:
-        radicand = n * (m * (m - 1) + 2)
-        g = RadicalBound(Fraction(1, m), radicand)
-        if g.cmp(Fraction(d_min(n, m), m)) > 0:  # f >= g
+        radicand = n * (m * (m - 1) + 2)  # g(n,m)^2 = radicand / m^2
+        d = d_min(n, m)
+        if d * d < radicand:  # f >= g
             return False
-        if g.cmp(abelian) < 0:  # g >= sqrt(14N)/4
+        if radicand * ab_den < ab_num * m * m:  # g >= sqrt(14N)/4
             return False
-    if abelian.cmp(hr) < 0:  # sqrt(14N)/4 >= 0.93 sqrt(N)
+    if ab_num * hr_den < hr_num * ab_den:  # sqrt(14N)/4 >= 0.93 sqrt(N)
         return False
-    return hr.cmp(ssz) > 0  # strict final link
+    return hr_num * ssz_den > ssz_num * hr_den  # strict final link
 
 
 #: the source table: columns (abelian_7_8, hr_093, new_bound), decimal

@@ -1,15 +1,18 @@
 """Exact integer and rational arithmetic for square-root comparisons.
 
 Every decision in this package reduces to integer arithmetic; floating
-point is never consulted for anything but display.  The comparison shapes
-supported here are exactly the ones the bound computations need:
+point is never consulted for anything but display.  Two rationals d1/m1
+and d2/m2 are ordered by cross-multiplication, d1*m2 vs d2*m1, in the
+callers.  The square-root comparison shapes supported here are exactly
+the ones the bound computations need:
 
     rational  p/q     vs  sqrt(n)             (rat_cmp_sqrt)
-    radical   c1*sqrt(n1)  vs  c2*sqrt(n2)    (RadicalBound, rad_cmp)
     linear    p*sqrt(a*N)  vs  q*sqrt(b*N)+c  (sqrt_linear_cmp)
 
-All three are decided by squaring with exact sign handling, so boundary
+Both are decided by squaring with exact sign handling, so boundary
 cases (perfect squares, exact ties) are resolved by integer identities.
+RadicalBound holds a value c*sqrt(n) for display only: it has no order,
+and comparisons against it go through its coefficient and radicand.
 
 Decimal rendering is display-only: round to nearest, ties away from zero,
 at a fixed number of digits.  Values that are exactly representable in at
@@ -24,29 +27,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rat = Fraction
-
 __all__ = [
-    "Rat",
     "RadicalBound",
     "ceil_sqrt",
     "format_decimal",
     "is_square",
-    "isqrt",
-    "rad_cmp",
     "rat_cmp_sqrt",
     "sqrt_linear_cmp",
 ]
-
-
-def isqrt(n: int) -> int:
-    """Floor of sqrt(n): the unique s >= 0 with s*s <= n < (s+1)*(s+1).
-
-    Rejects negative input.
-    """
-    if n < 0:
-        raise ValueError(f"isqrt of negative integer {n}")
-    return math.isqrt(n)
 
 
 def ceil_sqrt(n: int) -> int:
@@ -139,14 +127,12 @@ def format_decimal(value: Fraction, decimals: int = 4, trim: bool = True) -> str
     return text
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True)
 class RadicalBound:
-    """The real number coef * sqrt(radicand), held exactly.
+    """The real number coef * sqrt(radicand), held exactly for display.
 
     coef is a non-negative rational, radicand a non-negative integer.
-    Two RadicalBounds compare exactly through coef^2 * radicand (a
-    rational), which is order-faithful since both values are >= 0.
-    Rationals compare against RadicalBounds the same way.
+    Equality is field-wise; the class defines no order.
     """
 
     coef: Fraction
@@ -158,46 +144,6 @@ class RadicalBound:
             raise ValueError(f"RadicalBound coefficient must be >= 0, got {self.coef}")
         if self.radicand < 0:
             raise ValueError(f"RadicalBound radicand must be >= 0, got {self.radicand}")
-
-    def square(self) -> Fraction:
-        """coef^2 * radicand, the comparison key."""
-        return self.coef * self.coef * self.radicand
-
-    def cmp(self, other: "RadicalBound | Fraction | int") -> int:
-        """Exact order versus another RadicalBound or non-negative rational."""
-        lhs = self.square()
-        if isinstance(other, RadicalBound):
-            rhs = other.square()
-        else:
-            other = Fraction(other)
-            if other < 0:
-                # self >= 0 > other
-                return 1
-            rhs = other * other
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __lt__(self, other) -> bool:
-        return self.cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self.cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self.cmp(other) >= 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (RadicalBound, Fraction, int)):
-            return self.cmp(other) == 0
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        exact = self.exact_rational()
-        if exact is not None:
-            return hash(exact)  # consistent with equality against rationals
-        return hash(("radical", self.square()))
 
     def exact_rational(self) -> Fraction | None:
         """The value as a Fraction when the radicand is a perfect square."""
@@ -228,7 +174,3 @@ class RadicalBound:
     def __str__(self) -> str:
         return f"{self.coef}*sqrt({self.radicand})"
 
-
-def rad_cmp(x: RadicalBound, y: RadicalBound) -> int:
-    """Exact order of two RadicalBounds; -1, 0 or +1."""
-    return x.cmp(y)

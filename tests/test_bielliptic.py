@@ -66,10 +66,9 @@ def _random_class(rng: random.Random) -> DivisorClass:
 
 class TestIntersectionForm:
     def test_examples(self):
-        k = surface_kind(1)
-        assert intersect(k, DivisorClass(1, 0), DivisorClass(0, 1)) == 1
-        assert intersect(k, DivisorClass(2, 3), DivisorClass(2, 3)) == 12
-        assert intersect(k, DivisorClass(7, -4), DivisorClass(0, 0)) == 0
+        assert intersect(DivisorClass(1, 0), DivisorClass(0, 1)) == 1
+        assert intersect(DivisorClass(2, 3), DivisorClass(2, 3)) == 12
+        assert intersect(DivisorClass(7, -4), DivisorClass(0, 0)) == 0
 
     def test_self_int(self):
         assert self_int(DivisorClass(1, 1)) == 2
@@ -78,19 +77,18 @@ class TestIntersectionForm:
 
     def test_bilinearity_symmetry_evenness(self):
         rng = random.Random(SEED)
-        k = surface_kind(3)
         for _ in range(1000):
             c1, c2, c3 = (_random_class(rng) for _ in range(3))
-            assert intersect(k, c1 + c2, c3) == intersect(k, c1, c3) + intersect(k, c2, c3)
-            assert intersect(k, c1, c2) == intersect(k, c2, c1)
+            assert intersect(c1 + c2, c3) == intersect(c1, c3) + intersect(c2, c3)
+            assert intersect(c1, c2) == intersect(c2, c1)
             assert self_int(c1) % 2 == 0
-            assert self_int(c1) == intersect(k, c1, c1)
+            assert self_int(c1) == intersect(c1, c1)
 
     def test_e_dot_f_is_gamma(self):
         for kind in SURFACE_KINDS:
             e, f = class_of_E(kind), class_of_F(kind)
             assert self_int(e) == 0 and self_int(f) == 0
-            assert intersect(kind, e, f) == kind.group_order
+            assert intersect(e, f) == kind.group_order
 
     def test_zero_self_intersection_is_fiber_direction(self):
         # 2ab = 0 with (a, b) != (0, 0) forces a = 0 or b = 0
@@ -111,8 +109,8 @@ class TestIntersectionForm:
             for _ in range(100):
                 c = _random_class(rng)
                 deg_e, deg_f = fiber_degrees(kind, c)
-                assert deg_e == intersect(kind, c, class_of_E(kind))
-                assert deg_f == intersect(kind, c, class_of_F(kind))
+                assert deg_e == intersect(c, class_of_E(kind))
+                assert deg_f == intersect(c, class_of_F(kind))
 
 
 class TestEffectivityAndAmpleness:

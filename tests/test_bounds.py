@@ -214,6 +214,15 @@ class TestCheckF7:
         assert report.status in ("holds_scanned", "holds_analytic")
         assert report.holds_for_all_m
 
+    def test_scan_cap_below_minimum_rejected(self):
+        # a cap below 8 scans no m >= 8 and cannot certify anything
+        for n in (5, 2000):
+            with pytest.raises(ValueError):
+                check_f7(n, scan_cap=0)
+            with pytest.raises(ValueError):
+                check_f7(n, scan_cap=7)
+        assert check_f7(5, scan_cap=8).scanned_to == 8
+
     def test_sweep_summary(self):
         # frozen by an exhaustive run: 74 certified violation lists in
         # [2, 1070], N = 2 the only uncertified value

@@ -71,6 +71,10 @@ class TestBound:
     ["bound", "--n", "2", "--decimals", "-1"],
     ["bound", "--n", "2", "--scan-cap", "3"],
     ["bound", "--n", "2", "--scan-cap", "7", "--format", "json"],
+    ["verify", "--scan-cap", "0"],
+    ["verify", "--agreement-to", "2", "--scan-cap", "7", "--format", "json"],
+    ["verify", "--agreement-to", "-5"],
+    ["verify", "--agreement-to", "1", "--scan-cap", "3000"],
     ["candidates", "--n", "10", "--decimals", "-1"],
     ["table", "--ns", "2,100", "--decimals", "-1", "--format", "csv"],
     ["bielliptic", "ratio", "--type", "1", "--ample", "2,3", "--curve", "1,1",

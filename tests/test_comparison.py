@@ -32,22 +32,43 @@ class TestPriorBounds:
             prior_bound("nope", 2)
 
 
+def _square(name: str, n: int) -> tuple[int, int]:
+    """The square p^2*k/q^2 of the prior bound (p/q)*sqrt(k), as (p^2*k, q^2)."""
+    bound = prior_bound(name, n)
+    return bound.coef.numerator ** 2 * bound.radicand, bound.coef.denominator ** 2
+
+
 class TestDominance:
     def test_examples(self):
         assert dominance_check(2)
         assert dominance_check(20000)
 
     def test_final_link_strict_at_n1(self):
-        # (93/100)^2 vs 7/9 in rationals: 77841 > 70000
-        assert prior_bound("hr_093", 1).cmp(prior_bound("ssz_7_9", 1)) > 0
+        # 0.93 > sqrt(7/9): (93/100)^2 vs 7/9 in integers, 77841 > 70000
+        hr_num, hr_den = _square("hr_093", 1)
+        ssz_num, ssz_den = _square("ssz_7_9", 1)
+        assert hr_num * ssz_den > ssz_num * hr_den
         assert 8649 * 9 > 7 * 10000
+
+    def test_prior_links_for_every_n(self):
+        # sqrt(14N)/4 > 0.93*sqrt(N) for every N >= 1: 14/16 > 8649/10000
+        # with N cancelled, 140000 > 138384
+        assert 14 * 10000 > 8649 * 16
+        for n in (1, 2, 17, 1000, 10**30 + 7):
+            ab_num, ab_den = _square("abelian_7_8", n)
+            hr_num, hr_den = _square("hr_093", n)
+            ssz_num, ssz_den = _square("ssz_7_9", n)
+            assert ab_num * hr_den > hr_num * ab_den
+            assert hr_num * ssz_den > ssz_num * hr_den
 
     def test_sweep(self):
         assert all(dominance_check(n) for n in range(2, 2001))
 
     def test_new_bound_beats_abelian_at_2(self):
-        # (4/3)^2 = 16/9 vs (7/8)*2 = 7/4: 64/36 > 63/36
-        assert prior_bound("abelian_7_8", 2).cmp(Fraction(4, 3)) < 0
+        # 4/3 > sqrt(7/8)*sqrt(2): (4/3)^2 = 16/9 vs (7/8)*2 = 7/4, 64 > 63
+        ab_num, ab_den = _square("abelian_7_8", 2)
+        assert 4 * 4 * ab_den > ab_num * 3 * 3
+        assert 16 * 4 > 7 * 9
 
 
 class TestTable:

@@ -1,5 +1,5 @@
-"""Exact-arithmetic contracts: integer square roots, radical comparison,
-two-step squaring, decimal rendering.
+"""Exact-arithmetic contracts: integer square roots, rational-vs-radical
+comparison, two-step squaring, radical values, decimal rendering.
 
 Randomized suites use hypothesis (derandomized) plus seeded random.Random
 loops; SEED = 20200817 throughout the test tree.
@@ -7,6 +7,7 @@ loops; SEED = 20200817 throughout the test tree.
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -18,8 +19,6 @@ from seshadri.exactmath import (
     ceil_sqrt,
     format_decimal,
     is_square,
-    isqrt,
-    rad_cmp,
     rat_cmp_sqrt,
     sqrt_linear_cmp,
 )
@@ -28,19 +27,12 @@ SEED = 20200817
 
 
 class TestIntegerSqrt:
-    def test_isqrt_examples(self):
-        assert isqrt(0) == 0
-        assert isqrt(1521) == 39  # perfect square 39^2
-        assert isqrt(1516) == 38  # 38^2 = 1444 <= 1516 < 1521 = 39^2
-
     def test_ceil_sqrt_examples(self):
         assert ceil_sqrt(16) == 4
         assert ceil_sqrt(1516) == 39
         assert ceil_sqrt(0) == 0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            isqrt(-1)
         with pytest.raises(ValueError):
             ceil_sqrt(-5)
 
@@ -83,38 +75,24 @@ def _random_radical(rng: random.Random) -> RadicalBound:
     )
 
 
-class TestRadCmp:
-    def test_examples(self):
-        n = 2
-        assert rad_cmp(RadicalBound(Fraction(1, 4), 14 * n),
-                       RadicalBound(Fraction(93, 100), n)) > 0
-        for n in (1, 2, 17, 1000):
-            assert rad_cmp(RadicalBound(Fraction(93, 100), n),
-                           RadicalBound(Fraction(1, 3), 7 * n)) > 0
-        assert rad_cmp(RadicalBound(Fraction(1, 2), 4),
-                       RadicalBound(Fraction(1), 1)) == 0
-
+class TestRadicalBound:
     def test_invariants_rejected(self):
         with pytest.raises(ValueError):
             RadicalBound(Fraction(-1, 2), 3)
         with pytest.raises(ValueError):
             RadicalBound(Fraction(1, 2), -3)
 
-    def test_total_order_on_random_triples(self):
-        rng = random.Random(SEED)
-        for _ in range(1000):
-            x, y, z = (_random_radical(rng) for _ in range(3))
-            assert rad_cmp(x, y) == -rad_cmp(y, x)  # antisymmetry
-            if rad_cmp(x, y) <= 0 and rad_cmp(y, z) <= 0:  # transitivity
-                assert rad_cmp(x, z) <= 0
-            if rad_cmp(x, y) == 0 and rad_cmp(y, z) == 0:
-                assert rad_cmp(x, z) == 0
+    def test_exact_rational_on_square_radicands(self):
+        assert RadicalBound(Fraction(1, 2), 4).exact_rational() == 1
+        assert RadicalBound(Fraction(2, 3), 9 * 25).exact_rational() == 10
+        assert RadicalBound(Fraction(1, 4), 28).exact_rational() is None
 
-    def test_rational_comparison(self):
-        assert RadicalBound(Fraction(1, 4), 14 * 2).cmp(Fraction(4, 3)) < 0
-        assert RadicalBound(Fraction(2), 4) == 4
-        assert RadicalBound(Fraction(1), 2) > Fraction(7, 5)
-        assert RadicalBound(Fraction(1), 2) < Fraction(3, 2)
+    def test_equality_is_fieldwise_and_unordered(self):
+        assert RadicalBound(1, 2) == RadicalBound(Fraction(1), 2)
+        assert hash(RadicalBound(1, 2)) == hash(RadicalBound(Fraction(1), 2))
+        assert RadicalBound(Fraction(1, 2), 4) != RadicalBound(Fraction(1), 1)
+        with pytest.raises(TypeError):
+            RadicalBound(Fraction(1), 2) < RadicalBound(Fraction(1), 3)
 
 
 class TestSqrtLinearCmp:
