@@ -196,9 +196,7 @@ def elliptic_values(n: int) -> list[int]:
     return list(range(1, isqrt(n) + 1))
 
 
-def seshadri_ratio(
-    kind: SurfaceKind, ample: DivisorClass, curve: DivisorClass, m: int
-) -> Fraction:
+def seshadri_ratio(ample: DivisorClass, curve: DivisorClass, m: int) -> Fraction:
     """L.C / m as an exact rational, for ample L and multiplicity m >= 1."""
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")

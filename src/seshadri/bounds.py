@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
 
 from .exactmath import ceil_sqrt, rat_cmp_sqrt, sqrt_linear_cmp
@@ -174,9 +175,13 @@ class TailWitness:
     strict: bool
 
     def holds_at(self, m: int) -> bool:
-        a, b, c = self.poly
-        v = (a * m + b) * m + c
-        return v > 0 if self.strict else v >= 0
+        return _poly_holds(self.poly, self.strict, m)
+
+
+def _poly_holds(poly: tuple[int, int, int], strict: bool, m: int) -> bool:
+    a, b, c = poly
+    v = (a * m + b) * m + c
+    return v > 0 if strict else v >= 0
 
 
 def tail_cutoff(n: int, threshold: Fraction) -> TailWitness | None:
@@ -198,10 +203,7 @@ def tail_cutoff(n: int, threshold: Fraction) -> TailWitness | None:
         a, b, c = nq2 - p * p, -nq2, 2 * nq2
         strict = False
 
-    def ok(m: int) -> bool:
-        v = (a * m + b) * m + c
-        return v > 0 if strict else v >= 0
-
+    ok = partial(_poly_holds, (a, b, c), strict)  # the predicate holds_at certifies
     witness = lambda m: TailWitness(threshold, m, (a, b, c), strict)
     if a == 0:
         # linear; certifiable iff nondecreasing and eventually satisfied

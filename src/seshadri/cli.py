@@ -32,6 +32,7 @@ from typing import NoReturn
 import click
 
 from . import bielliptic, bounds, comparison
+from . import verify as verify_checks
 from .exactmath import RadicalBound, format_decimal
 
 EXIT_OK = 0
@@ -95,13 +96,7 @@ _full_precision_option = click.option("--full-precision", is_flag=True,
                                       help="Keep trailing zeros in decimals.")
 
 
-def _positive_int(_ctx, param, value):
-    if value is not None and value < 2:
-        raise click.UsageError(f"--{param.name} must be >= 2, got {value}")
-    return value
-
-
-_n_option = click.option("--n", required=True, type=int, callback=_positive_int,
+_n_option = click.option("--n", required=True, type=click.IntRange(min=2),
                          help="Self-intersection N = L^2 (>= 2).")
 
 
@@ -199,8 +194,8 @@ def _cert_json(cert: bounds.BoundCertificate) -> dict:
 
 @cli.command()
 @_n_option
-@click.option("--d", type=int, default=None, help="Degree L.C.")
-@click.option("--m", type=int, default=None, help="Multiplicity (>= 2).")
+@click.option("--d", type=click.IntRange(min=1), default=None, help="Degree L.C.")
+@click.option("--m", type=click.IntRange(min=2), default=None, help="Multiplicity (>= 2).")
 @_format_option()
 def omega(n: int, d: int | None, m: int | None, fmt: str) -> None:
     """Membership and extremal coordinates of the admissible set."""
@@ -208,12 +203,8 @@ def omega(n: int, d: int | None, m: int | None, fmt: str) -> None:
         raise click.UsageError("provide --d, --m, or both")
     info: dict = {}
     if m is not None:
-        if m < 2:
-            raise click.UsageError(f"--m must be >= 2, got {m}")
         info["d_min"] = bounds.d_min(n, m)
     if d is not None:
-        if d < 1:
-            raise click.UsageError(f"--d must be >= 1, got {d}")
         info["m_max"] = bounds.m_max(n, d)
     if d is not None and m is not None:
         info["contains"] = bounds.omega_contains(n, d, m)
@@ -232,13 +223,11 @@ def _omega_csv(r: dict) -> tuple[list[str], list[list]]:
 
 @cli.command()
 @_n_option
-@click.option("--max-m", default=7, show_default=True, type=int)
+@click.option("--max-m", default=7, show_default=True, type=click.IntRange(min=2))
 @_decimals_option
 @_format_option()
 def candidates(n: int, max_m: int, decimals: int, fmt: str) -> None:
     """Candidate values below sqrt(N): admissible ratios and fiber integers."""
-    if max_m < 2:
-        raise click.UsageError(f"--max-m must be >= 2, got {max_m}")
     values = bounds.candidate_values(n, max_m)
     _emit(fmt, {
         "command": "candidates",
@@ -367,92 +356,20 @@ def _table_text(r: dict) -> list[str]:
 def verify(agreement_to: int, scan_cap: int, fmt: str) -> None:
     """Re-run every finite computation and compare against expectations.
 
-    Expectations that the source states exactly (the 1072 inequality
-    threshold, the even-N ceiling threshold 4982, the census counts, the
-    comparison table, chain dominance, theorem-level agreement) must
-    match and drive the exit code.  Under-specified quantities (the exact
-    analytic threshold against the stated 8776, the per-multiplicity
-    violation census) are reported as investigations and never fail.
+    Expectations that the source states exactly must match and drive the
+    exit code; investigations are reported and never fail (see
+    seshadri.verify).
     """
-    anchored: dict[str, dict] = {}
-    investigations: dict[str, str] = {}
-
-    def anchor(name: str, passed: bool, detail: str) -> None:
-        anchored[name] = {"pass": passed, "detail": detail}
-
-    t = bounds.sqrt58_threshold()
-    anchor("sqrt58_threshold", t == 1072, f"computed {t}, expected 1072")
-
-    ceiling = bounds.ceiling_threshold(even_only=True)
-    anchor("ceiling_threshold_even", ceiling.threshold == 4982,
-           f"computed {ceiling.threshold} (last failure N={ceiling.last_failure}, "
-           f"scan to {ceiling.scanned_to} + analytic tail), expected 4982")
-
-    expected_counts = {2: 1, 3: 59, 4: 4656, 5: 274, 6: 9, 7: 1}
-    cens = bounds.census(2, 10_000, even_only=True)
-    anchor("census_even_counts", cens.counts == expected_counts,
-           f"computed {cens.counts}, expected {expected_counts}")
-
-    diffs = comparison.table_vs_printed()
-    anchor("table_regeneration", all(d.documented for d in diffs),
-           "all cells match the printed table" if not diffs else
-           "; ".join(f"({d.n},{d.column}): computed {d.computed}, printed {d.printed}"
-                     f"{' [documented erratum]' if d.documented else ''}" for d in diffs))
-
-    agree_bad = []
-    uncertified = []
-    for n in range(2, agreement_to + 1):
-        cert = bounds.certified_min(n)
-        if not cert.certified:
-            uncertified.append(n)
-        elif cert.value != bounds.lower_bound_small(n).value:
-            agree_bad.append(n)
-    anchor("theorem_agreement", not agree_bad and not uncertified,
-           f"swept N in [2, {agreement_to}]: "
-           f"{len(agree_bad)} disagreements {agree_bad[:5]}, "
-           f"{len(uncertified)} uncertified {uncertified[:5]}")
-
-    dom_bad = [n for n in range(2, 10_001) if not comparison.dominance_check(n)]
-    anchor("dominance_chain", not dom_bad,
-           f"swept N in [2, 10000]: {len(dom_bad)} violations {dom_bad[:5]}")
-
-    analytic = bounds.analytic_threshold()
-    analytic_even = bounds.analytic_threshold(even_only=True)
-    investigations["analytic_threshold"] = (
-        f"all-integer {analytic.threshold} (per-m {analytic.per_m}), "
-        f"even-N {analytic_even.threshold} (per-m {analytic_even.per_m}); "
-        f"stated figure 8776"
-    )
-
-    f7_viol = 0
-    f7_unc = []
-    for n in range(2, 1071):
-        rep = bounds.check_f7(n, scan_cap=scan_cap)
-        if rep.status == "uncertified":
-            f7_unc.append(n)
-        elif rep.violations:
-            f7_viol += 1
-    investigations["per_m_comparison_f7"] = (
-        f"N in [2, 1070]: {f7_viol} values with certified violation lists, "
-        f"uncertified at {f7_unc} (threshold above sqrt(N) there); "
-        f"theorem-level minimum unaffected (see theorem_agreement)"
-    )
-
-    all_int_census = bounds.census(2, 10_000, even_only=False)
-    all_int_ceiling = bounds.ceiling_threshold(even_only=False)
-    investigations["all_integer_variants"] = (
-        f"census over all N in [2, 10000]: {all_int_census.counts}; "
-        f"ceiling threshold over all integers: {all_int_ceiling.threshold} "
-        f"(last failure N={all_int_ceiling.last_failure})"
-    )
-
-    ok = all(check["pass"] for check in anchored.values())
+    result = verify_checks.run(agreement_to, scan_cap)
+    anchored = {c.name: {"pass": c.passed, "detail": c.detail}
+                for c in result.checks if c.passed is not None}
+    ceiling = result.ceiling
     _emit(fmt, {
         "command": "verify",
         "inputs": {"agreement_to": agreement_to, "scan_cap": scan_cap},
-        "status": "ok" if ok else "discrepancy",
+        "status": "ok" if all(c["pass"] for c in anchored.values()) else "discrepancy",
         "paper_expectations": anchored,
-        "investigations": investigations,
+        "investigations": {c.name: c.detail for c in result.checks if c.passed is None},
         "certificates": {
             "ceiling_threshold": {
                 "threshold": ceiling.threshold,
@@ -462,7 +379,7 @@ def verify(agreement_to: int, scan_cap: int, fmt: str) -> None:
             },
             "analytic_threshold": {
                 m: {"threshold": c.threshold, "poly": list(c.poly)}
-                for m, c in analytic.certificates.items()
+                for m, c in result.analytic.certificates.items()
             },
         },
     }, _verify_text)
@@ -593,15 +510,14 @@ def bielliptic_star_check(c2_value: int, mults: str, r: int | None, fmt: str) ->
 @_type_option
 @click.option("--ample", required=True, help="Ample class a,b.")
 @click.option("--curve", required=True, help="Curve class a,b.")
-@click.option("--m", default=1, show_default=True, type=int)
+@click.option("--m", default=1, show_default=True, type=click.IntRange(min=1))
 @_decimals_option
 @_format_option(NO_CSV)
 def bielliptic_ratio(type_index: int, ample: str, curve: str, m: int,
                      decimals: int, fmt: str) -> None:
     """L.C / m as an exact rational."""
-    kind = bielliptic.surface_kind(type_index)
     try:
-        value = bielliptic.seshadri_ratio(kind, _parse_class(ample), _parse_class(curve), m)
+        value = bielliptic.seshadri_ratio(_parse_class(ample), _parse_class(curve), m)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _emit(fmt, {

@@ -15,7 +15,7 @@ from math import isqrt
 
 from click.testing import CliRunner
 
-from seshadri import bounds, comparison
+from seshadri import bounds, comparison, verify
 from seshadri.bielliptic import (
     SURFACE_KINDS,
     DivisorClass,
@@ -24,15 +24,7 @@ from seshadri.bielliptic import (
     intersect,
     self_int,
 )
-from seshadri.bounds import (
-    census,
-    certified_min,
-    check_f7,
-    d_min,
-    lower_bound_small,
-    m_max,
-    omega_contains,
-)
+from seshadri.bounds import census, certified_min, d_min, m_max, omega_contains
 from seshadri.cli import cli
 from seshadri.exactmath import ceil_sqrt
 
@@ -134,22 +126,13 @@ def test_05_analytic_threshold():
 
 def test_06_theorem_agreement():
     start = time.perf_counter()
-    for n in range(2, 100_001):
-        cert = certified_min(n)
-        assert cert.certified, f"no tail certificate at N={n}"
-        assert cert.value == lower_bound_small(n).value, f"disagreement at N={n}"
+    assert verify.agreement_sweep(100_000) == ([], [])  # (disagreeing N, uncertified N)
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
 
     # investigation report: the per-multiplicity comparison against m = 7
-    with_violations = 0
-    uncertified = []
-    for n in range(2, 1071):
-        rep = check_f7(n, scan_cap=10**5)
-        if rep.status == "uncertified":
-            uncertified.append(n)
-        elif rep.violations:
-            with_violations += 1
+    with_violations, uncertified = verify.f7_survey(10**5)
+    assert with_violations == 74
     assert uncertified == [2]  # threshold 10/7 exceeds sqrt(2) there
     report(6, "theorem-level agreement",
            f"[2, 1e5] swept in {elapsed:.1f}s, all certified and equal; "

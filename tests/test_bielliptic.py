@@ -170,16 +170,12 @@ class TestValuesAndRatios:
         assert elliptic_values(16) == [1, 2, 3, 4]
 
     def test_seshadri_ratio(self):
-        k1 = surface_kind(1)
-        assert seshadri_ratio(k1, DivisorClass(1, 1), class_of_E(k1), 1) == 2
-        assert seshadri_ratio(k1, DivisorClass(2, 3), DivisorClass(1, 1), 2) \
-            == Fraction(5, 2)
-        assert seshadri_ratio(surface_kind(4), DivisorClass(1, 1),
-                              DivisorClass(1, 1), 1) == 2
+        assert seshadri_ratio(DivisorClass(1, 1), class_of_E(surface_kind(1)), 1) == 2
+        assert seshadri_ratio(DivisorClass(2, 3), DivisorClass(1, 1), 2) == Fraction(5, 2)
+        assert seshadri_ratio(DivisorClass(1, 1), DivisorClass(1, 1), 1) == 2
 
     def test_ratio_rejects_bad_inputs(self):
-        k = surface_kind(1)
         with pytest.raises(ValueError):
-            seshadri_ratio(k, DivisorClass(0, 1), DivisorClass(1, 1), 1)
+            seshadri_ratio(DivisorClass(0, 1), DivisorClass(1, 1), 1)
         with pytest.raises(ValueError):
-            seshadri_ratio(k, DivisorClass(1, 1), DivisorClass(1, 1), 0)
+            seshadri_ratio(DivisorClass(1, 1), DivisorClass(1, 1), 0)

@@ -76,6 +76,9 @@ class TestBound:
     ["verify", "--agreement-to", "-5"],
     ["verify", "--agreement-to", "1", "--scan-cap", "3000"],
     ["candidates", "--n", "10", "--decimals", "-1"],
+    ["omega", "--n", "2", "--m", "1"],
+    ["candidates", "--n", "10", "--max-m", "1"],
+    ["bielliptic", "ratio", "--type", "1", "--ample", "2,3", "--curve", "1,1", "--m", "0"],
     ["table", "--ns", "2,100", "--decimals", "-1", "--format", "csv"],
     ["bielliptic", "ratio", "--type", "1", "--ample", "2,3", "--curve", "1,1",
      "--decimals", "-1"],
@@ -162,24 +165,19 @@ class TestTable:
 
 
 class TestVerify:
-    def test_small_sweep_passes(self):
-        result = run("verify", "--agreement-to", "500", "--scan-cap", "5000",
+    def test_failed_anchored_check_is_a_discrepancy(self, monkeypatch):
+        monkeypatch.setattr(bounds, "sqrt58_threshold", lambda: 1071)
+        text = run("verify", "--agreement-to", "10", "--scan-cap", "1000")
+        assert text.exit_code == 1
+        assert "[FAIL] sqrt58_threshold: computed 1071, expected 1072" in text.output
+        assert text.output.endswith("verify: DISCREPANCY\n")
+        result = run("verify", "--agreement-to", "10", "--scan-cap", "1000",
                      "--format", "json")
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 1
         payload = json.loads(result.output)
-        assert payload["status"] == "ok"
-        expectations = payload["paper_expectations"]
-        assert expectations["sqrt58_threshold"]["pass"]
-        assert expectations["ceiling_threshold_even"]["pass"]
-        assert expectations["census_even_counts"]["pass"]
-        assert expectations["table_regeneration"]["pass"]
-        assert "8776" in payload["investigations"]["analytic_threshold"]
-
-    def test_text_output_has_pass_lines(self):
-        result = run("verify", "--agreement-to", "200", "--scan-cap", "2000")
-        assert result.exit_code == 0
-        assert "[PASS] sqrt58_threshold" in result.output
-        assert "[INFO] analytic_threshold" in result.output
+        assert payload["status"] == "discrepancy"
+        assert payload["paper_expectations"]["sqrt58_threshold"]["pass"] is False
+        assert payload["paper_expectations"]["census_even_counts"]["pass"] is True
 
 
 class TestBielliptic:
