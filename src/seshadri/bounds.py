@@ -286,6 +286,9 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
 # f(N, m) >= f(N, 7) for m >= 8
 # ---------------------------------------------------------------------------
 
+#: the inequality sqrt(58N)/8 >= sqrt(44N)/7 + 1/7, cleared of denominators
+SQRT58_PARAMS = (7, 58, 8, 44, 8)
+
 
 @dataclass(frozen=True)
 class F7Report:
@@ -319,15 +322,14 @@ class F7Report:
 def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     """Decide f(n,m) >= f(n,7) for all m >= 8, listing every violation.
 
-    For n >= 1072 the analytic argument applies: sqrt(58N)/8 >=
-    sqrt(44N)/7 + 1/7 (exactly decided by sqrt_linear_cmp with the chain
-    f(n,m) >= g(n,m) >= g(n,8) >= g(n,7) + 1/7 >= f(n,7)), so no scan is
-    needed.  Otherwise the comparison is checked exactly per m, and the
+    Where SQRT58_PARAMS holds (exactly, via sqrt_linear_cmp: for n >= 1072)
+    the chain f(n,m) >= g(n,m) >= g(n,8) >= g(n,7) + 1/7 >= f(n,7) applies,
+    so no scan is needed.  Otherwise the comparison is checked exactly per m, and the
     tail-domination certificate at threshold f(n,7) bounds the search.
     """
     _check_n(n)
     _check_scan_cap(scan_cap)
-    if n >= 1072 and sqrt_linear_cmp(7, 58, 8, 44, 8, n):
+    if sqrt_linear_cmp(*SQRT58_PARAMS, n):
         return F7Report(n, Fraction(d_min(n, 7), 7), "holds_analytic", (), None, None)
     d7 = d_min(n, 7)
     threshold = Fraction(d7, 7)
@@ -403,14 +405,13 @@ class SqrtLinearThreshold:
                and n >= c^2/alpha,
 
     and h's larger root lies above c^2/alpha.  poly records h; threshold
-    is the first integer (of the requested parity) in the truth set, and
-    the preceding integer of that parity falls outside it.
+    is the first integer in the truth set, and the preceding integer falls
+    outside it.
     """
 
     params: tuple[int, int, int, int, int]  # (p, a, q, b, c)
     threshold: int
     poly: tuple[int, int, int]
-    even_only: bool
 
     def normalized_poly(self) -> tuple[int, int, int]:
         """poly divided by its content; equal params give equal certificates."""
@@ -421,13 +422,10 @@ class SqrtLinearThreshold:
         return (a2 // g, a1 // g, a0 // g) if g else self.poly
 
 
-def sqrt_linear_threshold(
-    p: int, a: int, q: int, b: int, c: int, *, even_only: bool = False
-) -> SqrtLinearThreshold | None:
+def sqrt_linear_threshold(p: int, a: int, q: int, b: int, c: int) -> SqrtLinearThreshold | None:
     """Exact first integer from which the inequality holds for all larger ones.
 
-    Returns None when p^2*a <= q^2*b (the inequality then fails for every
-    n >= 1).  With even_only, "integer" means "even integer".
+    Returns None when p^2*a <= q^2*b (it then fails for every n >= 1).
     """
     alpha = p * p * a - q * q * b
     if alpha <= 0:
@@ -443,14 +441,7 @@ def sqrt_linear_threshold(
             hi = mid
         else:
             lo = mid + 1
-    threshold = lo
-    if even_only and threshold % 2:
-        threshold += 1
-    return SqrtLinearThreshold((p, a, q, b, c), threshold, poly, even_only)
-
-
-#: the inequality sqrt(58N)/8 >= sqrt(44N)/7 + 1/7, cleared of denominators
-SQRT58_PARAMS = (7, 58, 8, 44, 8)
+    return SqrtLinearThreshold((p, a, q, b, c), lo, poly)
 
 
 def sqrt58_threshold() -> int:
@@ -470,7 +461,9 @@ class AnalyticThreshold:
 
     g(n,m) = sqrt(n*(2+m(m-1)))/m.  Past the max threshold the minimum of
     the ceiled ratios settles at m = 4 for every larger n (of the chosen
-    parity).  Certificates are per-m integer polynomials.
+    parity).  per_m holds the first n of that parity; certificates are the
+    per-m integer polynomials of the all-integer thresholds, which prove
+    their inequality for every n from there on, the first even n included.
     """
 
     threshold: int
@@ -486,15 +479,12 @@ def analytic_threshold(*, even_only: bool = False) -> AnalyticThreshold:
     4*sqrt((m^2-m+2)*n) >= m*sqrt(14*n) + m.  Over all integers the max is
     8775; restricted to even n it is 8776.
     """
-    per_m: dict[int, int] = {}
     certs: dict[int, SqrtLinearThreshold] = {}
     for m in (2, 3, 5, 6, 7):
-        cert = sqrt_linear_threshold(
-            4, m * (m - 1) + 2, m, 14, m, even_only=even_only
-        )
+        cert = sqrt_linear_threshold(4, m * (m - 1) + 2, m, 14, m)
         assert cert is not None  # (m-4)^2 > 0 for m != 4
-        per_m[m] = cert.threshold
         certs[m] = cert
+    per_m = {m: c.threshold + (c.threshold % 2 if even_only else 0) for m, c in certs.items()}
     return AnalyticThreshold(max(per_m.values()), per_m, certs, even_only)
 
 
@@ -502,9 +492,9 @@ def analytic_threshold(*, even_only: bool = False) -> AnalyticThreshold:
 class CeilingThreshold:
     """Sharp first n from which min{d_min(n,m)/m : m in 2..7} = d_min(n,4)/4.
 
-    Certification: brute-force scan with exact ceilings up to the analytic
-    threshold, analytic tail beyond it.  last_failure is the largest
-    scanned n where the equality fails (None if it never fails).
+    Certification: the census's exact ceilings up to the analytic threshold,
+    analytic tail beyond it.  last_failure is the largest examined n below
+    it where the equality fails (None if it never fails).
     """
 
     threshold: int
@@ -514,23 +504,27 @@ class CeilingThreshold:
     even_only: bool
 
 
-def ceiling_threshold(*, even_only: bool = True) -> CeilingThreshold:
-    """Exact threshold for the ceiled minimum settling at m = 4.
+def ceiling_threshold(report: CensusReport) -> CeilingThreshold:
+    """Exact threshold for the ceiled minimum settling at m = 4, read off a census.
 
-    Over even n (self-intersections realized on abelian and bielliptic
-    surfaces) the sharp value is 4982; over all integers it is 5286
-    (largest failure at n = 5285).
+    The census must start at 2 and reach the analytic threshold of its
+    parity; its argmins decide every n below that threshold.  Over even n
+    (self-intersections realized on abelian and bielliptic surfaces) the
+    sharp value is 4982; over all integers it is 5286 (largest failure at
+    n = 5285).
     """
-    analytic = analytic_threshold(even_only=even_only)
+    analytic = analytic_threshold(even_only=report.even_only)
+    if report.start != 2 or report.stop < analytic.threshold:
+        raise ValueError(
+            f"ceiling_threshold needs a census of [2, >= {analytic.threshold}], "
+            f"got [{report.start}, {report.stop}]"
+        )
     scan_to = analytic.threshold - 1
-    last_failure = None
-    first = 2
-    step = 2 if even_only else 1
-    for n in range(first, scan_to + 1, step):
-        if 4 not in lower_bound_small(n).argmins:
-            last_failure = n
-    threshold = first if last_failure is None else last_failure + step
-    return CeilingThreshold(threshold, last_failure, scan_to, analytic, even_only)
+    ns = [n for n in report.per_n if n <= analytic.threshold]
+    last = max((i for i, n in enumerate(ns)
+                if n <= scan_to and 4 not in report.per_n[n].argmins), default=-1)
+    last_failure = ns[last] if last >= 0 else None
+    return CeilingThreshold(ns[last + 1], last_failure, scan_to, analytic, report.even_only)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def rat_cmp_sqrt(r: Fraction, n: int) -> int:
     Returns -1, 0 or +1.  Decided by comparing num^2 with n * den^2 in
     integers, so equality is detected exactly (iff n*den^2 == num^2).
     """
-    if r < 0:
+    if r.numerator < 0:
         raise ValueError(f"rat_cmp_sqrt requires r >= 0, got {r}")
     if n < 0:
         raise ValueError(f"rat_cmp_sqrt of negative radicand {n}")

@@ -72,15 +72,16 @@ def run(agreement_to: int, scan_cap: int) -> Verification:
     """Re-run every check; agreement_to ends the agreement sweep and
     scan_cap bounds the per-multiplicity comparison."""
     t = bounds.sqrt58_threshold()
-    ceiling = bounds.ceiling_threshold(even_only=True)
-    cens = bounds.census(2, 10_000, even_only=True)
+    cens = bounds.census(2, 10_000)
+    ceiling = bounds.ceiling_threshold(cens)
     diffs = comparison.table_vs_printed()
     bad, unc = agreement_sweep(agreement_to)
     dom_bad = [n for n in range(2, 10_001) if not comparison.dominance_check(n)]
-    analytic = bounds.analytic_threshold()
     f7_viol, f7_unc = f7_survey(scan_cap)
+    # built after the f7 survey, whose N = 2 report is the memory peak
     all_int_census = bounds.census(2, 10_000, even_only=False)
-    all_int_ceiling = bounds.ceiling_threshold(even_only=False)
+    all_int_ceiling = bounds.ceiling_threshold(all_int_census)
+    analytic = all_int_ceiling.analytic
     checks = [
         Check("sqrt58_threshold", t == 1072, f"computed {t}, expected 1072"),
         Check("ceiling_threshold_even", ceiling.threshold == 4982,

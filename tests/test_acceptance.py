@@ -90,7 +90,7 @@ def test_02_census():
 
 def test_03_ceiling_threshold():
     start = time.perf_counter()
-    rep = bounds.ceiling_threshold(even_only=True)
+    rep = bounds.ceiling_threshold(census(2, 10_000))  # the census is timed too
     elapsed = time.perf_counter() - start
     assert rep.threshold == 4982
     assert rep.last_failure == 4980

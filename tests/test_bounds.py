@@ -223,6 +223,17 @@ class TestCheckF7:
                 check_f7(n, scan_cap=7)
         assert check_f7(5, scan_cap=8).scanned_to == 8
 
+    def test_analytic_case_is_exactly_the_1072_inequality(self):
+        t = sqrt58_threshold()
+        for n in range(1000, 1201):
+            assert (check_f7(n).status == "holds_analytic") == (n >= t), n
+
+    def test_1071_between_survey_and_analytic_tail(self):
+        # f7_survey stops at 1070 and the analytic case starts at 1072
+        report = check_f7(1071)
+        assert report.status == "holds_scanned"
+        assert report.violations == ()
+
 
 class TestCensus:
     def test_single_points(self):
@@ -290,16 +301,19 @@ class TestThresholds:
         report = analytic_threshold(even_only=True)
         assert report.per_m == {2: 16, 3: 1144, 5: 8776, 6: 1144, 7: 422}
         assert report.threshold == 8776
+        # the all-integer certificates hold from their threshold on, so
+        # they also cover the first even n
+        assert report.certificates == analytic_threshold().certificates
 
     def test_ceiling_even(self):
-        report = ceiling_threshold(even_only=True)
+        report = ceiling_threshold(census(2, 10_000))
         assert report.threshold == 4982
         assert report.last_failure == 4980
 
     def test_ceiling_all_integers(self):
         # frozen from the exhaustive scan; the odd value 5285 still has its
         # minimum at m = 5
-        report = ceiling_threshold(even_only=False)
+        report = ceiling_threshold(census(2, 10_000, even_only=False))
         assert report.threshold == 5286
         assert report.last_failure == 5285
 

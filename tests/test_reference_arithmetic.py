@@ -4,6 +4,9 @@ lower_bound_small, certified_min and dominance_check order ratios d/m and
 squares of radicals by integer cross-multiplication.  The references
 below are the earlier loops written with Fraction objects, kept here to
 require equal results: value, argmins, scanned_to and tail witness.
+ceiling_threshold reads a census; its reference is the earlier direct
+scan of lower_bound_small.  A box oracle computes the minimum over
+Omega(N) by walking degrees upward, with no ceil_sqrt.
 """
 
 from fractions import Fraction
@@ -16,12 +19,14 @@ from seshadri import comparison
 from seshadri.bounds import (
     DEFAULT_SCAN_CAP,
     SMALL_MS,
+    ceiling_threshold,
+    census,
     certified_min,
     d_min,
     lower_bound_small,
     tail_cutoff,
 )
-from seshadri.exactmath import RadicalBound
+from seshadri.exactmath import RadicalBound, sqrt_linear_cmp
 
 
 def lower_bound_small_reference(n: int) -> tuple[Fraction, frozenset[int]]:
@@ -112,3 +117,61 @@ def test_dominance_check_matches_reference_on_broken_chains(monkeypatch, name, b
                         lambda which, n: broken(n) if which == name else original(which, n))
     for n in range(2, 200):
         assert comparison.dominance_check(n) is dominance_check_reference(n) is False
+
+
+def analytic_per_m_reference(step: int) -> dict[int, int]:
+    """First n of the parity after the last failure of 4*sqrt((m^2-m+2)n) >=
+    m*sqrt(14n) + m in [2, 20000]; the truth set is a final segment."""
+    per_m = {}
+    for m in (2, 3, 5, 6, 7):
+        fails = [n for n in range(2, 20_001, step)
+                 if not sqrt_linear_cmp(4, m * (m - 1) + 2, m, 14, m, n)]
+        per_m[m] = fails[-1] + step if fails else 2
+    return per_m
+
+
+def ceiling_threshold_reference(even_only: bool):
+    step = 2 if even_only else 1
+    per_m = analytic_per_m_reference(step)
+    analytic = max(per_m.values())
+    last_failure = None
+    for n in range(2, analytic, step):
+        if 4 not in lower_bound_small(n).argmins:
+            last_failure = n
+    threshold = 2 if last_failure is None else last_failure + step
+    return threshold, last_failure, analytic - 1, per_m
+
+
+@pytest.mark.parametrize("even_only", [True, False])
+def test_ceiling_threshold_matches_reference(even_only):
+    rep = ceiling_threshold(census(2, 10_000, even_only=even_only))
+    assert rep.even_only is even_only
+    assert (rep.threshold, rep.last_failure, rep.scanned_to, rep.analytic.per_m) == \
+        ceiling_threshold_reference(even_only)
+
+
+def test_ceiling_threshold_needs_census_from_2_to_analytic_threshold():
+    with pytest.raises(ValueError):
+        ceiling_threshold(census(2, 8775))  # even analytic threshold is 8776
+    assert ceiling_threshold(census(2, 8776)).threshold == 4982
+    with pytest.raises(ValueError):
+        ceiling_threshold(census(3, 10_000, even_only=False))
+
+
+def test_box_minimum_without_ceil_sqrt():
+    # smallest d with d^2 >= N*(m^2-m+2), walked upward from its value at
+    # N - 1 (it never decreases in N); the box is m in [2, 40]
+    ms = range(2, 41)
+    d = dict.fromkeys(ms, 1)
+    for n in range(2, 501):
+        for m in ms:
+            while d[m] * d[m] < n * (m * m - m + 2):
+                d[m] += 1
+        ratios = {m: Fraction(d[m], m) for m in ms}
+        box = min(ratios.values())
+        box_argmins = {m for m, r in ratios.items() if r == box}
+        cert, small = certified_min(n), lower_bound_small(n)
+        assert cert.value == small.value == box
+        assert cert.argmins <= box_argmins
+        assert small.argmins == box_argmins & set(SMALL_MS)
+        assert cert.scanned_to <= 40
