@@ -66,51 +66,35 @@ def _check_m(m: int) -> None:
         raise ValueError(f"multiplicity must be >= 2, got {m}")
 
 
+def _check_positive(what: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
+
+
 def omega_contains(n: int, d: int, m: int) -> bool:
     """Whether (d, m) lies in Omega(n): d^2 >= n*(2 + m*(m-1))."""
     _check_m(m)
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+    _check_positive("degree", d)
+    _check_positive("self-intersection", n)
     return d * d >= n * (m * (m - 1) + 2)
 
 
 def d_min(n: int, m: int) -> int:
     """Smallest degree d with (d, m) in Omega(n): ceil(sqrt(n*(2+m(m-1))))."""
     _check_m(m)
-    if n < 1:
-        raise ValueError(f"self-intersection must be >= 1, got {n}")
+    _check_positive("self-intersection", n)
     return ceil_sqrt(n * (m * (m - 1) + 2))
 
 
 def m_max(n: int, d: int) -> int | None:
     """Largest m >= 2 with (d, m) in Omega(n), or None if there is none.
 
-    Computed by exact bisection on the defining inequality
-    n*(2 + m*(m-1)) <= d^2; the closed-form floor expression is kept as a
-    cross-check only (m_max_closed_form), since naive floating evaluation
-    of floor(1/2 + sqrt(d^2/n - 7/4)) can err at boundaries.
+    Exact closed form: n*(m^2 - m + 2) <= d^2 is equivalent to
+    (2m - 1)^2 <= (4d^2 - 7n)/n, and floor(sqrt(x)) = isqrt(floor(x)) for
+    x >= 0, so the largest such m is (1 + isqrt((4d^2 - 7n) // n)) // 2.
     """
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
-    dd = d * d
-    if 4 * n > dd:  # even m = 2 fails
-        return None
-    lo, hi = 2, d + 2  # at m = d+2: m(m-1)+2 > d^2 >= d^2/n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if n * (mid * (mid - 1) + 2) <= dd:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def m_max_closed_form(n: int, d: int) -> int | None:
-    """floor(1/2 + sqrt(d^2/n - 7/4)) evaluated in exact integers.
-
-    Equals floor((1 + floor(sqrt((4d^2 - 7n) // n))) / 2) because the
-    half-integer thresholds of (1+t)/2 sit at integers.
-    """
+    _check_positive("degree", d)
+    _check_positive("self-intersection", n)
     if 4 * d * d < 7 * n:
         return None
     m = (1 + isqrt((4 * d * d - 7 * n) // n)) // 2
@@ -303,8 +287,10 @@ class F7Report:
                                      certified from cutoff <= scanned_to + 1;
       "counterexamples_complete"  -- the violations listed are ALL of them
                                      (same certification as above);
-      "uncertified"               -- scan_cap reached without a certificate;
-                                     violations listed are those found so far.
+      "uncertified"               -- no tail certificate within scan_cap (none
+                                     exists when f(n,7) > sqrt(n)); nothing is
+                                     scanned, so violations is empty and
+                                     scanned_to is None.
     """
 
     n: int
@@ -314,10 +300,6 @@ class F7Report:
     scanned_to: int | None
     tail_witness: TailWitness | None
 
-    @property
-    def holds_for_all_m(self) -> bool:
-        return self.status in ("holds_analytic", "holds_scanned")
-
 
 def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     """Decide f(n,m) >= f(n,7) for all m >= 8, listing every violation.
@@ -325,7 +307,8 @@ def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     Where SQRT58_PARAMS holds (exactly, via sqrt_linear_cmp: for n >= 1072)
     the chain f(n,m) >= g(n,m) >= g(n,8) >= g(n,7) + 1/7 >= f(n,7) applies,
     so no scan is needed.  Otherwise the comparison is checked exactly per m, and the
-    tail-domination certificate at threshold f(n,7) bounds the search.
+    tail-domination certificate at threshold f(n,7) bounds the search; where
+    that certificate does not exist or starts past scan_cap, nothing is scanned.
     """
     _check_n(n)
     _check_scan_cap(scan_cap)
@@ -334,17 +317,15 @@ def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     d7 = d_min(n, 7)
     threshold = Fraction(d7, 7)
     tail = tail_cutoff(n, threshold)
-    if tail is not None and tail.cutoff - 1 <= scan_cap:
-        scan_to = max(7, tail.cutoff - 1)
-    else:
-        tail, scan_to = None, scan_cap  # no certificate reachable below the cap
+    if tail is None or tail.cutoff - 1 > scan_cap:
+        # a list of violations up to the cap would be an arbitrary prefix
+        return F7Report(n, threshold, "uncertified", (), None, None)
+    scan_to = max(7, tail.cutoff - 1)
     violations = tuple(
         (m, Fraction(dm, m), threshold)
         for m in range(8, scan_to + 1)
         if 7 * (dm := d_min(n, m)) < d7 * m  # d_min(n,m)/m < d_min(n,7)/7
     )
-    if tail is None:
-        return F7Report(n, threshold, "uncertified", violations, scan_to, None)
     status = "counterexamples_complete" if violations else "holds_scanned"
     return F7Report(n, threshold, status, violations, scan_to, tail)
 
@@ -412,14 +393,6 @@ class SqrtLinearThreshold:
     params: tuple[int, int, int, int, int]  # (p, a, q, b, c)
     threshold: int
     poly: tuple[int, int, int]
-
-    def normalized_poly(self) -> tuple[int, int, int]:
-        """poly divided by its content; equal params give equal certificates."""
-        from math import gcd
-
-        a2, a1, a0 = self.poly
-        g = gcd(gcd(a2, a1), a0)
-        return (a2 // g, a1 // g, a0 // g) if g else self.poly
 
 
 def sqrt_linear_threshold(p: int, a: int, q: int, b: int, c: int) -> SqrtLinearThreshold | None:

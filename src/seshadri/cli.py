@@ -47,11 +47,6 @@ SCHEMA_DEFAULTS = {
     "decimal_renderings": {}, "certificates": {}, "paper_expectations": {},
 }
 
-#: prior-bound columns in the order bound prints them
-PRIOR_COLUMNS = ("abelian_7_8", "hr_093", "ssz_7_9")
-#: columns of the comparison table
-TABLE_COLUMNS = ("n", "abelian_7_8", "hr_093", "new_bound")
-
 
 def _rat_str(value: Fraction) -> str:
     value = Fraction(value)
@@ -121,7 +116,7 @@ def bound(n: int, scan_cap: int, decimals: int, fmt: str, full_precision: bool) 
     trim = not full_precision
     small = bounds.lower_bound_small(n)
     cert = bounds.certified_min(n, scan_cap)
-    priors = {name: comparison.prior_bound(name, n) for name in comparison.PRIOR_BOUND_NAMES}
+    priors = {name: comparison.prior_bound(name, n) for name in comparison.PRIOR_BOUNDS}
     if not cert.certified:
         status = "uncertified"
     elif cert.value != small.value:
@@ -153,7 +148,7 @@ def _bound_text(r: dict) -> list[str]:
         f"lower bound: {r['exact_values']['lower_bound']} = {decimal['lower_bound']}"
         f"   (minimizing m: {{{_join(r['argmins'], ', ')}}})",
     ]
-    lines += [f"prior {name:<12} {decimal['priors'][name]}" for name in PRIOR_COLUMNS]
+    lines += [f"prior {name:<12} {value}" for name, value in decimal["priors"].items()]
     if cert["certified"]:
         lines.append(f"certified over all m >= 2 (scanned to m={cert['scanned_to']}, "
                      f"tail cutoff m={cert['tail']['cutoff']})")
@@ -167,10 +162,9 @@ def _bound_text(r: dict) -> list[str]:
 def _bound_csv(r: dict) -> tuple[list[str], list[list]]:
     decimal = r["decimal_renderings"]
     return (
-        ["n", "bound", "bound_decimal", "argmins", *PRIOR_COLUMNS, "status"],
+        ["n", "bound", "bound_decimal", "argmins", *decimal["priors"], "status"],
         [[r["inputs"]["n"], r["exact_values"]["lower_bound"], decimal["lower_bound"],
-          _join(r["argmins"]), *(decimal["priors"][k] for k in PRIOR_COLUMNS),
-          r["status"]]],
+          _join(r["argmins"]), *decimal["priors"].values(), r["status"]]],
     )
 
 
@@ -302,15 +296,15 @@ def _census_csv(r: dict) -> tuple[list[str], list[list]]:
 def table(preset: str | None, ns: str | None, decimals: int, full_precision: bool,
           fmt: str) -> None:
     """Comparison table: prior bounds versus the new bound."""
+    if (preset is None) == (ns is None):
+        raise click.UsageError("provide exactly one of --preset paper and --ns")
     if preset == "paper":
         values = list(comparison.PAPER_TABLE_NS)
-    elif ns:
+    else:
         try:
             values = [int(part) for part in ns.split(",")]
         except ValueError as exc:
             raise click.UsageError(f"bad --ns list: {exc}")
-    else:
-        raise click.UsageError("provide --preset paper or --ns")
     if any(v < 2 for v in values):
         raise click.UsageError("every N must be >= 2")
     trim = not full_precision
@@ -326,22 +320,20 @@ def table(preset: str | None, ns: str | None, decimals: int, full_precision: boo
             for row in rows
         ]},
         "decimal_renderings": {"rows": [
-            {"n": row.n,
-             "abelian_7_8": row.abelian_7_8.decimal(decimals, trim),
-             "hr_093": row.hr_093.decimal(decimals, trim),
-             "new_bound": format_decimal(row.new_bound.value, decimals, trim)}
+            {"n": row.n, **dict(zip(comparison.TABLE_COLUMNS, row.cells(decimals, trim)))}
             for row in rows
         ]},
-    }, _table_text, lambda r: (list(TABLE_COLUMNS), _table_rows(r)))
+    }, _table_text, _table_csv)
 
 
-def _table_rows(r: dict) -> list[list]:
-    return [[row[key] for key in TABLE_COLUMNS] for row in r["decimal_renderings"]["rows"]]
+def _table_csv(r: dict) -> tuple[list[str], list[list]]:
+    header = ["n", *comparison.TABLE_COLUMNS]
+    return header, [[row[key] for key in header] for row in r["decimal_renderings"]["rows"]]
 
 
 def _table_text(r: dict) -> list[str]:
     lines = [f"{'L^2':>8}  {'abelian_7_8':>12}  {'hr_093':>10}  {'new_bound':>10}"]
-    lines += [f"{n:>8}  {ab:>12}  {hr:>10}  {nb:>10}" for n, ab, hr, nb in _table_rows(r)]
+    lines += [f"{n:>8}  {ab:>12}  {hr:>10}  {nb:>10}" for n, ab, hr, nb in _table_csv(r)[1]]
     return lines
 
 
@@ -488,7 +480,7 @@ def bielliptic_fiber_degrees(type_index: int, divisor: str, fmt: str) -> None:
 def bielliptic_star_check(c2_value: int, mults: str, r: int | None, fmt: str) -> None:
     """Check C^2 against 2r + sum m_i(m_i - 1)  (r = 1: irreducible form)."""
     try:
-        mult_list = [int(part) for part in mults.split(",") if part]
+        mult_list = [int(part) for part in mults.split(",")] if mults else []
     except ValueError:
         raise click.UsageError(f"bad --mults list: {mults!r}")
     try:

@@ -9,9 +9,9 @@ the form (irrational constant) * sqrt(N):
     hr_093       0.93*sqrt(N)                          (bielliptic surfaces)
 
 Each is held as a RadicalBound (p/q)*sqrt(k) with a single radicand k,
-for display.  Comparisons read p, q and k from it and decide in integers:
-a rational r against it by rat_cmp_sqrt(r / (p/q), k), two radicals by
-cross-multiplying their squares p^2*k/q^2.  The chain
+for display.  Comparisons read p, q and k from it and decide in integers,
+by cross-multiplying squares: p^2*k/q^2 against a rational's square or
+another radical's.  The chain
 
     d_min(N,m)/m >= sqrt(N(2+m(m-1)))/m >= sqrt(14N)/4
                  >= 0.93*sqrt(N) > sqrt(7/9)*sqrt(N)
@@ -35,22 +35,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import SMALL_MS, SmallBound, d_min, lower_bound_small
-from .exactmath import RadicalBound, format_decimal, rat_cmp_sqrt
+from .exactmath import RadicalBound, format_decimal
 
-PRIOR_BOUND_NAMES = ("ssz_7_9", "abelian_7_8", "hr_093")
+#: name -> (p/q, c): the earlier bound (p/q)*sqrt(c*N), in the order bound prints them
+PRIOR_BOUNDS = {
+    "abelian_7_8": (Fraction(1, 4), 14),
+    "hr_093": (Fraction(93, 100), 1),
+    "ssz_7_9": (Fraction(1, 3), 7),
+}
+
+#: the printed columns of the comparison table, after n
+TABLE_COLUMNS = ("abelian_7_8", "hr_093", "new_bound")
 
 
 def prior_bound(name: str, n: int) -> RadicalBound:
     """The named earlier bound at self-intersection n, as an exact radical."""
     if n < 1:
         raise ValueError(f"self-intersection must be >= 1, got {n}")
-    if name == "ssz_7_9":
-        return RadicalBound(Fraction(1, 3), 7 * n)
-    if name == "abelian_7_8":
-        return RadicalBound(Fraction(1, 4), 14 * n)
-    if name == "hr_093":
-        return RadicalBound(Fraction(93, 100), n)
-    raise ValueError(f"unknown prior bound {name!r}; expected one of {PRIOR_BOUND_NAMES}")
+    if name not in PRIOR_BOUNDS:
+        raise ValueError(f"unknown prior bound {name!r}; expected one of {tuple(PRIOR_BOUNDS)}")
+    coef, c = PRIOR_BOUNDS[name]
+    return RadicalBound(coef, c * n)
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,16 @@ class TableRow:
     abelian_7_8: RadicalBound
     hr_093: RadicalBound
     new_bound: SmallBound
+
+    def cells(self, decimals: int = 4, trim: bool = True) -> tuple[str, str, str]:
+        """The TABLE_COLUMNS cells rendered at decimals digits."""
+        return (self.abelian_7_8.decimal(decimals, trim), self.hr_093.decimal(decimals, trim),
+                format_decimal(self.new_bound.value, decimals, trim))
+
+
+def _square(bound: RadicalBound) -> tuple[int, int]:
+    """(p^2*k, q^2): the square of (p/q)*sqrt(k) as numerator and denominator."""
+    return bound.coef.numerator ** 2 * bound.radicand, bound.coef.denominator ** 2
 
 
 def comparison_table(ns: list[int]) -> list[TableRow]:
@@ -73,16 +88,11 @@ def comparison_table(ns: list[int]) -> list[TableRow]:
         small = lower_bound_small(n)
         abelian = prior_bound("abelian_7_8", n)
         hr = prior_bound("hr_093", n)
-        if any(rat_cmp_sqrt(small.value / prior.coef, prior.radicand) < 0
-               for prior in (abelian, hr)):
+        v_num, v_den = small.value.numerator ** 2, small.value.denominator ** 2
+        if any(v_num * den < num * v_den for num, den in map(_square, (abelian, hr))):
             raise AssertionError(f"dominance chain violated at n={n}")
         rows.append(TableRow(n, abelian, hr, small))
     return rows
-
-
-def _square(bound: RadicalBound) -> tuple[int, int]:
-    """(p^2*k, q^2): the square of (p/q)*sqrt(k) as numerator and denominator."""
-    return bound.coef.numerator ** 2 * bound.radicand, bound.coef.denominator ** 2
 
 
 def dominance_check(n: int) -> bool:
@@ -145,7 +155,7 @@ class CellDiscrepancy:
     documented: bool  # True when listed in KNOWN_TABLE_ERRATA
 
 
-def table_vs_printed(decimals: int = 4) -> list[CellDiscrepancy]:
+def table_vs_printed() -> list[CellDiscrepancy]:
     """Regenerate the source table and diff it cell-by-cell.
 
     Returns the list of cells whose exact rendering differs from the
@@ -155,15 +165,7 @@ def table_vs_printed(decimals: int = 4) -> list[CellDiscrepancy]:
     """
     discrepancies = []
     for row in comparison_table(list(PAPER_TABLE_NS)):
-        printed = PAPER_TABLE_PRINTED[row.n]
-        computed = (
-            row.abelian_7_8.decimal(decimals),
-            row.hr_093.decimal(decimals),
-            format_decimal(row.new_bound.value, decimals),
-        )
-        for col, have, want in zip(
-            ("abelian_7_8", "hr_093", "new_bound"), computed, printed
-        ):
+        for col, have, want in zip(TABLE_COLUMNS, row.cells(), PAPER_TABLE_PRINTED[row.n]):
             if have != want:
                 documented = KNOWN_TABLE_ERRATA.get((row.n, col)) == (want, have)
                 discrepancies.append(CellDiscrepancy(row.n, col, want, have, documented))

@@ -31,7 +31,6 @@ __all__ = [
     "RadicalBound",
     "ceil_sqrt",
     "format_decimal",
-    "is_square",
     "rat_cmp_sqrt",
     "sqrt_linear_cmp",
 ]
@@ -43,13 +42,6 @@ def ceil_sqrt(n: int) -> int:
         raise ValueError(f"ceil_sqrt of negative integer {n}")
     s = math.isqrt(n)
     return s if s * s == n else s + 1
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    s = math.isqrt(n)
-    return s * s == n
 
 
 def rat_cmp_sqrt(r: Fraction, n: int) -> int:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -16,13 +17,11 @@ from seshadri.bounds import (
     d_min,
     lower_bound_small,
     m_max,
-    m_max_closed_form,
     omega_contains,
     sqrt58_threshold,
     sqrt_linear_threshold,
     tail_cutoff,
 )
-from seshadri.exactmath import is_square
 
 SEED = 20200817
 
@@ -38,6 +37,12 @@ class TestOmega:
             omega_contains(2, 3, 1)
         with pytest.raises(ValueError):
             omega_contains(2, 0, 2)
+        with pytest.raises(ValueError):
+            omega_contains(0, 1, 2)
+        with pytest.raises(ValueError):
+            m_max(0, 5)
+        with pytest.raises(ValueError):
+            m_max(2, 0)
 
     def test_d_min_examples(self):
         assert d_min(2, 3) == 4
@@ -56,12 +61,6 @@ class TestOmega:
         assert m_max(1, 4) == 4     # m=4: 14 <= 16; m=5: 22 > 16
         assert m_max(2, 3) == 2
         assert m_max(2, 2) is None  # 4 < 8
-
-    def test_m_max_agrees_with_closed_form(self):
-        rng = random.Random(SEED)
-        for _ in range(1000):
-            n, d = rng.randint(1, 500), rng.randint(1, 200)
-            assert m_max(n, d) == m_max_closed_form(n, d)
 
     def test_duality(self):
         # omega_contains(n,(d,m)) <=> d >= d_min(n,m) <=> m <= m_max(n,d)
@@ -110,7 +109,7 @@ class TestLowerBoundSmall:
             radicand = n * (m * (m - 1) + 2)
             d = d_min(n, m)
             assert d * d >= radicand  # f >= g after clearing the common 1/m
-            assert (d * d == radicand) == is_square(radicand)
+            assert (d * d == radicand) == (isqrt(radicand) ** 2 == radicand)
 
 
 class TestCertifiedMin:
@@ -189,15 +188,17 @@ class TestCheckF7:
     def test_analytic_shortcircuit(self):
         report = check_f7(1072)
         assert report.status == "holds_analytic"
-        assert report.holds_for_all_m
         assert not report.violations
 
     def test_n2_uncertified_with_violations(self):
         report = check_f7(2, scan_cap=2000)
         assert report.threshold == Fraction(10, 7)
         assert report.status == "uncertified"
+        # f(2,7) = 10/7 > sqrt(2), so infinitely many m violate and any list
+        # would be arbitrary: nothing is scanned
+        assert report.violations == ()
+        assert report.scanned_to is None
         # e.g. m = 10: ceil(sqrt(2*92)) = 14, and 14/10 < 10/7
-        assert any(m == 10 for m, _, _ in report.violations)
         assert Fraction(d_min(2, 10), 10) < Fraction(10, 7)
 
     def test_n3_certified_counterexamples(self):
@@ -212,7 +213,6 @@ class TestCheckF7:
     def test_violation_free_case(self):
         report = check_f7(5, scan_cap=10**4)
         assert report.status in ("holds_scanned", "holds_analytic")
-        assert report.holds_for_all_m
 
     def test_scan_cap_below_minimum_rejected(self):
         # a cap below 8 scans no m >= 8 and cannot certify anything
@@ -221,7 +221,7 @@ class TestCheckF7:
                 check_f7(n, scan_cap=0)
             with pytest.raises(ValueError):
                 check_f7(n, scan_cap=7)
-        assert check_f7(5, scan_cap=8).scanned_to == 8
+        assert check_f7(5, scan_cap=8).status == "uncertified"
 
     def test_analytic_case_is_exactly_the_1072_inequality(self):
         t = sqrt58_threshold()
@@ -295,7 +295,9 @@ class TestThresholds:
         report = analytic_threshold()
         c3, c6 = report.certificates[3], report.certificates[6]
         assert c3.threshold == c6.threshold
-        assert c3.normalized_poly() == c6.normalized_poly() == (4, -4572, 81)
+        # equal polynomials up to their content
+        normalized = [tuple(a // gcd(*c.poly) for a in c.poly) for c in (c3, c6)]
+        assert normalized == [(4, -4572, 81)] * 2
 
     def test_analytic_even_domain(self):
         report = analytic_threshold(even_only=True)

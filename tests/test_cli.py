@@ -82,6 +82,7 @@ class TestBound:
     ["table", "--ns", "2,100", "--decimals", "-1", "--format", "csv"],
     ["bielliptic", "ratio", "--type", "1", "--ample", "2,3", "--curve", "1,1",
      "--decimals", "-1"],
+    ["bielliptic", "star-check", "--c2", "10", "--mults", "2,3,"],
 ])
 def test_bad_numeric_input_is_a_usage_error(args):
     result = run(*args)
@@ -162,6 +163,7 @@ class TestTable:
         assert run("table").exit_code == 2
         assert run("table", "--ns", "2,x").exit_code == 2
         assert run("table", "--ns", "1").exit_code == 2
+        assert run("table", "--preset", "paper", "--ns", "5").exit_code == 2
 
 
 class TestVerify:

@@ -18,6 +18,7 @@ from click.testing import CliRunner
 from seshadri.cli import cli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 ALL_FORMATS = ("text", "csv", "json")
 NO_CSV = ("text", "json")
@@ -93,6 +94,16 @@ INVOCATIONS = _invocations()
 
 def test_names_are_unique():
     assert len({name for name, _, _ in INVOCATIONS}) == len(INVOCATIONS)
+
+
+def test_every_readme_example_is_golden():
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.M | re.S).group(1)
+    examples = [line.split("#")[0].split()[1:] for line in block.splitlines()
+                if line.startswith("seshadri ")]
+    assert examples
+    golden = [argv for _, argv, with_output in INVOCATIONS if with_output]
+    assert [argv for argv in examples if argv not in golden] == []
 
 
 @pytest.mark.parametrize("name,argv,with_output", INVOCATIONS,

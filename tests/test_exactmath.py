@@ -18,7 +18,6 @@ from seshadri.exactmath import (
     RadicalBound,
     ceil_sqrt,
     format_decimal,
-    is_square,
     rat_cmp_sqrt,
     sqrt_linear_cmp,
 )
@@ -44,7 +43,7 @@ class TestIntegerSqrt:
         c = ceil_sqrt(n)
         assert c - s in (0, 1)
         assert c * c >= n and (c == 0 or (c - 1) * (c - 1) < n)
-        assert is_square(n) == (s * s == n)
+        assert (c == s) == (s * s == n)
 
 
 class TestRatCmpSqrt:

@@ -6,10 +6,13 @@ below are the earlier loops written with Fraction objects, kept here to
 require equal results: value, argmins, scanned_to and tail witness.
 ceiling_threshold reads a census; its reference is the earlier direct
 scan of lower_bound_small.  A box oracle computes the minimum over
-Omega(N) by walking degrees upward, with no ceil_sqrt.
+Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max is a closed
+form; its reference is the earlier bisection on the defining inequality.
 """
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from seshadri.bounds import (
     certified_min,
     d_min,
     lower_bound_small,
+    m_max,
     tail_cutoff,
 )
 from seshadri.exactmath import RadicalBound, sqrt_linear_cmp
@@ -68,6 +72,21 @@ def dominance_check_reference(n: int) -> bool:
     if abelian < hr:  # sqrt(14N)/4 >= 0.93 sqrt(N)
         return False
     return hr > ssz  # strict final link
+
+
+def m_max_reference(n: int, d: int) -> int | None:
+    """Bisection for the largest m >= 2 with n*(2 + m*(m-1)) <= d^2."""
+    dd = d * d
+    if 4 * n > dd:  # even m = 2 fails
+        return None
+    lo, hi = 2, d + 2  # at m = d+2: m(m-1)+2 > d^2 >= d^2/n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if n * (mid * (mid - 1) + 2) <= dd:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _certificate(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
@@ -175,3 +194,29 @@ def test_box_minimum_without_ceil_sqrt():
         assert cert.argmins <= box_argmins
         assert small.argmins == box_argmins & set(SMALL_MS)
         assert cert.scanned_to <= 40
+
+
+def test_m_max_matches_bisection_reference():
+    for n in range(1, 401):
+        for d in range(1, 401):
+            assert m_max(n, d) == m_max_reference(n, d), (n, d)
+
+
+def test_m_max_matches_bisection_reference_at_boundaries():
+    # d^2 = n*(m^2-m+2) exactly, or just either side of it
+    for n in range(1, 200):
+        for m in range(2, 200):
+            s = isqrt(n * (m * m - m + 2))
+            for d in (s - 1, s, s + 1):
+                assert m_max(n, d) == m_max_reference(n, d), (n, d)
+
+
+def test_m_max_matches_bisection_reference_below_1e40():
+    rng = random.Random(20200817)
+    for _ in range(10_000):
+        n, d = rng.randint(1, 10**40), rng.randint(1, 10**22)
+        assert m_max(n, d) == m_max_reference(n, d), (n, d)
+    for _ in range(10_000):
+        n, m = rng.randint(1, 10**40), rng.randint(2, 10**6)
+        d = isqrt(n * (m * m - m + 2)) + rng.randint(0, 1)
+        assert m_max(n, d) == m_max_reference(n, d), (n, d)
