@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import isqrt, lcm
 
 from .exactmath import ceil_sqrt, rat_cmp_sqrt, sqrt_linear_cmp
@@ -51,38 +50,23 @@ DEFAULT_SCAN_CAP = 10**6
 MIN_SCAN_CAP = 8
 
 
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"self-intersection must be >= 2, got {n}")
-
-
-def _check_scan_cap(scan_cap: int) -> None:
-    if scan_cap < MIN_SCAN_CAP:
-        raise ValueError(f"scan_cap must be >= {MIN_SCAN_CAP}, got {scan_cap}")
-
-
-def _check_m(m: int) -> None:
-    if m < 2:
-        raise ValueError(f"multiplicity must be >= 2, got {m}")
-
-
-def _check_positive(what: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1, got {value}")
+def _require(what: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
 
 
 def omega_contains(n: int, d: int, m: int) -> bool:
     """Whether (d, m) lies in Omega(n): d^2 >= n*(2 + m*(m-1))."""
-    _check_m(m)
-    _check_positive("degree", d)
-    _check_positive("self-intersection", n)
+    _require("multiplicity", m, 2)
+    _require("degree", d, 1)
+    _require("self-intersection", n, 1)
     return d * d >= n * (m * (m - 1) + 2)
 
 
 def d_min(n: int, m: int) -> int:
     """Smallest degree d with (d, m) in Omega(n): ceil(sqrt(n*(2+m(m-1))))."""
-    _check_m(m)
-    _check_positive("self-intersection", n)
+    _require("multiplicity", m, 2)
+    _require("self-intersection", n, 1)
     return ceil_sqrt(n * (m * (m - 1) + 2))
 
 
@@ -93,8 +77,8 @@ def m_max(n: int, d: int) -> int | None:
     (2m - 1)^2 <= (4d^2 - 7n)/n, and floor(sqrt(x)) = isqrt(floor(x)) for
     x >= 0, so the largest such m is (1 + isqrt((4d^2 - 7n) // n)) // 2.
     """
-    _check_positive("degree", d)
-    _check_positive("self-intersection", n)
+    _require("degree", d, 1)
+    _require("self-intersection", n, 1)
     if 4 * d * d < 7 * n:
         return None
     m = (1 + isqrt((4 * d * d - 7 * n) // n)) // 2
@@ -120,7 +104,7 @@ def lower_bound_small(n: int) -> SmallBound:
     The ratios are compared as numerators over the common denominator
     SMALL_MS_LCM; only the returned minimum becomes a Fraction.
     """
-    _check_n(n)
+    _require("self-intersection", n, 2)
     scaled = {m: d_min(n, m) * (SMALL_MS_LCM // m) for m in SMALL_MS}
     best = min(scaled.values())
     argmins = frozenset(m for m, v in scaled.items() if v == best)
@@ -169,7 +153,13 @@ def _poly_holds(poly: tuple[int, int, int], strict: bool, m: int) -> bool:
 
 
 def tail_cutoff(n: int, threshold: Fraction) -> TailWitness | None:
-    """Smallest certified cutoff for the given threshold, or None.
+    """Certified cutoff for the given threshold, read off the witness poly, or None.
+
+    The cutoff is the first m >= max(2, ceil(vertex)) at which poly holds,
+    where the vertex -B/(2A) is the start of the range on which the upward
+    parabola is nondecreasing.  poly may also hold below it: for
+    tail_cutoff(249, Fraction(15)) the cutoff is 5 although
+    24m^2 - 219m + 497 > 0 for every m >= 2.
 
     None means no quadratic certificate exists at this threshold, which
     happens exactly when threshold > sqrt(n) (the relevant parabola opens
@@ -187,27 +177,17 @@ def tail_cutoff(n: int, threshold: Fraction) -> TailWitness | None:
         a, b, c = nq2 - p * p, -nq2, 2 * nq2
         strict = False
 
-    ok = partial(_poly_holds, (a, b, c), strict)  # the predicate holds_at certifies
     witness = lambda m: TailWitness(threshold, m, (a, b, c), strict)
     if a == 0:
-        # linear; certifiable iff nondecreasing and eventually satisfied
-        if b > 0 or (b == 0 and ok(2)):
-            m = 2
-            while not ok(m):
-                m += 1
-            return witness(m)
-        return None
+        # n = p^2: linear with c = 2n - 1 > 0, so it holds from m = 2 iff b >= 0
+        return witness(2) if b >= 0 else None
     disc = b * b - 4 * a * c
     if disc < 0 or (disc == 0 and not strict):
         return witness(2)
-    # upward parabola, nondecreasing from its vertex ceil(-b/2a)
-    vertex = max(2, -(b // (2 * a)))
-    m = max(vertex, (-b + isqrt(disc)) // (2 * a) - 2)
-    while not ok(m):
-        m += 1
-    while m > vertex and ok(m - 1):
-        m -= 1
-    return witness(m)
+    # floor((-b + isqrt(disc)) / 2a) is the floor of the larger root r; poly
+    # fails on [ceil(vertex), r) and holds past r
+    m = max(2, -(b // (2 * a)), (-b + isqrt(disc)) // (2 * a))
+    return witness(m if _poly_holds((a, b, c), strict, m) else m + 1)
 
 
 @dataclass(frozen=True)
@@ -246,8 +226,8 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
     by cross-multiplication; it starts at 1/0, which that comparison
     places above every ratio.
     """
-    _check_n(n)
-    _check_scan_cap(scan_cap)
+    _require("self-intersection", n, 2)
+    _require("scan_cap", scan_cap, MIN_SCAN_CAP)
     best_d, best_m = 1, 0
     argmins: set[int] = set()
     tail: TailWitness | None = None
@@ -310,12 +290,12 @@ def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     tail-domination certificate at threshold f(n,7) bounds the search; where
     that certificate does not exist or starts past scan_cap, nothing is scanned.
     """
-    _check_n(n)
-    _check_scan_cap(scan_cap)
-    if sqrt_linear_cmp(*SQRT58_PARAMS, n):
-        return F7Report(n, Fraction(d_min(n, 7), 7), "holds_analytic", (), None, None)
+    _require("self-intersection", n, 2)
+    _require("scan_cap", scan_cap, MIN_SCAN_CAP)
     d7 = d_min(n, 7)
     threshold = Fraction(d7, 7)
+    if sqrt_linear_cmp(*SQRT58_PARAMS, n):
+        return F7Report(n, threshold, "holds_analytic", (), None, None)
     tail = tail_cutoff(n, threshold)
     if tail is None or tail.cutoff - 1 > scan_cap:
         # a list of violations up to the cap would be an arbitrary prefix
@@ -398,22 +378,21 @@ class SqrtLinearThreshold:
 def sqrt_linear_threshold(p: int, a: int, q: int, b: int, c: int) -> SqrtLinearThreshold | None:
     """Exact first integer from which the inequality holds for all larger ones.
 
-    Returns None when p^2*a <= q^2*b (it then fails for every n >= 1).
+    Read off poly: h(c^2/alpha) = -e*c^2/alpha < 0 with e = 4*q^2*c^2*b,
+    so the truth set is [r, oo) for h's larger root
+    r = (2*alpha*c^2 + e + sqrt(e*(4*alpha*c^2 + e))) / (2*alpha^2), and
+    the threshold is max(1, ceil(r)): the integer part of r from one isqrt,
+    plus one exact check.  Returns None when p^2*a <= q^2*b (it then fails
+    for every n >= 1).
     """
     alpha = p * p * a - q * q * b
     if alpha <= 0:
         return None
     e = 4 * q * q * c * c * b
     poly = (alpha * alpha, -(2 * alpha * c * c + e), c**4)
-    lo, hi = 1, 1
-    while not sqrt_linear_cmp(p, a, q, b, c, hi):
-        lo, hi = hi + 1, hi * 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sqrt_linear_cmp(p, a, q, b, c, mid):
-            hi = mid
-        else:
-            lo = mid + 1
+    h2, h1, h0 = poly  # h1^2 - 4*h2*h0 = e*(4*alpha*c^2 + e)
+    lo = max(1, (-h1 + isqrt(h1 * h1 - 4 * h2 * h0)) // (2 * h2))
+    lo += not sqrt_linear_cmp(p, a, q, b, c, lo)
     return SqrtLinearThreshold((p, a, q, b, c), lo, poly)
 
 
@@ -467,14 +446,14 @@ class CeilingThreshold:
 
     Certification: the census's exact ceilings up to the analytic threshold,
     analytic tail beyond it.  last_failure is the largest examined n below
-    it where the equality fails (None if it never fails).
+    it where the equality fails (None if it never fails).  The parity of
+    the examined n is analytic.even_only.
     """
 
     threshold: int
     last_failure: int | None
     scanned_to: int
     analytic: AnalyticThreshold
-    even_only: bool
 
 
 def ceiling_threshold(report: CensusReport) -> CeilingThreshold:
@@ -497,7 +476,7 @@ def ceiling_threshold(report: CensusReport) -> CeilingThreshold:
     last = max((i for i, n in enumerate(ns)
                 if n <= scan_to and 4 not in report.per_n[n].argmins), default=-1)
     last_failure = ns[last] if last >= 0 else None
-    return CeilingThreshold(ns[last + 1], last_failure, scan_to, analytic, report.even_only)
+    return CeilingThreshold(ns[last + 1], last_failure, scan_to, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +498,8 @@ def candidate_values(
     "integer_fiber".  Values shared by several (d, m) pairs are listed
     once per kind; ties across kinds order "integer_fiber" first.
     """
-    _check_n(n)
-    if max_m < 2:
-        raise ValueError(f"max_m must be >= 2, got {max_m}")
+    _require("self-intersection", n, 2)
+    _require("max_m", max_m, 2)
     omega_vals: set[Fraction] = set()
     for m in range(2, max_m + 1):
         lo = d_min(n, m)

@@ -250,9 +250,10 @@ def _candidate_rows(r: dict) -> list[list[str]]:
 @_format_option()
 def census(start: int, stop: int, include_odd: bool, verbose: bool, fmt: str) -> None:
     """Classify each N by the smallest minimizing multiplicity."""
-    if not 2 <= start <= stop:
-        raise click.UsageError(f"need 2 <= from <= to, got [{start}, {stop}]")
-    result = bounds.census(start, stop, even_only=not include_odd)
+    try:
+        result = bounds.census(start, stop, even_only=not include_odd)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     report = {
         "command": "census",
         "inputs": {"from": start, "to": stop, "even_only": result.even_only},
@@ -298,17 +299,12 @@ def table(preset: str | None, ns: str | None, decimals: int, full_precision: boo
     """Comparison table: prior bounds versus the new bound."""
     if (preset is None) == (ns is None):
         raise click.UsageError("provide exactly one of --preset paper and --ns")
-    if preset == "paper":
-        values = list(comparison.PAPER_TABLE_NS)
-    else:
-        try:
-            values = [int(part) for part in ns.split(",")]
-        except ValueError as exc:
-            raise click.UsageError(f"bad --ns list: {exc}")
-    if any(v < 2 for v in values):
-        raise click.UsageError("every N must be >= 2")
+    try:
+        values = list(comparison.PAPER_TABLE_NS) if preset else [int(v) for v in ns.split(",")]
+        rows = comparison.comparison_table(values)
+    except ValueError as exc:
+        raise click.UsageError(f"bad --ns list: {exc}")
     trim = not full_precision
-    rows = comparison.comparison_table(values)
     _emit(fmt, {
         "command": "table",
         "inputs": {"ns": values, "decimals": decimals},

@@ -78,7 +78,6 @@ def run(agreement_to: int, scan_cap: int) -> Verification:
     bad, unc = agreement_sweep(agreement_to)
     dom_bad = [n for n in range(2, 10_001) if not comparison.dominance_check(n)]
     f7_viol, f7_unc = f7_survey(scan_cap)
-    # built after the f7 survey, whose N = 2 report is the memory peak
     all_int_census = bounds.census(2, 10_000, even_only=False)
     all_int_ceiling = bounds.ceiling_threshold(all_int_census)
     analytic = all_int_ceiling.analytic

@@ -44,6 +44,20 @@ class TestOmega:
         with pytest.raises(ValueError):
             m_max(2, 0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: omega_contains(2, 3, 1), "multiplicity must be >= 2, got 1"),
+        (lambda: d_min(0, 2), "self-intersection must be >= 1, got 0"),
+        (lambda: m_max(2, 0), "degree must be >= 1, got 0"),
+        (lambda: lower_bound_small(1), "self-intersection must be >= 2, got 1"),
+        (lambda: certified_min(2, scan_cap=7), "scan_cap must be >= 8, got 7"),
+        (lambda: check_f7(2, scan_cap=0), "scan_cap must be >= 8, got 0"),
+        (lambda: candidate_values(10, 1), "max_m must be >= 2, got 1"),
+    ])
+    def test_range_error_messages(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
     def test_d_min_examples(self):
         assert d_min(2, 3) == 4
         assert d_min(100, 5) == 47
@@ -177,6 +191,14 @@ class TestCertifiedMin:
         assert cert.tail_witness is None
         assert cert.scanned_to == 8
         assert cert.value == Fraction(5, 3)
+
+    def test_tail_cutoff_starts_at_the_vertex(self):
+        # 24m^2 - 219m + 497 is positive at every m >= 2, but its vertex
+        # 219/48 rounds up to 5, and the cutoff starts there
+        w = tail_cutoff(249, Fraction(15))
+        assert (w.cutoff, w.poly, w.strict) == (5, (24, -219, 497), True)
+        assert all(w.holds_at(m) for m in range(2, 5))
+        assert certified_min(249).scanned_to == 4  # 3 with a cutoff below 5
 
     def test_tail_cutoff_impossible_above_sqrt(self):
         # threshold above sqrt(n): parabola opens downward, no certificate

@@ -6,8 +6,11 @@ below are the earlier loops written with Fraction objects, kept here to
 require equal results: value, argmins, scanned_to and tail witness.
 ceiling_threshold reads a census; its reference is the earlier direct
 scan of lower_bound_small.  A box oracle computes the minimum over
-Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max is a closed
-form; its reference is the earlier bisection on the defining inequality.
+Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max,
+tail_cutoff and sqrt_linear_threshold are closed forms; their references
+are the earlier searches: a bisection on the defining inequality, a step
+up to the witness polynomial's larger root and back down to its vertex,
+and a gallop plus bisection on sqrt_linear_cmp.
 """
 
 import random
@@ -22,15 +25,18 @@ from seshadri import comparison
 from seshadri.bounds import (
     DEFAULT_SCAN_CAP,
     SMALL_MS,
+    SqrtLinearThreshold,
+    TailWitness,
     ceiling_threshold,
     census,
     certified_min,
     d_min,
     lower_bound_small,
     m_max,
+    sqrt_linear_threshold,
     tail_cutoff,
 )
-from seshadri.exactmath import RadicalBound, sqrt_linear_cmp
+from seshadri.exactmath import RadicalBound, rat_cmp_sqrt, sqrt_linear_cmp
 
 
 def lower_bound_small_reference(n: int) -> tuple[Fraction, frozenset[int]]:
@@ -87,6 +93,58 @@ def m_max_reference(n: int, d: int) -> int | None:
         else:
             hi = mid - 1
     return lo
+
+
+def tail_cutoff_reference(n: int, threshold: Fraction) -> TailWitness | None:
+    """Search for the first m >= max(2, ceil(vertex)) where the witness
+    polynomial holds: step up from two below its larger root, then down."""
+    if rat_cmp_sqrt(threshold, n) > 0:
+        return None
+    p, q = threshold.numerator, threshold.denominator
+    if q == 1:
+        a, b, c, strict = n - p * p, 2 * p - n, 2 * n - 1, True
+    else:
+        a, b, c, strict = n * q * q - p * p, -n * q * q, 2 * n * q * q, False
+
+    def ok(m: int) -> bool:
+        v = (a * m + b) * m + c
+        return v > 0 if strict else v >= 0
+
+    if a == 0:
+        if not (b > 0 or (b == 0 and ok(2))):
+            return None
+        m = 2
+        while not ok(m):
+            m += 1
+        return TailWitness(threshold, m, (a, b, c), strict)
+    disc = b * b - 4 * a * c
+    if disc < 0 or (disc == 0 and not strict):
+        return TailWitness(threshold, 2, (a, b, c), strict)
+    vertex = max(2, -(b // (2 * a)))
+    m = max(vertex, (-b + isqrt(disc)) // (2 * a) - 2)
+    while not ok(m):
+        m += 1
+    while m > vertex and ok(m - 1):
+        m -= 1
+    return TailWitness(threshold, m, (a, b, c), strict)
+
+
+def sqrt_linear_threshold_reference(p: int, a: int, q: int, b: int, c: int):
+    """Gallop then bisect for the first n >= 1 where sqrt_linear_cmp holds."""
+    alpha = p * p * a - q * q * b
+    if alpha <= 0:
+        return None
+    e = 4 * q * q * c * c * b
+    lo, hi = 1, 1
+    while not sqrt_linear_cmp(p, a, q, b, c, hi):
+        lo, hi = hi + 1, hi * 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sqrt_linear_cmp(p, a, q, b, c, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return SqrtLinearThreshold((p, a, q, b, c), lo, (alpha * alpha, -(2 * alpha * c * c + e), c**4))
 
 
 def _certificate(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
@@ -164,7 +222,7 @@ def ceiling_threshold_reference(even_only: bool):
 @pytest.mark.parametrize("even_only", [True, False])
 def test_ceiling_threshold_matches_reference(even_only):
     rep = ceiling_threshold(census(2, 10_000, even_only=even_only))
-    assert rep.even_only is even_only
+    assert rep.analytic.even_only is even_only
     assert (rep.threshold, rep.last_failure, rep.scanned_to, rep.analytic.per_m) == \
         ceiling_threshold_reference(even_only)
 
@@ -220,3 +278,32 @@ def test_m_max_matches_bisection_reference_below_1e40():
         n, m = rng.randint(1, 10**40), rng.randint(2, 10**6)
         d = isqrt(n * (m * m - m + 2)) + rng.randint(0, 1)
         assert m_max(n, d) == m_max_reference(n, d), (n, d)
+
+
+def test_tail_cutoff_matches_search_reference():
+    # the running-minimum thresholds d/m near d_min(n, m)/m, and integers
+    for n in range(2, 401):
+        thresholds = {Fraction(d_min(n, m) + k, m) for m in range(2, 30) for k in range(-2, 3)}
+        thresholds.update(Fraction(p) for p in range(1, 30))
+        for threshold in thresholds:
+            assert tail_cutoff(n, threshold) == tail_cutoff_reference(n, threshold), (n, threshold)
+
+
+def test_tail_cutoff_matches_search_reference_below_1e40():
+    rng = random.Random(20200817)
+    for _ in range(2_000):
+        n, m = rng.randint(2, 10**40), rng.randint(2, 40)
+        root = isqrt(n)
+        for threshold in (Fraction(d_min(n, m) + rng.randint(-2, 2), m),
+                          Fraction(root), Fraction(root - 1)):
+            assert tail_cutoff(n, threshold) == tail_cutoff_reference(n, threshold), (n, threshold)
+
+
+def test_sqrt_linear_threshold_matches_search_reference():
+    grid = [(p, a, q, b, c) for p in range(1, 7) for a in range(1, 21) for q in range(1, 7)
+            for b in range(1, 21, 3) for c in (1, 2, 3, 5)]
+    rng = random.Random(20200817)
+    grid += [(rng.randint(1, 50), rng.randint(1, 10**4), rng.randint(1, 50),
+              rng.randint(1, 10**4), rng.randint(1, 100)) for _ in range(300)]
+    for params in grid:
+        assert sqrt_linear_threshold(*params) == sqrt_linear_threshold_reference(*params), params
