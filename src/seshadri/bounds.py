@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .exactmath import ceil_sqrt, rat_cmp_sqrt, sqrt_linear_cmp
 
@@ -65,8 +65,9 @@ def omega_contains(n: int, d: int, m: int) -> bool:
 
 def d_min(n: int, m: int) -> int:
     """Smallest degree d with (d, m) in Omega(n): ceil(sqrt(n*(2+m(m-1))))."""
-    _require("multiplicity", m, 2)
-    _require("self-intersection", n, 1)
+    if m < 2 or n < 1:  # one test per call; _require words the error, m first
+        _require("multiplicity", m, 2)
+        _require("self-intersection", n, 1)
     return ceil_sqrt(n * (m * (m - 1) + 2))
 
 
@@ -152,42 +153,56 @@ def _poly_holds(poly: tuple[int, int, int], strict: bool, m: int) -> bool:
     return v > 0 if strict else v >= 0
 
 
-def tail_cutoff(n: int, threshold: Fraction) -> TailWitness | None:
-    """Certified cutoff for the given threshold, read off the witness poly, or None.
+def _tail_cutoff(n: int, p: int, q: int) -> tuple[tuple[int, int, int], bool, int] | None:
+    """(poly, strict, cutoff) of the witness at threshold p/q, or None.
 
-    The cutoff is the first m >= max(2, ceil(vertex)) at which poly holds,
-    where the vertex -B/(2A) is the start of the range on which the upward
-    parabola is nondecreasing.  poly may also hold below it: for
-    tail_cutoff(249, Fraction(15)) the cutoff is 5 although
-    24m^2 - 219m + 497 > 0 for every m >= 2.
-
-    None means no quadratic certificate exists at this threshold, which
-    happens exactly when threshold > sqrt(n) (the relevant parabola opens
-    downward), or threshold = sqrt(n) with sqrt(n) >= 3.
+    p/q must be in lowest terms with p >= 0; the arithmetic is all integer.
     """
-    if rat_cmp_sqrt(threshold, n) > 0:
+    nq2 = n * q * q
+    if p * p > nq2:
         return None  # threshold above sqrt(n): the parabola opens downward
-    p, q = threshold.numerator, threshold.denominator
     if q == 1:
         a, b, c = n - p * p, 2 * p - n, 2 * n - 1
         strict = True
     else:
         # equality with sqrt(n) is impossible for q >= 2, so a > 0 here
-        nq2 = n * q * q
         a, b, c = nq2 - p * p, -nq2, 2 * nq2
         strict = False
 
-    witness = lambda m: TailWitness(threshold, m, (a, b, c), strict)
+    poly = (a, b, c)
     if a == 0:
         # n = p^2: linear with c = 2n - 1 > 0, so it holds from m = 2 iff b >= 0
-        return witness(2) if b >= 0 else None
+        return (poly, strict, 2) if b >= 0 else None
     disc = b * b - 4 * a * c
     if disc < 0 or (disc == 0 and not strict):
-        return witness(2)
+        return poly, strict, 2
     # floor((-b + isqrt(disc)) / 2a) is the floor of the larger root r; poly
     # fails on [ceil(vertex), r) and holds past r
     m = max(2, -(b // (2 * a)), (-b + isqrt(disc)) // (2 * a))
-    return witness(m if _poly_holds((a, b, c), strict, m) else m + 1)
+    return poly, strict, m if _poly_holds(poly, strict, m) else m + 1
+
+
+def tail_cutoff(n: int, threshold: Fraction) -> TailWitness | None:
+    """Certified cutoff for the given threshold, read off the witness poly, or None.
+
+    The integer core _tail_cutoff(n, p, q) does the arithmetic; certified_min
+    calls it directly.  The cutoff is the first m >= max(2, ceil(vertex)) at
+    which poly holds, where the vertex -B/(2A) is the start of the range on
+    which the upward parabola is nondecreasing.  poly may also hold below it:
+    for tail_cutoff(249, Fraction(15)) the cutoff is 5 although
+    24m^2 - 219m + 497 > 0 for every m >= 2.
+
+    None means no quadratic certificate exists at this threshold, which
+    happens exactly when threshold > sqrt(n) (the relevant parabola opens
+    downward), or threshold = sqrt(n) with sqrt(n) >= 3.  A negative
+    threshold raises ValueError.
+    """
+    _require("threshold", threshold, 0)
+    tail = _tail_cutoff(n, threshold.numerator, threshold.denominator)
+    if tail is None:
+        return None
+    poly, strict, cutoff = tail
+    return TailWitness(threshold, cutoff, poly, strict)
 
 
 @dataclass(frozen=True)
@@ -217,33 +232,39 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
     Raises no error on exhaustion: a certificate with tail_witness=None is
     the explicit "uncertified" outcome.  Termination of certification for
     every swept n relies on the running minimum dropping strictly below
-    sqrt(n) (detected via rat_cmp_sqrt through the witness algebra): the
-    ratios approach sqrt(n) from within distance 1/m, so for every n with
-    some ratio below sqrt(n) the scan reaches one, after which the
-    quadratic certificate exists.
+    sqrt(n): the ratios approach sqrt(n) from within distance 1/m, so for
+    every n with some ratio below sqrt(n) the scan reaches one, after which
+    the quadratic certificate exists.
 
     The running minimum best_d/best_m is compared with each d_min(n,m)/m
     by cross-multiplication; it starts at 1/0, which that comparison
-    places above every ratio.
+    places above every ratio.  Each improvement reduces it by gcd and
+    takes the cutoff from _tail_cutoff, and each m compares that integer
+    with m + 1.  The Fraction, the TailWitness and the BoundCertificate
+    are built once, at return.
     """
     _require("self-intersection", n, 2)
     _require("scan_cap", scan_cap, MIN_SCAN_CAP)
     best_d, best_m = 1, 0
     argmins: set[int] = set()
-    tail: TailWitness | None = None
-    m = 2
-    while m <= scan_cap:
+    tail = None
+    no_cutoff = scan_cap + 2  # past every m + 1 of the scan
+    cutoff = no_cutoff
+    for m in range(2, scan_cap + 1):
         d = d_min(n, m)
         if d * best_m < best_d * m:
             best_d, best_m, argmins = d, m, {m}
-            best = Fraction(d, m)
-            tail = tail_cutoff(n, best)
+            g = gcd(d, m)
+            tail = _tail_cutoff(n, d // g, m // g)
+            cutoff = no_cutoff if tail is None else tail[2]
         elif d * best_m == best_d * m:
             argmins.add(m)
-        if tail is not None and tail.cutoff <= m + 1:
-            return BoundCertificate(n, best, frozenset(argmins), m, tail)
-        m += 1
-    return BoundCertificate(n, best, frozenset(argmins), scan_cap, None)
+        if cutoff <= m + 1:
+            value = Fraction(best_d, best_m)
+            poly, strict, _ = tail
+            witness = TailWitness(value, cutoff, poly, strict)
+            return BoundCertificate(n, value, frozenset(argmins), m, witness)
+    return BoundCertificate(n, Fraction(best_d, best_m), frozenset(argmins), scan_cap, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,92 @@
+"""Re-check certified_min certificates without importing seshadri.
+
+check_certified_min(n, cert) takes one certificate in the JSON shape that
+`seshadri bound --format json` prints under certificates.certified_min
+and returns the checks it fails (an empty list when it holds).  It uses
+math.isqrt and integer arithmetic only, so it shares no derivation with
+the package.
+
+A certified certificate with value p/q (lowest terms) states that
+ceil(sqrt(n*(m^2-m+2)))/m >= p/q for every m >= 2.  The scanned range
+[2, scanned_to] is recomputed ratio by ratio, and the ratios must equal
+p/q exactly at argmins.  The tail m >= cutoff rests on the polynomial
+P(m) = A*m^2 + B*m + C, which must be derived from (n, p/q):
+
+  q = 1, strict:      (n - p^2, 2p - n, 2n - 1); P(m) > 0 means
+                      n*(m^2-m+2) > (p*m - 1)^2, so the ceiling is >= p*m;
+  q >= 2, not strict: (n*q^2 - p^2, -n*q^2, 2*n*q^2); P(m) >= 0 means
+                      q^2*n*(m^2-m+2) >= p^2*m^2.
+
+P must hold at every m >= cutoff, with 2 <= cutoff <= scanned_to + 1: either
+P holds at cutoff and does not decrease from there (A >= 0 and
+P(cutoff + 1) - P(cutoff) = A*(2*cutoff + 1) + B >= 0; the steps only grow
+after that), or A > 0 and P has no real root (a double root is allowed
+when not strict).  The second case covers cutoff 2 where P is still
+decreasing at 2 but positive everywhere.
+"""
+
+from math import isqrt
+
+
+def _ceil_sqrt(x: int) -> int:
+    s = isqrt(x)
+    return s if s * s == x else s + 1
+
+
+def _lowest_terms(p: int, q: int) -> bool:
+    while q:
+        p, q = q, p % q
+    return p == 1
+
+
+def _parse(value: str) -> tuple[int, int]:
+    p, _, q = value.partition("/")
+    return int(p), int(q or 1)
+
+
+def _tail_problems(n: int, p: int, q: int, tail: dict, scanned_to: int) -> list[str]:
+    problems = []
+    if _parse(tail["threshold"]) != (p, q):
+        problems.append("tail threshold differs from value")
+    nq2 = n * q * q
+    if q == 1:
+        derived, strict = (n - p * p, 2 * p - n, 2 * n - 1), True
+    else:
+        derived, strict = (nq2 - p * p, -nq2, 2 * nq2), False
+    if tuple(tail["poly"]) != derived:
+        problems.append("poly is not derived from (n, value)")
+    if tail["strict"] is not strict:
+        problems.append("strict is not q == 1")
+    a, b, c = tail["poly"]
+    cutoff = tail["cutoff"]
+    if not 2 <= cutoff <= scanned_to + 1:
+        problems.append("cutoff outside [2, scanned_to + 1]")
+    v = (a * cutoff + b) * cutoff + c
+    holds = v > 0 if tail["strict"] else v >= 0
+    disc = b * b - 4 * a * c
+    rising = holds and a >= 0 and a * (2 * cutoff + 1) + b >= 0
+    no_root = a > 0 and (disc < 0 or (disc == 0 and not tail["strict"]))
+    if not (rising or no_root):
+        problems.append("poly does not hold from cutoff on")
+    return problems
+
+
+def check_certified_min(n: int, cert: dict) -> list[str]:
+    """The checks that cert fails as a certified_min certificate of n."""
+    p, q = _parse(cert["value"])
+    problems = [] if p >= 0 and q >= 1 and _lowest_terms(p, q) else ["value not in lowest terms"]
+    scanned_to = cert["scanned_to"]
+    equal = set()
+    for m in range(2, scanned_to + 1):
+        d = _ceil_sqrt(n * (m * m - m + 2))
+        if d * q < p * m:
+            problems.append(f"ratio at m={m} below value")
+        elif d * q == p * m:
+            equal.add(m)
+    if equal != set(cert["argmins"]):
+        problems.append("argmins are not the scanned minimizers")
+    if cert["certified"] != ("tail" in cert):
+        problems.append("certified flag disagrees with the tail")
+    if "tail" in cert:
+        problems += _tail_problems(n, p, q, cert["tail"], scanned_to)
+    return problems

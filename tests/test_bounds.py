@@ -52,6 +52,11 @@ class TestOmega:
         (lambda: certified_min(2, scan_cap=7), "scan_cap must be >= 8, got 7"),
         (lambda: check_f7(2, scan_cap=0), "scan_cap must be >= 8, got 0"),
         (lambda: candidate_values(10, 1), "max_m must be >= 2, got 1"),
+        # d_min checks the multiplicity first, also when both are out of range
+        pytest.param(lambda: d_min(2, 1), "multiplicity must be >= 2, got 1", id="d_min(2, 1)"),
+        pytest.param(lambda: d_min(0, 1), "multiplicity must be >= 2, got 1", id="d_min(0, 1)"),
+        (lambda: d_min(-3, 2), "self-intersection must be >= 1, got -3"),
+        (lambda: tail_cutoff(5, Fraction(-1, 2)), "threshold must be >= 0, got -1/2"),
     ])
     def test_range_error_messages(self, call, message):
         with pytest.raises(ValueError) as info:

@@ -4,6 +4,9 @@ lower_bound_small, certified_min and dominance_check order ratios d/m and
 squares of radicals by integer cross-multiplication.  The references
 below are the earlier loops written with Fraction objects, kept here to
 require equal results: value, argmins, scanned_to and tail witness.
+certified_min and tail_cutoff now share the cutoff arithmetic (the
+integer core bounds._tail_cutoff); the reference scan takes its cutoffs
+from tail_cutoff_reference, so it shares none of it.
 ceiling_threshold reads a census; its reference is the earlier direct
 scan of lower_bound_small.  A box oracle computes the minimum over
 Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max,
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri import comparison
+from seshadri import bounds, comparison
 from seshadri.bounds import (
     DEFAULT_SCAN_CAP,
     SMALL_MS,
@@ -54,7 +57,7 @@ def certified_min_reference(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
         ratio = Fraction(d_min(n, m), m)
         if best is None or ratio < best:
             best, argmins = ratio, {m}
-            tail = tail_cutoff(n, best)
+            tail = tail_cutoff_reference(n, best)
         elif ratio == best:
             argmins.add(m)
         if tail is not None and tail.cutoff <= m + 1:
@@ -176,6 +179,44 @@ def test_certified_min_matches_reference():
                                2 * 10**30 + 1, 4 * 10**30, (10**15 + 1) ** 2])
 def test_certified_min_matches_reference_near_1e30(n):
     assert _certificate(n) == certified_min_reference(n)
+
+
+@pytest.mark.parametrize("scan_cap", [DEFAULT_SCAN_CAP, 8])
+def test_certified_min_matches_reference_near_1e40(scan_cap):
+    rng = random.Random(20200817)
+    for n in [rng.randint(10**39, 10**40) for _ in range(200)]:
+        assert _certificate(n, scan_cap) == certified_min_reference(n, scan_cap), n
+
+
+@pytest.mark.parametrize("scan_cap", [DEFAULT_SCAN_CAP, 8])
+def test_certified_min_matches_reference_at_and_next_to_squares(scan_cap):
+    # n = k^2 takes the linear a == 0 branch at m = 2 (ratio 2k/2 = sqrt(n)),
+    # and integer running minima the strict q == 1 branch
+    ns = [k * k + e for k in range(1, 301) for e in (-1, 0, 1) if k * k + e >= 2]
+    for n in ns + [(10**20 + 1) ** 2]:
+        assert _certificate(n, scan_cap) == certified_min_reference(n, scan_cap), n
+
+
+def test_certified_min_builds_one_witness_and_never_calls_tail_cutoff(monkeypatch):
+    ns, caps = range(2, 3001), (DEFAULT_SCAN_CAP, 8)
+    expected = {(n, cap): certified_min_reference(n, cap) for n in ns for cap in caps}
+    built = []
+
+    def counted_witness(*fields):
+        built.append(fields)
+        return TailWitness(*fields)
+
+    def no_tail_cutoff(*_):
+        raise AssertionError("certified_min called tail_cutoff")
+
+    monkeypatch.setattr(bounds, "tail_cutoff", no_tail_cutoff)
+    monkeypatch.setattr(bounds, "TailWitness", counted_witness)
+    for (n, cap), want in expected.items():
+        before = len(built)
+        assert _certificate(n, cap) == want, (n, cap)
+        assert len(built) - before == (want[3] is not None), (n, cap)
+    uncertified = sum(want[3] is None for want in expected.values())
+    assert 0 < uncertified and len(built) == len(expected) - uncertified
 
 
 def test_dominance_check_matches_reference():
