@@ -114,12 +114,6 @@ class DivisorClass:
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, -self.b)
-
-    def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(k * self.a, k * self.b)
-
     def __str__(self) -> str:
         return f"({self.a},{self.b})"
 

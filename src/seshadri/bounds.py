@@ -36,12 +36,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .exactmath import ceil_sqrt, rat_cmp_sqrt, sqrt_linear_cmp
+from .exactmath import ceil_sqrt, sqrt_linear_cmp
 
 SMALL_MS = (2, 3, 4, 5, 6, 7)
-
-# N*(2 + m*(m-1)) for m = 2..7: radicand multipliers 4, 8, 14, 22, 32, 44
-RADICAND_MULTIPLIERS = {m: m * (m - 1) + 2 for m in SMALL_MS}
 
 # 420: d/m for m in SMALL_MS is the integer d*(420//m) over 420
 SMALL_MS_LCM = lcm(*SMALL_MS)
@@ -142,9 +139,6 @@ class TailWitness:
     cutoff: int
     poly: tuple[int, int, int]
     strict: bool
-
-    def holds_at(self, m: int) -> bool:
-        return _poly_holds(self.poly, self.strict, m)
 
 
 def _poly_holds(poly: tuple[int, int, int], strict: bool, m: int) -> bool:
@@ -507,6 +501,9 @@ def ceiling_threshold(report: CensusReport) -> CeilingThreshold:
 OMEGA_KIND = "omega"
 FIBER_KIND = "integer_fiber"
 
+#: most (d, m) pairs plus fiber integers candidate_values lists: about 2.45*sqrt(n) at max_m 7
+MAX_CANDIDATES = 10**5
+
 
 def candidate_values(
     n: int, max_m: int
@@ -518,17 +515,28 @@ def candidate_values(
     1..floor(sqrt(n)) realized by elliptic curves resp. fibers, tagged
     "integer_fiber".  Values shared by several (d, m) pairs are listed
     once per kind; ties across kinds order "integer_fiber" first.
+
+    Raises ValueError, before listing anything, when the pairs and the
+    integers together number more than MAX_CANDIDATES.
     """
     _require("self-intersection", n, 2)
     _require("max_m", max_m, 2)
-    omega_vals: set[Fraction] = set()
+    per_m: list[tuple[int, range]] = []
+    total = isqrt(n)
     for m in range(2, max_m + 1):
-        lo = d_min(n, m)
-        hi = isqrt(m * m * n - 1)  # largest d with d/m < sqrt(n)
-        for d in range(lo, hi + 1):
-            value = Fraction(d, m)
-            assert rat_cmp_sqrt(value, n) < 0
-            omega_vals.add(value)
+        degrees = range(d_min(n, m), isqrt(m * m * n - 1) + 1)  # up to d/m < sqrt(n)
+        total += len(degrees)
+        if total > MAX_CANDIDATES:
+            raise ValueError(
+                f"candidates for N = {n} up to max_m = {max_m} exceed "
+                f"{MAX_CANDIDATES} (d, m) pairs and integers"
+            )
+        per_m.append((m, degrees))
+    omega_vals: set[Fraction] = set()
+    for m, degrees in per_m:
+        for d in degrees:
+            assert d * d < m * m * n  # d/m < sqrt(n)
+            omega_vals.add(Fraction(d, m))
     merged = [(v, OMEGA_KIND) for v in omega_vals]
     merged.extend((Fraction(k), FIBER_KIND) for k in range(1, isqrt(n) + 1))
     merged.sort(key=lambda item: (item[0], item[1]))

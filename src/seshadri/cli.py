@@ -49,7 +49,6 @@ SCHEMA_DEFAULTS = {
 
 
 def _rat_str(value: Fraction) -> str:
-    value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -222,7 +221,10 @@ def _omega_csv(r: dict) -> tuple[list[str], list[list]]:
 @_format_option()
 def candidates(n: int, max_m: int, decimals: int, fmt: str) -> None:
     """Candidate values below sqrt(N): admissible ratios and fiber integers."""
-    values = bounds.candidate_values(n, max_m)
+    try:
+        values = bounds.candidate_values(n, max_m)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     _emit(fmt, {
         "command": "candidates",
         "inputs": {"n": n, "max_m": max_m},

@@ -137,32 +137,25 @@ class RadicalBound:
         if self.radicand < 0:
             raise ValueError(f"RadicalBound radicand must be >= 0, got {self.radicand}")
 
-    def exact_rational(self) -> Fraction | None:
-        """The value as a Fraction when the radicand is a perfect square."""
-        s = math.isqrt(self.radicand)
-        if s * s == self.radicand:
-            return self.coef * s
-        return None
-
     def decimal(self, decimals: int = 4, trim: bool = True) -> str:
         """Rounded rendering (nearest, ties away from zero), exactly computed.
 
         With v = (p/q) * sqrt(rad) and k digits, the scaled floor
         round(v * 10^k) equals (isqrt(4 * p^2 * 10^(2k) * rad) + q) // (2q):
         the half-offset is folded into the integer square root, so no
-        approximation of sqrt(rad) is ever taken.
+        approximation of sqrt(rad) is ever taken.  For rad = s^2 the isqrt
+        is exact and this is floor(p*s*10^k/q + 1/2), the rounding that
+        format_decimal applies to the non-negative rational p*s/q.  Only
+        such a value can terminate, so only then does trim shorten the
+        digits, and only when they are exact.
         """
         if decimals < 0:
             raise ValueError("decimals must be >= 0")
-        exact = self.exact_rational()
-        if exact is not None:
-            return format_decimal(exact, decimals, trim)
         p, q = self.coef.numerator, self.coef.denominator
-        big = 4 * p * p * 10 ** (2 * decimals) * self.radicand
-        t = (math.isqrt(big) + q) // (2 * q)
-        # irrational value: never exactly representable, keep all digits
-        return _digits_to_str(t, decimals)
-
-    def __str__(self) -> str:
-        return f"{self.coef}*sqrt({self.radicand})"
-
+        scale = 10**decimals
+        t = (math.isqrt(4 * p * p * scale * scale * self.radicand) + q) // (2 * q)
+        text = _digits_to_str(t, decimals)
+        s = math.isqrt(self.radicand)
+        if trim and s * s == self.radicand and t * q == p * s * scale:  # t/10^k == p*s/q
+            text = _trim_exact(text)
+        return text

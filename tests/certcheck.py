@@ -1,4 +1,4 @@
-"""Re-check certified_min certificates without importing seshadri.
+"""Re-check printed certificates without importing seshadri.
 
 check_certified_min(n, cert) takes one certificate in the JSON shape that
 `seshadri bound --format json` prints under certificates.certified_min
@@ -23,6 +23,19 @@ P(cutoff + 1) - P(cutoff) = A*(2*cutoff + 1) + B >= 0; the steps only grow
 after that), or A > 0 and P has no real root (a double root is allowed
 when not strict).  The second case covers cutoff 2 where P is still
 decreasing at 2 but positive everywhere.
+
+check_analytic_threshold(m, cert) takes one entry of the
+certificates.analytic_threshold block that `seshadri verify --format json`
+prints.  With (p, a, q, b, c) = (4, m^2-m+2, m, 14, m), the inequality
+p*sqrt(a*n) >= q*sqrt(b*n) + c, i.e. g(n,m) >= g(n,4) + 1/4, holds iff
+alpha*n >= c^2 and h(n) >= 0, where alpha = p^2*a - q^2*b and
+
+  h(n) = alpha^2*n^2 - (2*alpha*c^2 + 4*q^2*c^2*b)*n + c^4
+
+is the square of alpha*n - c^2 minus 4*q^2*c^2*b*n.  Both conditions
+persist for every n >= t once they hold at t and t is at or past h's
+vertex, so the threshold t is sound; it is the first such n when the
+inequality fails at t - 1.
 """
 
 from math import isqrt
@@ -89,4 +102,32 @@ def check_certified_min(n: int, cert: dict) -> list[str]:
         problems.append("certified flag disagrees with the tail")
     if "tail" in cert:
         problems += _tail_problems(n, p, q, cert["tail"], scanned_to)
+    return problems
+
+
+def check_analytic_threshold(m: int, cert: dict, even_first: int | None = None) -> list[str]:
+    """The checks that cert fails as the analytic threshold certificate of m.
+
+    even_first, when given, is the first even n of that inequality's truth
+    set, as printed under certificates.ceiling_threshold.analytic_per_m.
+    """
+    p, a, q, b, c = 4, m * m - m + 2, m, 14, m
+    alpha = p * p * a - q * q * b
+    h = (alpha * alpha, -(2 * alpha * c * c + 4 * q * q * c * c * b), c**4)
+    t = cert["threshold"]
+
+    def holds(n: int) -> bool:
+        return alpha * n >= c * c and (h[0] * n + h[1]) * n + h[2] >= 0
+
+    problems = []
+    if tuple(cert["poly"]) != h:
+        problems.append("poly is not h of (4, m^2-m+2, m, 14, m)")
+    if not holds(t):
+        problems.append("inequality fails at threshold")
+    if 2 * h[0] * t + h[1] < 0:
+        problems.append("threshold before the vertex of h")
+    if holds(t - 1):
+        problems.append("inequality holds at threshold - 1")
+    if even_first is not None and even_first != t + t % 2:
+        problems.append("even threshold is not the first even n from threshold")
     return problems

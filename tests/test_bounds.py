@@ -7,7 +7,7 @@ from math import gcd, isqrt
 import pytest
 
 from seshadri.bounds import (
-    RADICAND_MULTIPLIERS,
+    MAX_CANDIDATES,
     analytic_threshold,
     candidate_values,
     ceiling_threshold,
@@ -95,9 +95,6 @@ class TestOmega:
 
 
 class TestLowerBoundSmall:
-    def test_radicand_multipliers(self):
-        assert RADICAND_MULTIPLIERS == {2: 4, 3: 8, 4: 14, 5: 22, 6: 32, 7: 44}
-
     def test_examples(self):
         b2 = lower_bound_small(2)
         assert (b2.value, b2.argmins) == (Fraction(4, 3), frozenset({3, 6}))
@@ -169,9 +166,11 @@ class TestCertifiedMin:
         for n in (2, 4, 9, 37, 360, 4981):
             cert = certified_min(n)
             w = cert.tail_witness
+            a, b, c = w.poly
             for _ in range(1000):
                 m = rng.randint(w.cutoff, w.cutoff + 10**6)
-                assert w.holds_at(m)
+                v = a * m * m + b * m + c
+                assert v > 0 if w.strict else v >= 0
                 assert Fraction(d_min(n, m), m) >= cert.value
 
     def test_witness_implies_published_quadratic(self):
@@ -202,7 +201,7 @@ class TestCertifiedMin:
         # 219/48 rounds up to 5, and the cutoff starts there
         w = tail_cutoff(249, Fraction(15))
         assert (w.cutoff, w.poly, w.strict) == (5, (24, -219, 497), True)
-        assert all(w.holds_at(m) for m in range(2, 5))
+        assert all(24 * m * m - 219 * m + 497 > 0 for m in range(2, 5))
         assert certified_min(249).scanned_to == 4  # 3 with a cutoff below 5
 
     def test_tail_cutoff_impossible_above_sqrt(self):
@@ -371,3 +370,11 @@ class TestCandidateValues:
         assert values == sorted(values, key=lambda item: (item[0], item[1]))
         omega = [v for v, kind in values if kind == "omega"]
         assert len(omega) == len(set(omega))
+
+    def test_output_is_bounded_before_listing(self):
+        # about 2.45*sqrt(n) pairs and integers: 10^9 fits, 10^10 and 10^20 do
+        # not, and n = 2 with max_m = 10^9 stops after about 1.4*10^5 multiplicities
+        assert 60000 < len(candidate_values(10**9, 7)) <= MAX_CANDIDATES
+        for n, max_m in ((10**10, 7), (10**20, 7), (2, 10**9)):
+            with pytest.raises(ValueError, match="exceed"):
+                candidate_values(n, max_m)

@@ -1,4 +1,4 @@
-"""certified_min certificates against the seshadri-free checker in certcheck.py."""
+"""Printed certificates against the seshadri-free checker in certcheck.py."""
 
 import copy
 import json
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from certcheck import check_certified_min
+from certcheck import check_analytic_threshold, check_certified_min
 from seshadri.bounds import certified_min
 from seshadri.cli import _cert_json
 
@@ -115,3 +115,58 @@ def test_rejects_a_value_above_the_true_minimum():
     for n in range(2, 500):
         cert, problems = _mutated(n, raise_value)
         assert f"ratio at m={cert['argmins'][0]} below value" in problems, n
+
+
+def _analytic_blocks(name: str) -> tuple[dict, dict]:
+    report = json.loads((GOLDEN_DIR / f"{name}.out").read_text().split("\n", 1)[1])
+    certs = report["certificates"]
+    return certs["analytic_threshold"], certs["ceiling_threshold"]["analytic_per_m"]
+
+
+VERIFY_GOLDENS = ["verify_format_json", "verify_agreement_to_300_scan_cap_3000_format_json"]
+
+
+@pytest.mark.parametrize("name", VERIFY_GOLDENS)
+def test_golden_analytic_thresholds_check(name):
+    certs, even_per_m = _analytic_blocks(name)
+    assert sorted(certs) == sorted(even_per_m) == ["2", "3", "5", "6", "7"]
+    for m, cert in certs.items():
+        assert check_analytic_threshold(int(m), cert, even_per_m[m]) == [], m
+
+
+@pytest.mark.parametrize("change, problem", [
+    (lambda cert: cert.update(threshold=cert["threshold"] - 1), "inequality fails at threshold"),
+    (lambda cert: cert.update(threshold=cert["threshold"] + 1),
+     "inequality holds at threshold - 1"),
+])
+def test_rejects_a_shifted_analytic_threshold(change, problem):
+    certs, even_per_m = _analytic_blocks(VERIFY_GOLDENS[0])
+    for m, cert in certs.items():
+        cert = copy.deepcopy(cert)
+        change(cert)
+        assert problem in check_analytic_threshold(int(m), cert, even_per_m[m]), m
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_rejects_a_flipped_sign_in_the_analytic_poly(index):
+    certs, _ = _analytic_blocks(VERIFY_GOLDENS[0])
+    for m, cert in certs.items():
+        cert = copy.deepcopy(cert)
+        cert["poly"][index] *= -1
+        assert "poly is not h of (4, m^2-m+2, m, 14, m)" in check_analytic_threshold(
+            int(m), cert), m
+
+
+def test_rejects_an_analytic_certificate_filed_under_the_wrong_m():
+    certs, even_per_m = _analytic_blocks(VERIFY_GOLDENS[0])
+    ms = sorted(certs)
+    for m, other in zip(ms, ms[1:] + ms[:1]):
+        problems = check_analytic_threshold(int(other), certs[m], even_per_m[other])
+        assert "poly is not h of (4, m^2-m+2, m, 14, m)" in problems, (m, other)
+
+
+def test_rejects_a_wrong_even_analytic_threshold():
+    certs, even_per_m = _analytic_blocks(VERIFY_GOLDENS[0])
+    for m, cert in certs.items():
+        assert check_analytic_threshold(int(m), cert, even_per_m[m] + 2) == [
+            "even threshold is not the first even n from threshold"], m

@@ -56,6 +56,8 @@ USAGE_ERROR_CASES = [
     "omega --n 2 --m 1",
     "omega --n 2 --d 0",
     "candidates --n 10 --max-m 1",
+    "candidates --n 100000000000000000000",
+    "candidates --n 2 --max-m 1000000000",
     "census --from 10 --to 2",
     "census --from 1 --to 10",
     "table",

@@ -81,11 +81,6 @@ class TestRadicalBound:
         with pytest.raises(ValueError):
             RadicalBound(Fraction(1, 2), -3)
 
-    def test_exact_rational_on_square_radicands(self):
-        assert RadicalBound(Fraction(1, 2), 4).exact_rational() == 1
-        assert RadicalBound(Fraction(2, 3), 9 * 25).exact_rational() == 10
-        assert RadicalBound(Fraction(1, 4), 28).exact_rational() is None
-
     def test_equality_is_fieldwise_and_unordered(self):
         assert RadicalBound(1, 2) == RadicalBound(Fraction(1), 2)
         assert hash(RadicalBound(1, 2)) == hash(RadicalBound(Fraction(1), 2))

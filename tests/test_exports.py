@@ -1,11 +1,17 @@
-"""Every exported name resolves on its module.
+"""Every exported name resolves on its module, and so does every name the
+benchmark imports from the package.
 
-A stale __all__ entry otherwise fails only at `from module import *`.
+A stale __all__ entry otherwise fails only at `from module import *`, and
+a name deleted from under perfbench/ only when the benchmark runs.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize("module_name", ["seshadri", "seshadri.exactmath",
@@ -14,3 +20,37 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def _package_imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) for each `from seshadri... import name`, (module, None) for `import`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "seshadri":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "seshadri"]
+    return found
+
+
+def _resolves(module_name: str, name: str | None) -> bool:
+    try:
+        module = importlib.import_module(module_name)
+        if name is not None and not hasattr(module, name):
+            importlib.import_module(f"{module_name}.{name}")  # a submodule
+    except ImportError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda path: path.name)
+def test_benchmark_imports_resolve(path):
+    imports = _package_imports(path)
+    assert [item for item in imports if not _resolves(*item)] == []
+
+
+def test_benchmark_imports_are_found():
+    imports = {item for path in PERFBENCH.glob("*.py") for item in _package_imports(path)}
+    assert {("seshadri.exactmath", "RadicalBound"), ("seshadri.exactmath", "format_decimal"),
+            ("seshadri.cli", "cli"), ("seshadri", None)} <= imports

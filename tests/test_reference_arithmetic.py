@@ -13,7 +13,9 @@ Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max,
 tail_cutoff and sqrt_linear_threshold are closed forms; their references
 are the earlier searches: a bisection on the defining inequality, a step
 up to the witness polynomial's larger root and back down to its vertex,
-and a gallop plus bisection on sqrt_linear_cmp.
+and a gallop plus bisection on sqrt_linear_cmp.  RadicalBound.decimal
+rounds every radicand with one isqrt formula; its reference is the earlier
+two-path rendering, which sent square radicands through format_decimal.
 """
 
 import random
@@ -39,7 +41,7 @@ from seshadri.bounds import (
     sqrt_linear_threshold,
     tail_cutoff,
 )
-from seshadri.exactmath import RadicalBound, rat_cmp_sqrt, sqrt_linear_cmp
+from seshadri.exactmath import RadicalBound, format_decimal, rat_cmp_sqrt, sqrt_linear_cmp
 
 
 def lower_bound_small_reference(n: int) -> tuple[Fraction, frozenset[int]]:
@@ -148,6 +150,17 @@ def sqrt_linear_threshold_reference(p: int, a: int, q: int, b: int, c: int):
         else:
             lo = mid + 1
     return SqrtLinearThreshold((p, a, q, b, c), lo, (alpha * alpha, -(2 * alpha * c * c + e), c**4))
+
+
+def radical_decimal_reference(rb: RadicalBound, decimals: int, trim: bool) -> str:
+    s = isqrt(rb.radicand)
+    if s * s == rb.radicand:
+        return format_decimal(rb.coef * s, decimals, trim)
+    p, q = rb.coef.numerator, rb.coef.denominator
+    t = (isqrt(4 * p * p * 10 ** (2 * decimals) * rb.radicand) + q) // (2 * q)
+    # irrational value: never exactly representable, keep all digits
+    digits = str(t).rjust(decimals + 1, "0")
+    return digits if decimals == 0 else f"{digits[:-decimals]}.{digits[-decimals:]}"
 
 
 def _certificate(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
@@ -348,3 +361,20 @@ def test_sqrt_linear_threshold_matches_search_reference():
               rng.randint(1, 10**4), rng.randint(1, 100)) for _ in range(300)]
     for params in grid:
         assert sqrt_linear_threshold(*params) == sqrt_linear_threshold_reference(*params), params
+
+
+#: every p/q with p < 50 and q < 30, and radicands 0..49, k^2 for 8 <= k < 120
+#: and 4k^2 for k < 40: small, square and even-square values, 0 included
+RADICAL_COEFS = sorted({Fraction(p, q) for p in range(50) for q in range(1, 30)})
+RADICANDS = sorted(set(range(50)) | {k * k for k in range(8, 120)}
+                   | {4 * k * k for k in range(40)})
+
+
+@pytest.mark.parametrize("decimals", [0, 1, 2, 4, 7])
+def test_radical_decimal_matches_two_path_reference(decimals):
+    for coef in RADICAL_COEFS:
+        for radicand in RADICANDS:
+            rb = RadicalBound(coef, radicand)
+            for trim in (True, False):
+                assert rb.decimal(decimals, trim) == radical_decimal_reference(
+                    rb, decimals, trim), (coef, radicand, trim)
