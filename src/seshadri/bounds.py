@@ -31,9 +31,13 @@ supports the unrestricted integer range.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
+from itertools import accumulate
 from math import gcd, isqrt, lcm
 
 from .exactmath import ceil_sqrt, sqrt_linear_cmp
@@ -337,17 +341,52 @@ class CensusReport:
     Ties are credited to the smallest attaining multiplicity; this is the
     convention that reproduces the published occurrence counts (n=4 under
     m=2, n=2 -- where 3 and 6 tie -- under m=3).
+
+    per_n holds the n below analytic.threshold.  Past it f(n,m) >= g(n,m) >=
+    g(n,4) + 1/4 > f(n,4) for m != 4, so the rest is counted under m = 4.
     """
 
     start: int
     stop: int
     even_only: bool
-    per_n: dict[int, SmallBound] = field(repr=False)
     counts: dict[int, int]
+    n_examined: int
+    analytic: AnalyticThreshold = field(repr=False)
 
-    @property
-    def n_examined(self) -> int:
-        return len(self.per_n)
+    @cached_property
+    def per_n(self) -> dict[int, SmallBound]:
+        """The exact bound of every examined n below the threshold, computed on first use."""
+        step = 2 if self.even_only else 1
+        stop = min(self.stop, self.analytic.threshold - 1)
+        return {n: lower_bound_small(n)
+                for n in range(self.start + self.start % step, stop + 1, step)}
+
+    def listing(self) -> Iterator[SmallBound]:
+        """Every examined n in order: per_n, then the tail at one ceil_sqrt per n."""
+        yield from self.per_n.values()
+        step = 2 if self.even_only else 1
+        first = max(self.start, self.analytic.threshold)
+        for n in range(first + first % step, self.stop + 1, step):
+            yield SmallBound(n, Fraction(d_min(n, 4), 4), frozenset({4}))
+
+
+def census_size(start: int, stop: int, *, even_only: bool) -> int:
+    """How many n of the census parity lie in [start, stop], in O(1)."""
+    return max(0, stop // 2 - (start - 1) // 2 if even_only else stop - start + 1)
+
+
+@cache
+def _argmin_prefix_counts(even_only: bool) -> dict[int, array]:
+    """Per m, entry k counts the n < k of the parity with smallest argmin m.
+
+    It covers every n below the analytic threshold.  Built once per process
+    and parity, so that a census counts any range in O(1).
+    """
+    step = 2 if even_only else 1
+    smallest = [lower_bound_small(n).smallest_argmin if n >= 2 and n % step == 0 else 0
+                for n in range(analytic_threshold(even_only=even_only).threshold)]
+    return {m: array("H", accumulate((s == m for s in smallest), initial=0))
+            for m in SMALL_MS}
 
 
 def census(start: int, stop: int, *, even_only: bool = True) -> CensusReport:
@@ -355,14 +394,20 @@ def census(start: int, stop: int, *, even_only: bool = True) -> CensusReport:
 
     even_only restricts to even n (the self-intersections that occur on
     abelian and bielliptic surfaces, and the domain of the published
-    counts).
+    counts).  The n below the analytic threshold are counted from prefix
+    sums of their smallest argmins, the rest under m = 4, so a census costs
+    O(1) wherever its range lies.
     """
     if not 2 <= start <= stop:
         raise ValueError(f"census needs 2 <= start <= stop, got [{start}, {stop}]")
-    ns = range(start + start % 2, stop + 1, 2) if even_only else range(start, stop + 1)
-    per_n = {n: lower_bound_small(n) for n in ns}
-    counts = Counter(bound.smallest_argmin for bound in per_n.values())
-    return CensusReport(start, stop, even_only, per_n, dict(sorted(counts.items())))
+    analytic = analytic_threshold(even_only=even_only)
+    lo, hi = min(start, analytic.threshold), min(stop + 1, analytic.threshold)
+    tail = census_size(max(start, analytic.threshold), stop, even_only=even_only)
+    counts = Counter({m: prefix[hi] - prefix[lo]
+                      for m, prefix in _argmin_prefix_counts(even_only).items()})
+    counts += Counter({4: tail})
+    return CensusReport(start, stop, even_only, dict(sorted(counts.items())),
+                        census_size(start, stop, even_only=even_only), analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +525,17 @@ def ceiling_threshold(report: CensusReport) -> CeilingThreshold:
     sharp value is 4982; over all integers it is 5286 (largest failure at
     n = 5285).
     """
-    analytic = analytic_threshold(even_only=report.even_only)
+    analytic = report.analytic
     if report.start != 2 or report.stop < analytic.threshold:
         raise ValueError(
             f"ceiling_threshold needs a census of [2, >= {analytic.threshold}], "
             f"got [{report.start}, {report.stop}]"
         )
-    scan_to = analytic.threshold - 1
-    ns = [n for n in report.per_n if n <= analytic.threshold]
-    last = max((i for i, n in enumerate(ns)
-                if n <= scan_to and 4 not in report.per_n[n].argmins), default=-1)
+    ns = [*report.per_n, analytic.threshold]  # per_n: every n below the threshold
+    last = max((i for i, b in enumerate(report.per_n.values()) if 4 not in b.argmins),
+               default=-1)
     last_failure = ns[last] if last >= 0 else None
-    return CeilingThreshold(ns[last + 1], last_failure, scan_to, analytic)
+    return CeilingThreshold(ns[last + 1], last_failure, analytic.threshold - 1, analytic)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ from .exactmath import RadicalBound, format_decimal
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 
+#: most N that census --per-n lists; each one past the analytic threshold costs a ceil_sqrt
+MAX_CENSUS_LISTING = 10**5
+
 FORMATS = ("text", "csv", "json")
 NO_CSV = ("text", "json")
 
@@ -252,6 +255,10 @@ def _candidate_rows(r: dict) -> list[list[str]]:
 @_format_option()
 def census(start: int, stop: int, include_odd: bool, verbose: bool, fmt: str) -> None:
     """Classify each N by the smallest minimizing multiplicity."""
+    size = bounds.census_size(start, stop, even_only=not include_odd)
+    if verbose and size > MAX_CENSUS_LISTING:
+        raise click.UsageError(
+            f"--per-n lists at most {MAX_CENSUS_LISTING} N, [{start}, {stop}] has {size}")
     try:
         result = bounds.census(start, stop, even_only=not include_odd)
     except ValueError as exc:
@@ -264,8 +271,8 @@ def census(start: int, stop: int, include_odd: bool, verbose: bool, fmt: str) ->
     }
     if verbose:
         report["per_n"] = {
-            str(n): {"value": _rat_str(b.value), "argmins": sorted(b.argmins)}
-            for n, b in sorted(result.per_n.items())
+            str(b.n): {"value": _rat_str(b.value), "argmins": sorted(b.argmins)}
+            for b in result.listing()
         }
     _emit(fmt, report, _census_text, _census_csv)
 

@@ -75,8 +75,8 @@ def test_02_census():
     elapsed = time.perf_counter() - start
     assert rep.counts == {2: 1, 3: 59, 4: 4656, 5: 274, 6: 9, 7: 1}
     by_class: dict[int, list[int]] = {}
-    for n, bound in rep.per_n.items():
-        by_class.setdefault(bound.smallest_argmin, []).append(n)
+    for bound in rep.listing():
+        by_class.setdefault(bound.smallest_argmin, []).append(bound.n)
     assert by_class[2] == [4]
     assert max(by_class[3]) == 1012
     assert max(by_class[5]) == 4980
@@ -242,3 +242,15 @@ def test_09_bielliptic_data_audit():
          "mu": 6, "basis": ["E/6", "F"]},
     ]
     report(9, "bielliptic data audit", "seven rows match field-for-field")
+
+
+def test_10_census_analytic_tail():
+    start = time.perf_counter()
+    rep = census(2, 10**12)
+    elapsed = time.perf_counter() - start
+    assert rep.n_examined == 5 * 10**11
+    assert rep.counts == {2: 1, 3: 59, 4: 5 * 10**11 - 344, 5: 274, 6: 9, 7: 1}
+    assert max(rep.per_n) < rep.analytic.threshold == 8776  # the rest is the analytic tail
+    assert elapsed < 1.0
+    report(10, "analytic-tail census", f"even N in [2, 10^12] in {elapsed:.3f}s; "
+           f"{len(rep.per_n)} N brute-forced, the rest counted under m=4")

@@ -6,8 +6,10 @@ from math import gcd, isqrt
 
 import pytest
 
+from seshadri import bounds
 from seshadri.bounds import (
     MAX_CANDIDATES,
+    SmallBound,
     analytic_threshold,
     candidate_values,
     ceiling_threshold,
@@ -270,8 +272,8 @@ class TestCensus:
         report = census(2, 10_000, even_only=True)
         assert report.counts == {2: 1, 3: 59, 4: 4656, 5: 274, 6: 9, 7: 1}
         by_class: dict[int, list[int]] = {}
-        for n, bound in report.per_n.items():
-            by_class.setdefault(bound.smallest_argmin, []).append(n)
+        for bound in report.listing():
+            by_class.setdefault(bound.smallest_argmin, []).append(bound.n)
         assert by_class[2] == [4]
         assert max(by_class[3]) == 1012
         assert max(by_class[5]) == 4980
@@ -344,6 +346,22 @@ class TestThresholds:
         report = ceiling_threshold(census(2, 10_000, even_only=False))
         assert report.threshold == 5286
         assert report.last_failure == 5285
+
+    @pytest.mark.parametrize("even_only", [True, False])
+    def test_ceiling_falls_back_to_the_analytic_threshold(self, monkeypatch, even_only):
+        # a failure at the last brute-forced n puts the answer at the
+        # analytic threshold itself, which per_n does not hold
+        report = census(2, 9000, even_only=even_only)
+        last = max(report.per_n)
+
+        def failing_at_last(n):
+            return SmallBound(n, Fraction(1), frozenset({5})) if n == last \
+                else lower_bound_small(n)
+
+        monkeypatch.setattr(bounds, "lower_bound_small", failing_at_last)
+        ceiling = ceiling_threshold(census(2, 9000, even_only=even_only))
+        assert ceiling.last_failure == last
+        assert ceiling.threshold == report.analytic.threshold == last + 1 + even_only
 
     def test_ceiling_sanity_points(self):
         b4980 = lower_bound_small(4980)

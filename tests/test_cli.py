@@ -1,13 +1,16 @@
 """CLI surface: subcommands, formats, schema stability, exit codes."""
 
 import json
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from seshadri import bounds
-from seshadri.cli import cli
+from seshadri import cli as cli_module
+from seshadri.cli import MAX_CENSUS_LISTING, cli
 
 JSON_SCHEMA_KEYS = {
     "command", "inputs", "status", "exact_values", "decimal_renderings",
@@ -136,6 +139,41 @@ class TestCensus:
     def test_csv_format(self):
         result = run("census", "--from", "42", "--to", "42", "--format", "csv")
         assert result.output == "m,count\n7,1\n"
+
+    def test_counts_to_1e30_in_bounded_time_and_memory(self):
+        tracemalloc.start()
+        start = time.perf_counter()
+        result = run("census", "--from", "2", "--to", str(10**30), "--format", "json")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["n_examined"] == 5 * 10**29
+        assert payload["counts"]["4"] == 5 * 10**29 - 344
+        assert elapsed < 1.0 and peak < 16 * 2**20  # at most 4387 N are evaluated
+
+    def test_per_n_over_the_listing_cap_is_refused_before_computing(self, monkeypatch):
+        def no_census(*_args, **_kwargs):
+            raise AssertionError("census ran")
+
+        monkeypatch.setattr(bounds, "census", no_census)
+        for args in (["--from", "2", "--to", str(2 * MAX_CENSUS_LISTING + 2)],
+                     ["--from", "2", "--to", str(MAX_CENSUS_LISTING + 2), "--include-odd"],
+                     ["--from", "2", "--to", str(10**30)]):
+            result = run("census", *args, "--per-n")
+            assert result.exit_code == 2, args
+            assert f"at most {MAX_CENSUS_LISTING} N" in result.output
+            assert result.stdout == ""
+
+    def test_per_n_listing_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "MAX_CENSUS_LISTING", 3)
+        listed = run("census", "--from", "8773", "--to", "8778", "--per-n", "--format", "csv")
+        assert listed.exit_code == 0
+        assert [row.split(",")[0] for row in listed.output.splitlines()[1:]] == \
+            ["8774", "8776", "8778"]
+        assert run("census", "--from", "8773", "--to", "8780", "--per-n").exit_code == 2
+        assert run("census", "--from", "8773", "--to", "8780").exit_code == 0
 
 
 class TestTable:

@@ -8,8 +8,10 @@ certified_min and tail_cutoff now share the cutoff arithmetic (the
 integer core bounds._tail_cutoff); the reference scan takes its cutoffs
 from tail_cutoff_reference, so it shares none of it.
 ceiling_threshold reads a census; its reference is the earlier direct
-scan of lower_bound_small.  A box oracle computes the minimum over
-Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max,
+scan of lower_bound_small.  census brute-forces only below the analytic
+threshold and counts the rest under m = 4; its reference is the earlier
+census, lower_bound_small at every n of the range.  A box oracle computes
+the minimum over Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max,
 tail_cutoff and sqrt_linear_threshold are closed forms; their references
 are the earlier searches: a bisection on the defining inequality, a step
 up to the witness polynomial's larger root and back down to its vertex,
@@ -19,6 +21,7 @@ two-path rendering, which sent square radicands through format_decimal.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -26,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certcheck import check_analytic_threshold
 from seshadri import bounds, comparison
 from seshadri.bounds import (
     DEFAULT_SCAN_CAP,
@@ -287,6 +291,79 @@ def test_ceiling_threshold_needs_census_from_2_to_analytic_threshold():
     assert ceiling_threshold(census(2, 8776)).threshold == 4982
     with pytest.raises(ValueError):
         ceiling_threshold(census(3, 10_000, even_only=False))
+
+
+def census_reference(start: int, stop: int, even_only: bool):
+    """The brute census: lower_bound_small at every n of the parity in [start, stop]."""
+    ns = range(start + start % 2, stop + 1, 2) if even_only else range(start, stop + 1)
+    return map(lower_bound_small, ns)
+
+
+#: ranges that start and end on both sides of 8775/8776, odd starts, pure
+#: tail ranges, and single points at the thresholds
+CENSUS_RANGES = [(2, 10_000), (5000, 8775), (5000, 8776), (5000, 8777), (8000, 9000),
+                 (8775, 9500), (8776, 9500), (8777, 9500), (3, 9001), (4001, 8775),
+                 (8771, 8781), (8773, 8779), (9001, 12_000), (10**6 + 1, 10**6 + 500)]
+CENSUS_RANGES += [(n, n) for n in range(8774, 8779)]
+
+
+@pytest.mark.parametrize("even_only", [True, False])
+@pytest.mark.parametrize("start, stop", CENSUS_RANGES)
+def test_census_matches_brute_reference(start, stop, even_only):
+    report = census(start, stop, even_only=even_only)
+    want = list(census_reference(start, stop, even_only))
+    assert list(report.listing()) == want
+    assert report.n_examined == len(want)
+    assert report.counts == dict(sorted(Counter(b.smallest_argmin for b in want).items()))
+
+
+def test_even_census_counts_match_brute_reference_to_1e6():
+    report = census(2, 10**6)
+    want = Counter(b.smallest_argmin for b in census_reference(2, 10**6, True))
+    assert report.counts == dict(sorted(want.items()))
+    assert report.n_examined == sum(want.values())
+
+
+@pytest.mark.parametrize("even_only", [True, False])
+@pytest.mark.parametrize("start, stop", [(7001, 10_500), (8000, 8999), (8775, 12_000)])
+def test_census_splits_across_the_threshold_add_up(start, stop, even_only):
+    whole = census(start, stop, even_only=even_only)
+    for parts in (1, 2, 8):
+        edges = [start + (i * (stop - start)) // parts for i in range(parts)] + [stop + 1]
+        pieces = [census(edges[i], edges[i + 1] - 1, even_only=even_only)
+                  for i in range(parts)]
+        assert sum(piece.n_examined for piece in pieces) == whole.n_examined
+        assert sum((Counter(piece.counts) for piece in pieces), Counter()) == \
+            Counter(whole.counts)
+        assert [b for piece in pieces for b in piece.listing()] == list(whole.listing())
+
+
+@pytest.mark.parametrize("even_only", [True, False])
+def test_census_never_brute_forces_past_its_rechecked_analytic_threshold(
+        monkeypatch, even_only):
+    called = []
+
+    def counted(n):
+        called.append(n)
+        return lower_bound_small(n)
+
+    monkeypatch.setattr(bounds, "lower_bound_small", counted)
+    for start, stop in CENSUS_RANGES + [(2, 10**30), (10**30, 10**30 + 10**6)]:
+        called.clear()
+        report = census(start, stop, even_only=even_only)
+        analytic = report.analytic
+        assert all(n < analytic.threshold for n in called), (start, stop)
+        called.clear()  # the argmin table is built once; later counts call nothing
+        census(start, stop, even_only=even_only)
+        assert called == [], (start, stop)
+        assert list(report.per_n) == called, (start, stop)
+    assert analytic.even_only is even_only
+    assert analytic.threshold == max(analytic.per_m.values())
+    for m, cert in analytic.certificates.items():
+        printed = {"threshold": cert.threshold, "poly": list(cert.poly)}
+        even_first = analytic.per_m[m] if even_only else None
+        assert check_analytic_threshold(m, printed, even_first) == [], m
+        assert even_only or analytic.per_m[m] == cert.threshold
 
 
 def test_box_minimum_without_ceil_sqrt():
