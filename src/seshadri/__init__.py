@@ -49,7 +49,6 @@ from .exactmath import (
     RadicalBound,
     ceil_sqrt,
     format_decimal,
-    rat_cmp_sqrt,
     sqrt_linear_cmp,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "m_max",
     "omega_contains",
     "prior_bound",
-    "rat_cmp_sqrt",
     "self_int",
     "seshadri_ratio",
     "sqrt58_threshold",

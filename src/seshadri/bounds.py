@@ -11,7 +11,10 @@ This module computes, entirely in exact integer arithmetic:
   * membership in Omega, and its extremal coordinates d_min(N, m) and
     m_max(N, d);
   * the finite minimum  min{ d_min(N,m)/m : m in 2..7 }  together with its
-    attaining multiplicities;
+    attaining multiplicities, from one integer kernel (_small_min: one isqrt
+    per m, the minimum as a numerator over 420 and the argmins as a bitmask);
+    census, per_n and ceiling_threshold read one table of that kernel's
+    results below the analytic threshold, built once per process;
   * the same minimum certified over ALL m >= 2, via a quadratic
     tail-domination certificate that replaces the infinite case check by
     a finite scan;
@@ -100,17 +103,58 @@ class SmallBound:
         return min(self.argmins)
 
 
+#: (m, m^2 - m + 2, SMALL_MS_LCM // m) for m in SMALL_MS: d_min(n, m) is the ceiling
+#: square root of n*(m^2 - m + 2), and d_min(n, m)/m is d_min(n, m)*(420//m) over 420
+_SMALL_TERMS = tuple((m, m * m - m + 2, SMALL_MS_LCM // m) for m in SMALL_MS)
+
+
+def _small_min(n: int) -> tuple[int, int]:
+    """The six-term minimum as (numerator over SMALL_MS_LCM, argmin bitmask).
+
+    Bit m of the mask is set when m attains the minimum.  n >= 1 is the
+    caller's to ensure: then n*(m^2 - m + 2) >= 1, and its ceiling square
+    root is isqrt(n*(m^2 - m + 2) - 1) + 1.
+    """
+    best, mask = None, 0
+    for m, k, scale in _SMALL_TERMS:
+        v = (isqrt(n * k - 1) + 1) * scale
+        if best is None or v < best:
+            best, mask = v, 1 << m
+        elif v == best:
+            mask |= 1 << m
+    return best, mask
+
+
+def _small_bound(n: int, num: int, mask: int) -> SmallBound:
+    return SmallBound(n, Fraction(num, SMALL_MS_LCM),
+                      frozenset(m for m in SMALL_MS if mask >> m & 1))
+
+
 def lower_bound_small(n: int) -> SmallBound:
     """The six-term minimum over m in 2..7, as an exact rational.
 
-    The ratios are compared as numerators over the common denominator
-    SMALL_MS_LCM; only the returned minimum becomes a Fraction.
+    The integer core _small_min compares the ratios as numerators over the
+    common denominator SMALL_MS_LCM; only the returned minimum becomes a
+    Fraction.
     """
     _require("self-intersection", n, 2)
-    scaled = {m: d_min(n, m) * (SMALL_MS_LCM // m) for m in SMALL_MS}
-    best = min(scaled.values())
-    argmins = frozenset(m for m, v in scaled.items() if v == best)
-    return SmallBound(n, Fraction(best, SMALL_MS_LCM), argmins)
+    return _small_bound(n, *_small_min(n))
+
+
+@cache
+def _small_table() -> tuple[array, array]:
+    """_small_min of every n below the even analytic threshold, built once per process.
+
+    Entry n of the first array is the numerator over SMALL_MS_LCM, entry n of
+    the second the argmin bitmask; both are 0 for n < 2.  The even threshold
+    (8776) is the larger of the two parities, so both read this one table.
+    """
+    nums, masks = array("L", [0, 0]), array("B", [0, 0])
+    for n in range(2, analytic_threshold(even_only=True).threshold):
+        num, mask = _small_min(n)
+        nums.append(num)
+        masks.append(mask)
+    return nums, masks
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +399,11 @@ class CensusReport:
 
     @cached_property
     def per_n(self) -> dict[int, SmallBound]:
-        """The exact bound of every examined n below the threshold, computed on first use."""
+        """The exact bound of every examined n below the threshold, read off the shared table."""
         step = 2 if self.even_only else 1
         stop = min(self.stop, self.analytic.threshold - 1)
-        return {n: lower_bound_small(n)
+        nums, masks = _small_table()
+        return {n: _small_bound(n, nums[n], masks[n])
                 for n in range(self.start + self.start % step, stop + 1, step)}
 
     def listing(self) -> Iterator[SmallBound]:
@@ -380,11 +425,14 @@ def _argmin_prefix_counts(even_only: bool) -> dict[int, array]:
     """Per m, entry k counts the n < k of the parity with smallest argmin m.
 
     It covers every n below the analytic threshold.  Built once per process
-    and parity, so that a census counts any range in O(1).
+    and parity from the shared table, so that a census counts any range in
+    O(1).  The lowest set bit of a mask is the smallest argmin; the mask 0
+    of n < 2 reads as -1, which no m counts.
     """
     step = 2 if even_only else 1
-    smallest = [lower_bound_small(n).smallest_argmin if n >= 2 and n % step == 0 else 0
-                for n in range(analytic_threshold(even_only=even_only).threshold)]
+    masks = _small_table()[1][:analytic_threshold(even_only=even_only).threshold]
+    smallest = [(mask & -mask).bit_length() - 1 if n % step == 0 else 0
+                for n, mask in enumerate(masks)]
     return {m: array("H", accumulate((s == m for s in smallest), initial=0))
             for m in SMALL_MS}
 
@@ -520,7 +568,8 @@ def ceiling_threshold(report: CensusReport) -> CeilingThreshold:
     """Exact threshold for the ceiled minimum settling at m = 4, read off a census.
 
     The census must start at 2 and reach the analytic threshold of its
-    parity; its argmins decide every n below that threshold.  Over even n
+    parity.  Every n of the parity below that threshold is decided by bit 4
+    of its argmin mask in the shared table; none is recomputed.  Over even n
     (self-intersections realized on abelian and bielliptic surfaces) the
     sharp value is 4982; over all integers it is 5286 (largest failure at
     n = 5285).
@@ -531,11 +580,12 @@ def ceiling_threshold(report: CensusReport) -> CeilingThreshold:
             f"ceiling_threshold needs a census of [2, >= {analytic.threshold}], "
             f"got [{report.start}, {report.stop}]"
         )
-    ns = [*report.per_n, analytic.threshold]  # per_n: every n below the threshold
-    last = max((i for i, b in enumerate(report.per_n.values()) if 4 not in b.argmins),
-               default=-1)
-    last_failure = ns[last] if last >= 0 else None
-    return CeilingThreshold(ns[last + 1], last_failure, analytic.threshold - 1, analytic)
+    step = 2 if analytic.even_only else 1
+    masks = _small_table()[1]
+    last_failure = max((n for n in range(2, analytic.threshold, step) if not masks[n] >> 4 & 1),
+                       default=None)
+    threshold = 2 if last_failure is None else last_failure + step
+    return CeilingThreshold(threshold, last_failure, analytic.threshold - 1, analytic)
 
 
 # ---------------------------------------------------------------------------

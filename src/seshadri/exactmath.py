@@ -3,14 +3,13 @@
 Every decision in this package reduces to integer arithmetic; floating
 point is never consulted for anything but display.  Two rationals d1/m1
 and d2/m2 are ordered by cross-multiplication, d1*m2 vs d2*m1, in the
-callers.  The square-root comparison shapes supported here are exactly
-the ones the bound computations need:
+callers.  The one square-root comparison shape supported here is the
+one the threshold computations need:
 
-    rational  p/q     vs  sqrt(n)             (rat_cmp_sqrt)
     linear    p*sqrt(a*N)  vs  q*sqrt(b*N)+c  (sqrt_linear_cmp)
 
-Both are decided by squaring with exact sign handling, so boundary
-cases (perfect squares, exact ties) are resolved by integer identities.
+It is decided by squaring with exact sign handling, so boundary cases
+(perfect squares, exact ties) are resolved by integer identities.
 RadicalBound holds a value c*sqrt(n) for display only: it has no order,
 and comparisons against it go through its coefficient and radicand.
 
@@ -31,7 +30,6 @@ __all__ = [
     "RadicalBound",
     "ceil_sqrt",
     "format_decimal",
-    "rat_cmp_sqrt",
     "sqrt_linear_cmp",
 ]
 
@@ -42,21 +40,6 @@ def ceil_sqrt(n: int) -> int:
         raise ValueError(f"ceil_sqrt of negative integer {n}")
     s = math.isqrt(n)
     return s if s * s == n else s + 1
-
-
-def rat_cmp_sqrt(r: Fraction, n: int) -> int:
-    """Exact order of a non-negative rational r versus sqrt(n).
-
-    Returns -1, 0 or +1.  Decided by comparing num^2 with n * den^2 in
-    integers, so equality is detected exactly (iff n*den^2 == num^2).
-    """
-    if r.numerator < 0:
-        raise ValueError(f"rat_cmp_sqrt requires r >= 0, got {r}")
-    if n < 0:
-        raise ValueError(f"rat_cmp_sqrt of negative radicand {n}")
-    lhs = r.numerator * r.numerator
-    rhs = n * r.denominator * r.denominator
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def sqrt_linear_cmp(p: int, a: int, q: int, b: int, c: int, n: int) -> bool:

@@ -43,14 +43,21 @@ class Verification:
 
 
 def agreement_sweep(stop: int) -> tuple[list[int], list[int]]:
-    """N in [2, stop] where certified_min disagrees with lower_bound_small,
-    and N where it is uncertified."""
+    """N in [2, stop] where certified_min disagrees with the six-term minimum,
+    and N where it is uncertified.
+
+    The six-term minimum comes from the kernel bounds._small_min as a
+    numerator over SMALL_MS_LCM and is compared by cross-multiplication.
+    The sweep reads no table and certified_min does not use the kernel, so
+    the two sides share no computation.
+    """
     disagreements, uncertified = [], []
     for n in range(2, stop + 1):
         cert = bounds.certified_min(n)
         if not cert.certified:
             uncertified.append(n)
-        elif cert.value != bounds.lower_bound_small(n).value:
+        elif (cert.value.numerator * bounds.SMALL_MS_LCM
+              != bounds._small_min(n)[0] * cert.value.denominator):
             disagreements.append(n)
     return disagreements, uncertified
 

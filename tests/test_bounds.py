@@ -9,7 +9,6 @@ import pytest
 from seshadri import bounds
 from seshadri.bounds import (
     MAX_CANDIDATES,
-    SmallBound,
     analytic_threshold,
     candidate_values,
     ceiling_threshold,
@@ -348,17 +347,20 @@ class TestThresholds:
         assert report.last_failure == 5285
 
     @pytest.mark.parametrize("even_only", [True, False])
-    def test_ceiling_falls_back_to_the_analytic_threshold(self, monkeypatch, even_only):
-        # a failure at the last brute-forced n puts the answer at the
-        # analytic threshold itself, which per_n does not hold
+    def test_ceiling_falls_back_to_the_analytic_threshold(
+            self, monkeypatch, fresh_small_table, even_only):
+        # a failure at the last tabulated n of the parity puts the answer at
+        # the analytic threshold itself, which per_n does not hold
         report = census(2, 9000, even_only=even_only)
         last = max(report.per_n)
+        kernel = bounds._small_min
 
         def failing_at_last(n):
-            return SmallBound(n, Fraction(1), frozenset({5})) if n == last \
-                else lower_bound_small(n)
+            return (bounds.SMALL_MS_LCM, 1 << 5) if n == last else kernel(n)
 
-        monkeypatch.setattr(bounds, "lower_bound_small", failing_at_last)
+        monkeypatch.setattr(bounds, "_small_min", failing_at_last)
+        bounds._small_table.cache_clear()
+        bounds._argmin_prefix_counts.cache_clear()
         ceiling = ceiling_threshold(census(2, 9000, even_only=even_only))
         assert ceiling.last_failure == last
         assert ceiling.threshold == report.analytic.threshold == last + 1 + even_only

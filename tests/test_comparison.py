@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from seshadri.bounds import SMALL_MS
 from seshadri.comparison import (
     KNOWN_TABLE_ERRATA,
     PAPER_TABLE_NS,
     PAPER_TABLE_PRINTED,
+    PRIOR_BOUNDS,
     comparison_table,
     dominance_check,
     prior_bound,
@@ -60,6 +62,19 @@ class TestDominance:
             ssz_num, ssz_den = _square("ssz_7_9", n)
             assert ab_num * hr_den > hr_num * ab_den
             assert hr_num * ssz_den > ssz_num * hr_den
+
+    def test_links_as_identities_free_of_n(self):
+        # g(n,m) >= sqrt(14N)/4 is 16n(m^2-m+2) >= 14n m^2, and the difference
+        # over n is 2(m-4)^2 >= 0
+        for m in SMALL_MS:
+            assert 16 * (m * m - m + 2) - 14 * m * m == 2 * (m - 4) ** 2
+        # with N cancelled, each prior bound (p/q)*sqrt(c*N) squares to p^2*c over q^2
+        (ab, ab_den), (hr, hr_den), (ssz, ssz_den) = (
+            (coef.numerator**2 * c, coef.denominator**2)
+            for coef, c in (PRIOR_BOUNDS[name] for name in ("abelian_7_8", "hr_093", "ssz_7_9")))
+        assert (ab, ab_den, hr, hr_den, ssz, ssz_den) == (14, 16, 8649, 10**4, 7, 9)
+        assert ab * hr_den >= hr * ab_den  # 14*10^4 >= 16*8649: sqrt(14N)/4 >= 0.93*sqrt(N)
+        assert hr * ssz_den > ssz * hr_den  # 9*8649 > 7*10^4: 0.93*sqrt(N) > sqrt(7N)/3
 
     def test_sweep(self):
         assert all(dominance_check(n) for n in range(2, 2001))

@@ -18,9 +18,9 @@ from seshadri.exactmath import (
     RadicalBound,
     ceil_sqrt,
     format_decimal,
-    rat_cmp_sqrt,
     sqrt_linear_cmp,
 )
+from test_reference_arithmetic import rat_cmp_sqrt
 
 SEED = 20200817
 

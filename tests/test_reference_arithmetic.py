@@ -1,14 +1,18 @@
 """The integer cross-multiplication code against Fraction-based references.
 
-lower_bound_small, certified_min and dominance_check order ratios d/m and
-squares of radicals by integer cross-multiplication.  The references
-below are the earlier loops written with Fraction objects, kept here to
-require equal results: value, argmins, scanned_to and tail witness.
+certified_min and dominance_check order ratios d/m and squares of
+radicals by integer cross-multiplication.  The references below are the
+earlier loops written with Fraction objects, kept here to require equal
+results: value, argmins, scanned_to and tail witness.  lower_bound_small
+wraps the integer kernel bounds._small_min (one isqrt per m, an argmin
+bitmask), and census, per_n and ceiling_threshold read a table of that
+kernel's results; their reference is the earlier lower_bound_small, a
+dict of d_min numerators over 420 and a frozenset of argmins.
 certified_min and tail_cutoff now share the cutoff arithmetic (the
 integer core bounds._tail_cutoff); the reference scan takes its cutoffs
 from tail_cutoff_reference, so it shares none of it.
 ceiling_threshold reads a census; its reference is the earlier direct
-scan of lower_bound_small.  census brute-forces only below the analytic
+scan of lower_bound_small.  census tabulates only below the analytic
 threshold and counts the rest under m = 4; its reference is the earlier
 census, lower_bound_small at every n of the range.  A box oracle computes
 the minimum over Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max,
@@ -18,6 +22,9 @@ up to the witness polynomial's larger root and back down to its vertex,
 and a gallop plus bisection on sqrt_linear_cmp.  RadicalBound.decimal
 rounds every radicand with one isqrt formula; its reference is the earlier
 two-path rendering, which sent square radicands through format_decimal.
+rat_cmp_sqrt, the exact order of a rational against sqrt(n), has no
+caller in the package; tail_cutoff_reference and tests/test_exactmath.py
+use it from here.
 """
 
 import random
@@ -30,10 +37,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certcheck import check_analytic_threshold
-from seshadri import bounds, comparison
+from seshadri import bounds, comparison, verify
 from seshadri.bounds import (
     DEFAULT_SCAN_CAP,
     SMALL_MS,
+    SMALL_MS_LCM,
+    SmallBound,
     SqrtLinearThreshold,
     TailWitness,
     ceiling_threshold,
@@ -45,13 +54,32 @@ from seshadri.bounds import (
     sqrt_linear_threshold,
     tail_cutoff,
 )
-from seshadri.exactmath import RadicalBound, format_decimal, rat_cmp_sqrt, sqrt_linear_cmp
+from seshadri.comparison import PAPER_TABLE_NS
+from seshadri.exactmath import RadicalBound, format_decimal, sqrt_linear_cmp
 
 
-def lower_bound_small_reference(n: int) -> tuple[Fraction, frozenset[int]]:
-    ratios = {m: Fraction(d_min(n, m), m) for m in SMALL_MS}
-    value = min(ratios.values())
-    return value, frozenset(m for m, v in ratios.items() if v == value)
+def rat_cmp_sqrt(r: Fraction, n: int) -> int:
+    """Exact order of a non-negative rational r versus sqrt(n).
+
+    Returns -1, 0 or +1.  Decided by comparing num^2 with n * den^2 in
+    integers, so equality is detected exactly (iff n*den^2 == num^2).
+    """
+    if r.numerator < 0:
+        raise ValueError(f"rat_cmp_sqrt requires r >= 0, got {r}")
+    if n < 0:
+        raise ValueError(f"rat_cmp_sqrt of negative radicand {n}")
+    lhs = r.numerator * r.numerator
+    rhs = n * r.denominator * r.denominator
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def lower_bound_small_reference(n: int) -> SmallBound:
+    if n < 2:
+        raise ValueError(f"self-intersection must be >= 2, got {n}")
+    scaled = {m: d_min(n, m) * (SMALL_MS_LCM // m) for m in SMALL_MS}
+    best = min(scaled.values())
+    argmins = frozenset(m for m, v in scaled.items() if v == best)
+    return SmallBound(n, Fraction(best, SMALL_MS_LCM), argmins)
 
 
 def certified_min_reference(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
@@ -175,14 +203,30 @@ def _certificate(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
 @settings(derandomize=True, max_examples=500)
 @given(st.integers(min_value=2, max_value=10**40))
 def test_lower_bound_small_matches_reference(n):
-    small = lower_bound_small(n)
-    assert (small.value, small.argmins) == lower_bound_small_reference(n)
+    assert lower_bound_small(n) == lower_bound_small_reference(n)
 
 
 def test_lower_bound_small_matches_reference_on_a_range():
     for n in range(2, 3001):
-        small = lower_bound_small(n)
-        assert (small.value, small.argmins) == lower_bound_small_reference(n)
+        assert lower_bound_small(n) == lower_bound_small_reference(n)
+
+
+def test_lower_bound_small_matches_reference_near_1e40_and_at_squares():
+    rng = random.Random(20200817)
+    near_1e40 = [rng.randint(10**40 - 10**30, 10**40 + 10**30) for _ in range(50)]
+    squares = [k * k + e for k in [*range(2, 301), 10**20 + 1] for e in (-1, 0, 1)]
+    for n in near_1e40 + squares:
+        assert lower_bound_small(n) == lower_bound_small_reference(n), n
+
+
+def test_small_table_matches_reference():
+    nums, masks = bounds._small_table()
+    assert len(nums) == len(masks) == bounds.analytic_threshold(even_only=True).threshold == 8776
+    assert (nums[0], nums[1], masks[0], masks[1]) == (0, 0, 0, 0)
+    for n in range(2, 8776):
+        ref = lower_bound_small_reference(n)
+        assert nums[n] * ref.value.denominator == ref.value.numerator * SMALL_MS_LCM, n
+        assert masks[n] == sum(1 << m for m in ref.argmins), n
 
 
 def test_certified_min_matches_reference():
@@ -338,25 +382,31 @@ def test_census_splits_across_the_threshold_add_up(start, stop, even_only):
         assert [b for piece in pieces for b in piece.listing()] == list(whole.listing())
 
 
-@pytest.mark.parametrize("even_only", [True, False])
-def test_census_never_brute_forces_past_its_rechecked_analytic_threshold(
-        monkeypatch, even_only):
-    called = []
+def _count_small_min(monkeypatch) -> list[int]:
+    """Patch bounds._small_min to record each n it evaluates, in order."""
+    called, kernel = [], bounds._small_min
 
     def counted(n):
         called.append(n)
-        return lower_bound_small(n)
+        return kernel(n)
 
-    monkeypatch.setattr(bounds, "lower_bound_small", counted)
+    monkeypatch.setattr(bounds, "_small_min", counted)
+    return called
+
+
+@pytest.mark.parametrize("even_only", [True, False])
+def test_census_never_brute_forces_past_its_rechecked_analytic_threshold(
+        monkeypatch, fresh_small_table, even_only):
+    called = _count_small_min(monkeypatch)
+    census(2, 2, even_only=even_only)
+    # one table for both parities: each n below the even analytic threshold, once
+    assert called == list(range(2, bounds.analytic_threshold(even_only=True).threshold))
     for start, stop in CENSUS_RANGES + [(2, 10**30), (10**30, 10**30 + 10**6)]:
-        called.clear()
+        called.clear()  # the table is built once; later counts and listings call nothing
         report = census(start, stop, even_only=even_only)
         analytic = report.analytic
-        assert all(n < analytic.threshold for n in called), (start, stop)
-        called.clear()  # the argmin table is built once; later counts call nothing
-        census(start, stop, even_only=even_only)
+        report.per_n
         assert called == [], (start, stop)
-        assert list(report.per_n) == called, (start, stop)
     assert analytic.even_only is even_only
     assert analytic.threshold == max(analytic.per_m.values())
     for m, cert in analytic.certificates.items():
@@ -364,6 +414,36 @@ def test_census_never_brute_forces_past_its_rechecked_analytic_threshold(
         even_first = analytic.per_m[m] if even_only else None
         assert check_analytic_threshold(m, printed, even_first) == [], m
         assert even_only or analytic.per_m[m] == cert.threshold
+
+
+def test_verify_evaluates_each_n_below_the_threshold_once(monkeypatch, fresh_small_table):
+    # the shared table once per n in [2, 8775], then the agreement sweep and
+    # the comparison table's rows, which call the kernel directly or through
+    # lower_bound_small; a second run in the process only the latter two
+    called = _count_small_min(monkeypatch)
+    per_run = Counter(range(2, 3)) + Counter(PAPER_TABLE_NS)  # agreement_to = 2
+    verify.run(2, 8)
+    assert Counter(called) == Counter(range(2, 8776)) + per_run
+    called.clear()
+    verify.run(2, 8)
+    assert Counter(called) == per_run
+
+
+def test_agreement_sweep_compares_the_kernel_and_reads_no_table(monkeypatch):
+    # a kernel off by 1/420 at N = 3 must show as a disagreement: neither
+    # certified_min nor a table may stand in for the kernel
+    kernel = bounds._small_min
+
+    def off_at_3(n):
+        num, mask = kernel(n)
+        return num + (n == 3), mask
+
+    def no_table():
+        raise AssertionError("agreement_sweep read the shared table")
+
+    monkeypatch.setattr(bounds, "_small_min", off_at_3)
+    monkeypatch.setattr(bounds, "_small_table", no_table)
+    assert verify.agreement_sweep(50) == ([3], [])
 
 
 def test_box_minimum_without_ceil_sqrt():
