@@ -11,10 +11,11 @@ This module computes, entirely in exact integer arithmetic:
   * membership in Omega, and its extremal coordinates d_min(N, m) and
     m_max(N, d);
   * the finite minimum  min{ d_min(N,m)/m : m in 2..7 }  together with its
-    attaining multiplicities, from one integer kernel (_small_min: one isqrt
-    per m, the minimum as a numerator over 420 and the argmins as a bitmask);
-    census, per_n and ceiling_threshold read one table of that kernel's
-    results below the analytic threshold, built once per process;
+    attaining multiplicities: per N through d_min (lower_bound_small), and
+    in bulk through one integer kernel (_small_min: one isqrt per m, the
+    minimum as a numerator over 420 and the argmins as a bitmask); census,
+    per_n and ceiling_threshold read one table of that kernel's results
+    below the analytic threshold, built once per process;
   * the same minimum certified over ALL m >= 2, via a quadratic
     tail-domination certificate that replaces the infinite case check by
     a finite scan;
@@ -125,20 +126,19 @@ def _small_min(n: int) -> tuple[int, int]:
     return best, mask
 
 
-def _small_bound(n: int, num: int, mask: int) -> SmallBound:
-    return SmallBound(n, Fraction(num, SMALL_MS_LCM),
-                      frozenset(m for m in SMALL_MS if mask >> m & 1))
-
-
 def lower_bound_small(n: int) -> SmallBound:
     """The six-term minimum over m in 2..7, as an exact rational.
 
-    The integer core _small_min compares the ratios as numerators over the
-    common denominator SMALL_MS_LCM; only the returned minimum becomes a
-    Fraction.
+    The ratios are compared as numerators over the common denominator
+    SMALL_MS_LCM; only the returned minimum becomes a Fraction.  This is
+    the per-N definition, through d_min; the census and verify's agreement
+    sweep use the integer kernel _small_min, which the tests hold equal to it.
     """
     _require("self-intersection", n, 2)
-    return _small_bound(n, *_small_min(n))
+    scaled = {m: d_min(n, m) * (SMALL_MS_LCM // m) for m in SMALL_MS}
+    best = min(scaled.values())
+    argmins = frozenset(m for m, v in scaled.items() if v == best)
+    return SmallBound(n, Fraction(best, SMALL_MS_LCM), argmins)
 
 
 @cache
@@ -403,7 +403,8 @@ class CensusReport:
         step = 2 if self.even_only else 1
         stop = min(self.stop, self.analytic.threshold - 1)
         nums, masks = _small_table()
-        return {n: _small_bound(n, nums[n], masks[n])
+        return {n: SmallBound(n, Fraction(nums[n], SMALL_MS_LCM),
+                              frozenset(m for m in SMALL_MS if masks[n] >> m & 1))
                 for n in range(self.start + self.start % step, stop + 1, step)}
 
     def listing(self) -> Iterator[SmallBound]:

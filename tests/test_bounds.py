@@ -349,21 +349,22 @@ class TestThresholds:
     @pytest.mark.parametrize("even_only", [True, False])
     def test_ceiling_falls_back_to_the_analytic_threshold(
             self, monkeypatch, fresh_small_table, even_only):
-        # a failure at the last tabulated n of the parity puts the answer at
-        # the analytic threshold itself, which per_n does not hold
-        report = census(2, 9000, even_only=even_only)
-        last = max(report.per_n)
+        # a failure at the last tabulated n of the parity (8774 for both)
+        # puts the answer at the analytic threshold itself, which per_n does
+        # not hold
+        analytic = analytic_threshold(even_only=even_only)
+        last = analytic.threshold - 1 - even_only
         kernel = bounds._small_min
 
         def failing_at_last(n):
             return (bounds.SMALL_MS_LCM, 1 << 5) if n == last else kernel(n)
 
         monkeypatch.setattr(bounds, "_small_min", failing_at_last)
-        bounds._small_table.cache_clear()
-        bounds._argmin_prefix_counts.cache_clear()
-        ceiling = ceiling_threshold(census(2, 9000, even_only=even_only))
+        report = census(2, 9000, even_only=even_only)
+        assert max(report.per_n) == last == 8774
+        ceiling = ceiling_threshold(report)
         assert ceiling.last_failure == last
-        assert ceiling.threshold == report.analytic.threshold == last + 1 + even_only
+        assert ceiling.threshold == analytic.threshold
 
     def test_ceiling_sanity_points(self):
         b4980 = lower_bound_small(4980)

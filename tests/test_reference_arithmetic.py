@@ -4,10 +4,11 @@ certified_min and dominance_check order ratios d/m and squares of
 radicals by integer cross-multiplication.  The references below are the
 earlier loops written with Fraction objects, kept here to require equal
 results: value, argmins, scanned_to and tail witness.  lower_bound_small
-wraps the integer kernel bounds._small_min (one isqrt per m, an argmin
-bitmask), and census, per_n and ceiling_threshold read a table of that
-kernel's results; their reference is the earlier lower_bound_small, a
-dict of d_min numerators over 420 and a frozenset of argmins.
+(d_min numerators over 420) and the integer kernel bounds._small_min (one
+isqrt per m, an argmin bitmask) are both held equal to the Fraction
+minimum of d_min(n, m)/m; census, per_n and ceiling_threshold read a
+table of the kernel's results, and their references below call
+lower_bound_small, which shares no arithmetic with the kernel.
 certified_min and tail_cutoff now share the cutoff arithmetic (the
 integer core bounds._tail_cutoff); the reference scan takes its cutoffs
 from tail_cutoff_reference, so it shares none of it.
@@ -54,7 +55,6 @@ from seshadri.bounds import (
     sqrt_linear_threshold,
     tail_cutoff,
 )
-from seshadri.comparison import PAPER_TABLE_NS
 from seshadri.exactmath import RadicalBound, format_decimal, sqrt_linear_cmp
 
 
@@ -74,12 +74,16 @@ def rat_cmp_sqrt(r: Fraction, n: int) -> int:
 
 
 def lower_bound_small_reference(n: int) -> SmallBound:
-    if n < 2:
-        raise ValueError(f"self-intersection must be >= 2, got {n}")
-    scaled = {m: d_min(n, m) * (SMALL_MS_LCM // m) for m in SMALL_MS}
-    best = min(scaled.values())
-    argmins = frozenset(m for m, v in scaled.items() if v == best)
-    return SmallBound(n, Fraction(best, SMALL_MS_LCM), argmins)
+    ratios = {m: Fraction(d_min(n, m), m) for m in SMALL_MS}
+    value = min(ratios.values())
+    return SmallBound(n, value, frozenset(m for m, v in ratios.items() if v == value))
+
+
+def small_min_as_bound(n: int) -> SmallBound:
+    """The kernel's (numerator over SMALL_MS_LCM, argmin bitmask) as a SmallBound."""
+    num, mask = bounds._small_min(n)
+    return SmallBound(n, Fraction(num, SMALL_MS_LCM),
+                      frozenset(m for m in SMALL_MS if mask >> m & 1))
 
 
 def certified_min_reference(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
@@ -203,20 +207,20 @@ def _certificate(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
 @settings(derandomize=True, max_examples=500)
 @given(st.integers(min_value=2, max_value=10**40))
 def test_lower_bound_small_matches_reference(n):
-    assert lower_bound_small(n) == lower_bound_small_reference(n)
+    assert lower_bound_small(n) == small_min_as_bound(n) == lower_bound_small_reference(n)
 
 
 def test_lower_bound_small_matches_reference_on_a_range():
     for n in range(2, 3001):
-        assert lower_bound_small(n) == lower_bound_small_reference(n)
+        assert lower_bound_small(n) == small_min_as_bound(n) == lower_bound_small_reference(n)
 
 
-def test_lower_bound_small_matches_reference_near_1e40_and_at_squares():
+def test_small_min_matches_reference_near_1e40_and_at_squares():
     rng = random.Random(20200817)
     near_1e40 = [rng.randint(10**40 - 10**30, 10**40 + 10**30) for _ in range(50)]
     squares = [k * k + e for k in [*range(2, 301), 10**20 + 1] for e in (-1, 0, 1)]
     for n in near_1e40 + squares:
-        assert lower_bound_small(n) == lower_bound_small_reference(n), n
+        assert lower_bound_small(n) == small_min_as_bound(n) == lower_bound_small_reference(n), n
 
 
 def test_small_table_matches_reference():
@@ -398,9 +402,12 @@ def _count_small_min(monkeypatch) -> list[int]:
 def test_census_never_brute_forces_past_its_rechecked_analytic_threshold(
         monkeypatch, fresh_small_table, even_only):
     called = _count_small_min(monkeypatch)
-    census(2, 2, even_only=even_only)
-    # one table for both parities: each n below the even analytic threshold, once
+    threshold = census(2, 2, even_only=even_only).analytic.threshold
+    # one table for both parities, each n below the even analytic threshold
+    # once; so the all-integer census evaluates its own threshold 8775, and
+    # that is its only evaluation at or past it
     assert called == list(range(2, bounds.analytic_threshold(even_only=True).threshold))
+    assert [n for n in called if n >= threshold] == ([] if even_only else [8775])
     for start, stop in CENSUS_RANGES + [(2, 10**30), (10**30, 10**30 + 10**6)]:
         called.clear()  # the table is built once; later counts and listings call nothing
         report = census(start, stop, even_only=even_only)
@@ -417,16 +424,15 @@ def test_census_never_brute_forces_past_its_rechecked_analytic_threshold(
 
 
 def test_verify_evaluates_each_n_below_the_threshold_once(monkeypatch, fresh_small_table):
-    # the shared table once per n in [2, 8775], then the agreement sweep and
-    # the comparison table's rows, which call the kernel directly or through
-    # lower_bound_small; a second run in the process only the latter two
+    # the shared table once per n in [2, 8775], then once per N of the
+    # agreement sweep (agreement_to = 2); a second run in the process makes
+    # only the sweep's calls
     called = _count_small_min(monkeypatch)
-    per_run = Counter(range(2, 3)) + Counter(PAPER_TABLE_NS)  # agreement_to = 2
     verify.run(2, 8)
-    assert Counter(called) == Counter(range(2, 8776)) + per_run
+    assert called == [*range(2, 8776), 2]
     called.clear()
     verify.run(2, 8)
-    assert Counter(called) == per_run
+    assert called == [2]
 
 
 def test_agreement_sweep_compares_the_kernel_and_reads_no_table(monkeypatch):
