@@ -18,7 +18,10 @@ This module computes, entirely in exact integer arithmetic:
     below the analytic threshold, built once per process;
   * the same minimum certified over ALL m >= 2, via a quadratic
     tail-domination certificate that replaces the infinite case check by
-    a finite scan;
+    a finite scan: an integer core (_certified_scan: the running minimum
+    as an unreduced pair, the argmins as a list, the witness as
+    _tail_cutoff's tuple), which verify's agreement sweep reads, wrapped
+    by certified_min, which builds the certificate objects once;
   * the per-multiplicity comparison f(N,m) >= f(N,7) for m >= 8, with a
     complete, certified list of violations where they exist;
   * the exact thresholds from which the minimum settles at m = 4, both
@@ -195,7 +198,11 @@ def _poly_holds(poly: tuple[int, int, int], strict: bool, m: int) -> bool:
     return v > 0 if strict else v >= 0
 
 
-def _tail_cutoff(n: int, p: int, q: int) -> tuple[tuple[int, int, int], bool, int] | None:
+#: _tail_cutoff's (poly, strict, cutoff)
+_Tail = tuple[tuple[int, int, int], bool, int]
+
+
+def _tail_cutoff(n: int, p: int, q: int) -> _Tail | None:
     """(poly, strict, cutoff) of the witness at threshold p/q, or None.
 
     p/q must be in lowest terms with p >= 0; the arithmetic is all integer.
@@ -268,6 +275,38 @@ class BoundCertificate:
         return self.tail_witness is not None
 
 
+def _certified_scan(n: int, scan_cap: int) -> tuple[int, int, list[int], int, _Tail | None]:
+    """certified_min's scan in integers: (best_d, best_m, argmins, scanned_to, tail).
+
+    The running minimum best_d/best_m is compared with each d_min(n,m)/m
+    by cross-multiplication; it starts at 1/0, which that comparison
+    places above every ratio, and is returned unreduced (best_m is the
+    first argmin).  Each improvement takes the cutoff of the reduced
+    minimum from _tail_cutoff, and each m compares that integer with
+    m + 1.  argmins lists the scanned minimizers in ascending order; tail
+    is _tail_cutoff's (poly, strict, cutoff), or None when no certificate
+    starts by scan_cap.  n >= 2 and scan_cap >= MIN_SCAN_CAP are the
+    caller's to ensure.
+    """
+    best_d, best_m = 1, 0
+    argmins: list[int] = []
+    tail = None
+    no_cutoff = scan_cap + 2  # past every m + 1 of the scan
+    cutoff = no_cutoff
+    for m in range(2, scan_cap + 1):
+        d = d_min(n, m)
+        if d * best_m < best_d * m:
+            best_d, best_m, argmins = d, m, [m]
+            g = gcd(d, m)
+            tail = _tail_cutoff(n, d // g, m // g)
+            cutoff = no_cutoff if tail is None else tail[2]
+        elif d * best_m == best_d * m:
+            argmins.append(m)
+        if cutoff <= m + 1:
+            return best_d, best_m, argmins, m, tail
+    return best_d, best_m, argmins, scan_cap, None
+
+
 def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
     """Scan m = 2, 3, ... until the running minimum dominates its own tail.
 
@@ -278,35 +317,19 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
     every n with some ratio below sqrt(n) the scan reaches one, after which
     the quadratic certificate exists.
 
-    The running minimum best_d/best_m is compared with each d_min(n,m)/m
-    by cross-multiplication; it starts at 1/0, which that comparison
-    places above every ratio.  Each improvement reduces it by gcd and
-    takes the cutoff from _tail_cutoff, and each m compares that integer
-    with m + 1.  The Fraction, the TailWitness and the BoundCertificate
-    are built once, at return.
+    The scan is the integer core _certified_scan; the Fraction, the
+    frozenset of argmins, the TailWitness and the BoundCertificate are
+    built here, once, from its result.
     """
     _require("self-intersection", n, 2)
     _require("scan_cap", scan_cap, MIN_SCAN_CAP)
-    best_d, best_m = 1, 0
-    argmins: set[int] = set()
-    tail = None
-    no_cutoff = scan_cap + 2  # past every m + 1 of the scan
-    cutoff = no_cutoff
-    for m in range(2, scan_cap + 1):
-        d = d_min(n, m)
-        if d * best_m < best_d * m:
-            best_d, best_m, argmins = d, m, {m}
-            g = gcd(d, m)
-            tail = _tail_cutoff(n, d // g, m // g)
-            cutoff = no_cutoff if tail is None else tail[2]
-        elif d * best_m == best_d * m:
-            argmins.add(m)
-        if cutoff <= m + 1:
-            value = Fraction(best_d, best_m)
-            poly, strict, _ = tail
-            witness = TailWitness(value, cutoff, poly, strict)
-            return BoundCertificate(n, value, frozenset(argmins), m, witness)
-    return BoundCertificate(n, Fraction(best_d, best_m), frozenset(argmins), scan_cap, None)
+    best_d, best_m, argmins, scanned_to, tail = _certified_scan(n, scan_cap)
+    value = Fraction(best_d, best_m)
+    witness = None
+    if tail is not None:
+        poly, strict, cutoff = tail
+        witness = TailWitness(value, cutoff, poly, strict)
+    return BoundCertificate(n, value, frozenset(argmins), scanned_to, witness)
 
 
 # ---------------------------------------------------------------------------

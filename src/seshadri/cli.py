@@ -41,6 +41,14 @@ EXIT_DISCREPANCY = 1
 #: most N that census --per-n lists; each one past the analytic threshold costs a ceil_sqrt
 MAX_CENSUS_LISTING = 10**5
 
+#: most digits of --decimals and of a self-intersection: a rendered decimal then has
+#: at most about MAX_DECIMALS + MAX_N_DIGITS/2 digits and a radicand or certificate
+#: coefficient about MAX_N_DIGITS, well below Python's default limit of 4300 digits
+#: on converting an int to a string
+MAX_DECIMALS = 2000
+MAX_N_DIGITS = 2000
+_N_CEILING = 10**MAX_N_DIGITS
+
 FORMATS = ("text", "csv", "json")
 NO_CSV = ("text", "json")
 
@@ -88,12 +96,20 @@ def _format_option(formats: tuple[str, ...] = FORMATS):
 
 
 _decimals_option = click.option("--decimals", default=4, show_default=True,
-                                type=click.IntRange(min=0))
+                                type=click.IntRange(0, MAX_DECIMALS))
 _full_precision_option = click.option("--full-precision", is_flag=True,
                                       help="Keep trailing zeros in decimals.")
 
 
+def _digit_capped(n: int) -> int:
+    """n, or a usage error when it has more than MAX_N_DIGITS digits."""
+    if n >= _N_CEILING:
+        raise click.UsageError(f"a self-intersection has at most {MAX_N_DIGITS} digits")
+    return n
+
+
 _n_option = click.option("--n", required=True, type=click.IntRange(min=2),
+                         callback=lambda _ctx, _param, n: _digit_capped(n),
                          help="Self-intersection N = L^2 (>= 2).")
 
 
@@ -309,7 +325,8 @@ def table(preset: str | None, ns: str | None, decimals: int, full_precision: boo
     if (preset is None) == (ns is None):
         raise click.UsageError("provide exactly one of --preset paper and --ns")
     try:
-        values = list(comparison.PAPER_TABLE_NS) if preset else [int(v) for v in ns.split(",")]
+        values = (list(comparison.PAPER_TABLE_NS) if preset
+                  else [_digit_capped(int(v)) for v in ns.split(",")])
         rows = comparison.comparison_table(values)
     except ValueError as exc:
         raise click.UsageError(f"bad --ns list: {exc}")

@@ -43,21 +43,23 @@ class Verification:
 
 
 def agreement_sweep(stop: int) -> tuple[list[int], list[int]]:
-    """N in [2, stop] where certified_min disagrees with the six-term minimum,
-    and N where it is uncertified.
+    """N in [2, stop] where the certified minimum disagrees with the
+    six-term minimum, and N where it is uncertified.
 
-    The six-term minimum comes from the kernel bounds._small_min as a
-    numerator over SMALL_MS_LCM and is compared by cross-multiplication.
-    The sweep reads no table and certified_min does not use the kernel, so
-    the two sides share no computation.
+    The certified minimum comes from certified_min's integer core
+    bounds._certified_scan at certified_min's default scan cap, as an
+    unreduced pair best_d/best_m; no certificate object is built.  The
+    six-term minimum comes from the kernel bounds._small_min as a
+    numerator over SMALL_MS_LCM.  The two are compared by
+    cross-multiplication.  The sweep reads no table and the scan does not
+    use the kernel, so the two sides share no computation.
     """
     disagreements, uncertified = [], []
     for n in range(2, stop + 1):
-        cert = bounds.certified_min(n)
-        if not cert.certified:
+        best_d, best_m, _, _, tail = bounds._certified_scan(n, bounds.DEFAULT_SCAN_CAP)
+        if tail is None:
             uncertified.append(n)
-        elif (cert.value.numerator * bounds.SMALL_MS_LCM
-              != bounds._small_min(n)[0] * cert.value.denominator):
+        elif best_d * bounds.SMALL_MS_LCM != bounds._small_min(n)[0] * best_m:
             disagreements.append(n)
     return disagreements, uncertified
 

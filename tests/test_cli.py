@@ -1,6 +1,8 @@
 """CLI surface: subcommands, formats, schema stability, exit codes."""
 
 import json
+import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +12,7 @@ from click.testing import CliRunner
 
 from seshadri import bounds
 from seshadri import cli as cli_module
-from seshadri.cli import MAX_CENSUS_LISTING, cli
+from seshadri.cli import MAX_CENSUS_LISTING, MAX_DECIMALS, MAX_N_DIGITS, cli
 
 JSON_SCHEMA_KEYS = {
     "command", "inputs", "status", "exact_values", "decimal_renderings",
@@ -86,12 +88,34 @@ class TestBound:
     ["bielliptic", "ratio", "--type", "1", "--ample", "2,3", "--curve", "1,1",
      "--decimals", "-1"],
     ["bielliptic", "star-check", "--c2", "10", "--mults", "2,3,"],
+    # past the caps, a rendered integer would exceed Python's int-to-str limit
+    ["bound", "--n", "2", "--decimals", "4300"],
+    ["table", "--preset", "paper", "--decimals", "5000"],
+    ["bound", "--n", "9" * 4300],
+    ["bound", "--n", "1" + "0" * MAX_N_DIGITS, "--format", "json"],
+    ["table", "--ns", "2," + "9" * 4300],
+    ["omega", "--n", "9" * 4300, "--m", "2", "--format", "json"],
 ])
 def test_bad_numeric_input_is_a_usage_error(args):
     result = run(*args)
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stdout == ""
+    assert len(result.output) < 200  # the message states the cap, not the number
+
+
+@pytest.mark.parametrize("args", [
+    ["bound", "--n", str(10**MAX_N_DIGITS - 1), "--decimals", str(MAX_DECIMALS)],
+    ["table", "--ns", f"2,{10**MAX_N_DIGITS - 1}", "--decimals", str(MAX_DECIMALS),
+     "--full-precision"],
+    ["omega", "--n", str(10**MAX_N_DIGITS - 1), "--m", "7", "--d", "3"],
+])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_inputs_at_the_caps_render_below_the_int_string_limit(args, fmt):
+    result = run(*args, "--format", fmt)
+    assert result.exit_code == 0, result.output
+    longest = max(len(digits) for digits in re.findall(r"\d+", result.output))
+    assert MAX_N_DIGITS // 2 < longest < sys.get_int_max_str_digits()
 
 
 class TestOmega:

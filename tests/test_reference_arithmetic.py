@@ -11,7 +11,9 @@ table of the kernel's results, and their references below call
 lower_bound_small, which shares no arithmetic with the kernel.
 certified_min and tail_cutoff now share the cutoff arithmetic (the
 integer core bounds._tail_cutoff); the reference scan takes its cutoffs
-from tail_cutoff_reference, so it shares none of it.
+from tail_cutoff_reference, so it shares none of it.  certified_min wraps
+the integer scan bounds._certified_scan, which verify's agreement sweep
+reads directly; both are held equal to the reference scan.
 ceiling_threshold reads a census; its reference is the earlier direct
 scan of lower_bound_small.  census tabulates only below the analytic
 threshold and counts the rest under m = 4; its reference is the earlier
@@ -204,6 +206,15 @@ def _certificate(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
     return cert.value, cert.argmins, cert.scanned_to, cert.tail_witness
 
 
+def _scan(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
+    """The integer core bounds._certified_scan in _certificate's shape."""
+    best_d, best_m, argmins, scanned_to, tail = bounds._certified_scan(n, scan_cap)
+    assert argmins == sorted(set(argmins)) and argmins[0] == best_m
+    value = Fraction(best_d, best_m)
+    witness = None if tail is None else TailWitness(value, tail[2], tail[0], tail[1])
+    return value, frozenset(argmins), scanned_to, witness
+
+
 @settings(derandomize=True, max_examples=500)
 @given(st.integers(min_value=2, max_value=10**40))
 def test_lower_bound_small_matches_reference(n):
@@ -235,22 +246,24 @@ def test_small_table_matches_reference():
 
 def test_certified_min_matches_reference():
     for n in range(2, 3001):
-        assert _certificate(n) == certified_min_reference(n)
+        assert _certificate(n) == _scan(n) == certified_min_reference(n)
         # a cap of 8 leaves some n uncertified (n = 3 certifies at m = 11)
-        assert _certificate(n, 8) == certified_min_reference(n, 8)
+        assert _certificate(n, 8) == _scan(n, 8) == certified_min_reference(n, 8)
 
 
 @pytest.mark.parametrize("n", [10**30 - 1, 10**30, 10**30 + 1, 10**30 + 10**15,
                                2 * 10**30 + 1, 4 * 10**30, (10**15 + 1) ** 2])
 def test_certified_min_matches_reference_near_1e30(n):
-    assert _certificate(n) == certified_min_reference(n)
+    assert _certificate(n) == _scan(n) == certified_min_reference(n)
+    assert _certificate(n, 8) == _scan(n, 8) == certified_min_reference(n, 8)
 
 
 @pytest.mark.parametrize("scan_cap", [DEFAULT_SCAN_CAP, 8])
 def test_certified_min_matches_reference_near_1e40(scan_cap):
     rng = random.Random(20200817)
     for n in [rng.randint(10**39, 10**40) for _ in range(200)]:
-        assert _certificate(n, scan_cap) == certified_min_reference(n, scan_cap), n
+        want = certified_min_reference(n, scan_cap)
+        assert _certificate(n, scan_cap) == _scan(n, scan_cap) == want, n
 
 
 @pytest.mark.parametrize("scan_cap", [DEFAULT_SCAN_CAP, 8])
@@ -259,7 +272,8 @@ def test_certified_min_matches_reference_at_and_next_to_squares(scan_cap):
     # and integer running minima the strict q == 1 branch
     ns = [k * k + e for k in range(1, 301) for e in (-1, 0, 1) if k * k + e >= 2]
     for n in ns + [(10**20 + 1) ** 2]:
-        assert _certificate(n, scan_cap) == certified_min_reference(n, scan_cap), n
+        want = certified_min_reference(n, scan_cap)
+        assert _certificate(n, scan_cap) == _scan(n, scan_cap) == want, n
 
 
 def test_certified_min_builds_one_witness_and_never_calls_tail_cutoff(monkeypatch):
@@ -450,6 +464,30 @@ def test_agreement_sweep_compares_the_kernel_and_reads_no_table(monkeypatch):
     monkeypatch.setattr(bounds, "_small_min", off_at_3)
     monkeypatch.setattr(bounds, "_small_table", no_table)
     assert verify.agreement_sweep(50) == ([3], [])
+
+
+def test_agreement_sweep_compares_the_scan_core(monkeypatch):
+    # a core off by one degree at N = 3, or uncertified at N = 5, must show:
+    # the sweep reads the core at certified_min's default cap
+    core, caps = bounds._certified_scan, set()
+
+    def mutated(n, scan_cap):
+        caps.add(scan_cap)
+        best_d, best_m, argmins, scanned_to, tail = core(n, scan_cap)
+        return best_d + (n == 3), best_m, argmins, scanned_to, None if n == 5 else tail
+
+    monkeypatch.setattr(bounds, "_certified_scan", mutated)
+    assert verify.agreement_sweep(50) == ([3], [5])
+    assert caps == {DEFAULT_SCAN_CAP}
+
+
+def test_agreement_sweep_builds_no_certificate(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("agreement_sweep built a certificate object")
+
+    for name in ("certified_min", "BoundCertificate", "TailWitness", "Fraction"):
+        monkeypatch.setattr(bounds, name, refuse)
+    assert verify.agreement_sweep(50) == ([], [])
 
 
 def test_box_minimum_without_ceil_sqrt():
