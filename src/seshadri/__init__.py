@@ -35,10 +35,8 @@ from .bielliptic import (
     SURFACE_KINDS,
     DivisorClass,
     SurfaceKind,
-    elliptic_values,
     fiber_degrees,
     intersect,
-    self_int,
     seshadri_ratio,
     star_check_irreducible,
     star_check_reducible,
@@ -73,7 +71,6 @@ __all__ = [
     "comparison_table",
     "d_min",
     "dominance_check",
-    "elliptic_values",
     "fiber_degrees",
     "format_decimal",
     "intersect",
@@ -81,7 +78,6 @@ __all__ = [
     "m_max",
     "omega_contains",
     "prior_bound",
-    "self_int",
     "seshadri_ratio",
     "sqrt58_threshold",
     "sqrt_linear_cmp",

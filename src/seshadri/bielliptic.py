@@ -10,9 +10,10 @@ a rank-2 lattice with basis (E/mu, (mu/gamma)*F), in which
     E^2 = F^2 = 0,  E.F = gamma,
     (a1,b1).(a2,b2) = a1*b2 + a2*b1,       so  C^2 = 2ab  (always even).
 
-A vertical class (0, b) is effective iff b*(mu/gamma) is a non-negative
-integer.  The seven rows of surface data are fixed; `seshadri types`
-dumps them for audit.
+fiber_degrees pairs a class with E and F through this form.  Effectivity
+is not decided here; the only positivity gate is is_ample_numeric.  The
+seven rows of surface data are fixed; `seshadri bielliptic types` dumps
+them for audit.
 
 The self-intersection inequalities for curves through a point of
 multiplicity m (singular points m_i >= 2, smooth points omitted):
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 __all__ = [
     "DivisorClass",
@@ -38,12 +39,9 @@ __all__ = [
     "SURFACE_KINDS",
     "class_of_E",
     "class_of_F",
-    "elliptic_values",
     "fiber_degrees",
     "intersect",
     "is_ample_numeric",
-    "is_effective_vertical",
-    "self_int",
     "seshadri_ratio",
     "star_check_irreducible",
     "star_check_reducible",
@@ -111,9 +109,6 @@ class DivisorClass:
     a: int
     b: int
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a + other.a, self.b + other.b)
-
     def __str__(self) -> str:
         return f"({self.a},{self.b})"
 
@@ -135,21 +130,9 @@ def intersect(c1: DivisorClass, c2: DivisorClass) -> int:
     return c1.a * c2.b + c2.a * c1.b
 
 
-def self_int(c: DivisorClass) -> int:
-    """Self-intersection 2ab; even for every class."""
-    return 2 * c.a * c.b
-
-
 def fiber_degrees(kind: SurfaceKind, divisor: DivisorClass) -> tuple[int, int]:
-    """(L.E, L.F) = (mu*b, (gamma/mu)*a), by expanding E and F in the basis."""
-    deg_e = kind.mu * divisor.b
-    deg_f = (kind.group_order // kind.mu) * divisor.a
-    return deg_e, deg_f
-
-
-def is_effective_vertical(kind: SurfaceKind, b: int) -> bool:
-    """Whether the vertical class (0, b) is effective: b*(mu/gamma) in N."""
-    return b >= 0 and (b * kind.mu) % kind.group_order == 0
+    """(L.E, L.F): the class against the two fibers, through the intersection form."""
+    return intersect(divisor, class_of_E(kind)), intersect(divisor, class_of_F(kind))
 
 
 def is_ample_numeric(c: DivisorClass) -> bool:
@@ -181,13 +164,6 @@ def _mult_sum(mults: list[int]) -> int:
                 f"singular multiplicities must be >= 2, got {m}; omit smooth points"
             )
     return sum(m * (m - 1) for m in mults)
-
-
-def elliptic_values(n: int) -> list[int]:
-    """Values realized by elliptic curves (resp. fibers): 1..floor(sqrt(n))."""
-    if n < 1:
-        raise ValueError(f"self-intersection must be >= 1, got {n}")
-    return list(range(1, isqrt(n) + 1))
 
 
 def seshadri_ratio(ample: DivisorClass, curve: DivisorClass, m: int) -> Fraction:

@@ -102,10 +102,6 @@ class SmallBound:
     value: Fraction
     argmins: frozenset[int]
 
-    @property
-    def smallest_argmin(self) -> int:
-        return min(self.argmins)
-
 
 #: (m, m^2 - m + 2, SMALL_MS_LCM // m) for m in SMALL_MS: d_min(n, m) is the ceiling
 #: square root of n*(m^2 - m + 2), and d_min(n, m)/m is d_min(n, m)*(420//m) over 420
@@ -576,10 +572,10 @@ def analytic_threshold(*, even_only: bool = False) -> AnalyticThreshold:
 class CeilingThreshold:
     """Sharp first n from which min{d_min(n,m)/m : m in 2..7} = d_min(n,4)/4.
 
-    Certification: the census's exact ceilings up to the analytic threshold,
-    analytic tail beyond it.  last_failure is the largest examined n below
-    it where the equality fails (None if it never fails).  The parity of
-    the examined n is analytic.even_only.
+    Certification: the shared table's exact ceilings up to the analytic
+    threshold, analytic tail beyond it.  last_failure is the largest
+    examined n below it where the equality fails (None if it never fails).
+    The parity of the examined n is analytic.even_only.
     """
 
     threshold: int
@@ -588,23 +584,17 @@ class CeilingThreshold:
     analytic: AnalyticThreshold
 
 
-def ceiling_threshold(report: CensusReport) -> CeilingThreshold:
-    """Exact threshold for the ceiled minimum settling at m = 4, read off a census.
+def ceiling_threshold(*, even_only: bool = True) -> CeilingThreshold:
+    """Exact threshold for the ceiled minimum settling at m = 4.
 
-    The census must start at 2 and reach the analytic threshold of its
-    parity.  Every n of the parity below that threshold is decided by bit 4
+    Every n of the parity below the analytic threshold is decided by bit 4
     of its argmin mask in the shared table; none is recomputed.  Over even n
     (self-intersections realized on abelian and bielliptic surfaces) the
     sharp value is 4982; over all integers it is 5286 (largest failure at
     n = 5285).
     """
-    analytic = report.analytic
-    if report.start != 2 or report.stop < analytic.threshold:
-        raise ValueError(
-            f"ceiling_threshold needs a census of [2, >= {analytic.threshold}], "
-            f"got [{report.start}, {report.stop}]"
-        )
-    step = 2 if analytic.even_only else 1
+    analytic = analytic_threshold(even_only=even_only)
+    step = 2 if even_only else 1
     masks = _small_table()[1]
     last_failure = max((n for n in range(2, analytic.threshold, step) if not masks[n] >> 4 & 1),
                        default=None)

@@ -41,10 +41,11 @@ EXIT_DISCREPANCY = 1
 #: most N that census --per-n lists; each one past the analytic threshold costs a ceil_sqrt
 MAX_CENSUS_LISTING = 10**5
 
-#: most digits of --decimals and of a self-intersection: a rendered decimal then has
-#: at most about MAX_DECIMALS + MAX_N_DIGITS/2 digits and a radicand or certificate
-#: coefficient about MAX_N_DIGITS, well below Python's default limit of 4300 digits
-#: on converting an int to a string
+#: most digits of --decimals and of a self-intersection, omega degree or multiplicity,
+#: or class coordinate: a rendered decimal then has at most about
+#: MAX_DECIMALS + MAX_N_DIGITS/2 digits and a radicand, certificate coefficient or
+#: intersection number about 2*MAX_N_DIGITS, below Python's default limit of 4300
+#: digits on converting an int to a string
 MAX_DECIMALS = 2000
 MAX_N_DIGITS = 2000
 _N_CEILING = 10**MAX_N_DIGITS
@@ -101,16 +102,19 @@ _full_precision_option = click.option("--full-precision", is_flag=True,
                                       help="Keep trailing zeros in decimals.")
 
 
-def _digit_capped(n: int) -> int:
-    """n, or a usage error when it has more than MAX_N_DIGITS digits."""
-    if n >= _N_CEILING:
-        raise click.UsageError(f"a self-intersection has at most {MAX_N_DIGITS} digits")
+def _digit_capped(n: int | None) -> int | None:
+    """n, or a usage error when |n| has more than MAX_N_DIGITS digits."""
+    if n is not None and abs(n) >= _N_CEILING:
+        raise click.UsageError(f"an integer input has at most {MAX_N_DIGITS} digits")
     return n
 
 
+def _digit_cap_callback(_ctx, _param, n: int | None) -> int | None:
+    return _digit_capped(n)
+
+
 _n_option = click.option("--n", required=True, type=click.IntRange(min=2),
-                         callback=lambda _ctx, _param, n: _digit_capped(n),
-                         help="Self-intersection N = L^2 (>= 2).")
+                         callback=_digit_cap_callback, help="Self-intersection N = L^2 (>= 2).")
 
 
 @click.group()
@@ -206,8 +210,10 @@ def _cert_json(cert: bounds.BoundCertificate) -> dict:
 
 @cli.command()
 @_n_option
-@click.option("--d", type=click.IntRange(min=1), default=None, help="Degree L.C.")
-@click.option("--m", type=click.IntRange(min=2), default=None, help="Multiplicity (>= 2).")
+@click.option("--d", type=click.IntRange(min=1), default=None, callback=_digit_cap_callback,
+              help="Degree L.C.")
+@click.option("--m", type=click.IntRange(min=2), default=None, callback=_digit_cap_callback,
+              help="Multiplicity (>= 2).")
 @_format_option()
 def omega(n: int, d: int | None, m: int | None, fmt: str) -> None:
     """Membership and extremal coordinates of the admissible set."""
@@ -274,7 +280,7 @@ def census(start: int, stop: int, include_odd: bool, verbose: bool, fmt: str) ->
     size = bounds.census_size(start, stop, even_only=not include_odd)
     if verbose and size > MAX_CENSUS_LISTING:
         raise click.UsageError(
-            f"--per-n lists at most {MAX_CENSUS_LISTING} N, [{start}, {stop}] has {size}")
+            f"--per-n lists at most {MAX_CENSUS_LISTING} N, and the range has more")
     try:
         result = bounds.census(start, stop, even_only=not include_odd)
     except ValueError as exc:
@@ -425,7 +431,7 @@ def _parse_class(text: str) -> bielliptic.DivisorClass:
         a, b = (int(part) for part in text.split(","))
     except ValueError:
         raise click.UsageError(f"divisor class must be 'a,b', got {text!r}")
-    return bielliptic.DivisorClass(a, b)
+    return bielliptic.DivisorClass(_digit_capped(a), _digit_capped(b))
 
 
 _type_option = click.option("--type", "type_index", required=True,

@@ -82,13 +82,13 @@ def run(agreement_to: int, scan_cap: int) -> Verification:
     scan_cap bounds the per-multiplicity comparison."""
     t = bounds.sqrt58_threshold()
     cens = bounds.census(2, 10_000)
-    ceiling = bounds.ceiling_threshold(cens)
+    ceiling = bounds.ceiling_threshold(even_only=True)
     diffs = comparison.table_vs_printed()
     bad, unc = agreement_sweep(agreement_to)
     dom_bad = [n for n in range(2, 10_001) if not comparison.dominance_check(n)]
     f7_viol, f7_unc = f7_survey(scan_cap)
     all_int_census = bounds.census(2, 10_000, even_only=False)
-    all_int_ceiling = bounds.ceiling_threshold(all_int_census)
+    all_int_ceiling = bounds.ceiling_threshold(even_only=False)
     analytic = all_int_ceiling.analytic
     checks = [
         Check("sqrt58_threshold", t == 1072, f"computed {t}, expected 1072"),

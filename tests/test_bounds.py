@@ -272,7 +272,7 @@ class TestCensus:
         assert report.counts == {2: 1, 3: 59, 4: 4656, 5: 274, 6: 9, 7: 1}
         by_class: dict[int, list[int]] = {}
         for bound in report.listing():
-            by_class.setdefault(bound.smallest_argmin, []).append(bound.n)
+            by_class.setdefault(min(bound.argmins), []).append(bound.n)
         assert by_class[2] == [4]
         assert max(by_class[3]) == 1012
         assert max(by_class[5]) == 4980
@@ -335,14 +335,14 @@ class TestThresholds:
         assert report.certificates == analytic_threshold().certificates
 
     def test_ceiling_even(self):
-        report = ceiling_threshold(census(2, 10_000))
+        report = ceiling_threshold(even_only=True)
         assert report.threshold == 4982
         assert report.last_failure == 4980
 
     def test_ceiling_all_integers(self):
         # frozen from the exhaustive scan; the odd value 5285 still has its
         # minimum at m = 5
-        report = ceiling_threshold(census(2, 10_000, even_only=False))
+        report = ceiling_threshold(even_only=False)
         assert report.threshold == 5286
         assert report.last_failure == 5285
 
@@ -362,7 +362,7 @@ class TestThresholds:
         monkeypatch.setattr(bounds, "_small_min", failing_at_last)
         report = census(2, 9000, even_only=even_only)
         assert max(report.per_n) == last == 8774
-        ceiling = ceiling_threshold(report)
+        ceiling = ceiling_threshold(even_only=even_only)
         assert ceiling.last_failure == last
         assert ceiling.threshold == analytic.threshold
 
@@ -374,8 +374,9 @@ class TestThresholds:
 
 class TestCandidateValues:
     def test_fiber_part(self):
-        fibers = [v for v, kind in candidate_values(10, 2) if kind == "integer_fiber"]
-        assert fibers == [1, 2, 3]
+        for n, want in ((10, [1, 2, 3]), (16, [1, 2, 3, 4]), (15, [1, 2, 3])):
+            fibers = [v for v, kind in candidate_values(n, 2) if kind == "integer_fiber"]
+            assert fibers == want
 
     def test_omega_part_starts_above_excluded_ratio(self):
         omega = [v for v, kind in candidate_values(2, 3) if kind == "omega"]

@@ -95,6 +95,17 @@ class TestBound:
     ["bound", "--n", "1" + "0" * MAX_N_DIGITS, "--format", "json"],
     ["table", "--ns", "2," + "9" * 4300],
     ["omega", "--n", "9" * 4300, "--m", "2", "--format", "json"],
+    ["omega", "--n", "2", "--m", "9" * 4300],
+    ["omega", "--n", "2", "--d", "1" + "0" * MAX_N_DIGITS],
+    ["bielliptic", "ratio", "--type", "1", "--ample", f"{'9' * 3000},{'9' * 3000}",
+     "--curve", f"{'9' * 3000},1"],
+    ["bielliptic", "intersect", "--type", "1", "--c1", f"{'9' * 3000},{'9' * 3000}",
+     "--c2", f"{'9' * 3000},1"],
+    ["bielliptic", "fiber-degrees", "--type", "1", "--class", "1," + "9" * 4300],
+    ["bielliptic", "intersect", "--type", "1", "--c1", "-1" + "0" * MAX_N_DIGITS + ",1",
+     "--c2", "1,1"],
+    # the refusal states the listing cap, not the range
+    ["census", "--from", "2", "--to", "1" + "0" * MAX_N_DIGITS, "--per-n"],
 ])
 def test_bad_numeric_input_is_a_usage_error(args):
     result = run(*args)
@@ -116,6 +127,22 @@ def test_inputs_at_the_caps_render_below_the_int_string_limit(args, fmt):
     assert result.exit_code == 0, result.output
     longest = max(len(digits) for digits in re.findall(r"\d+", result.output))
     assert MAX_N_DIGITS // 2 < longest < sys.get_int_max_str_digits()
+
+
+_AT_CAP = str(10**MAX_N_DIGITS - 1)
+
+
+@pytest.mark.parametrize("args", [
+    ["intersect", "--type", "1", "--c1", f"{_AT_CAP},-{_AT_CAP}", "--c2", f"-{_AT_CAP},{_AT_CAP}"],
+    ["ratio", "--type", "1", "--ample", f"{_AT_CAP},{_AT_CAP}", "--curve", f"{_AT_CAP},{_AT_CAP}"],
+    ["fiber-degrees", "--type", "7", "--class", f"-{_AT_CAP},{_AT_CAP}"],
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_class_coordinates_at_the_cap_render_below_the_int_string_limit(args, fmt):
+    result = run("bielliptic", *args, "--format", fmt)
+    assert result.exit_code == 0, result.output
+    longest = max(len(digits) for digits in re.findall(r"\d+", result.output))
+    assert MAX_N_DIGITS < longest < sys.get_int_max_str_digits()
 
 
 class TestOmega:

@@ -1,8 +1,9 @@
-"""Every exported name resolves on its module, and so does every name the
-benchmark imports from the package.
+"""Every exported name resolves on its module and is read by the package or
+the benchmark, and every name the benchmark imports from the package resolves.
 
-A stale __all__ entry otherwise fails only at `from module import *`, and
-a name deleted from under perfbench/ only when the benchmark runs.
+A stale __all__ entry otherwise fails only at `from module import *`, a
+name that only tests call stays exported unnoticed, and a name deleted
+from under perfbench/ fails only when the benchmark runs.
 """
 
 import ast
@@ -12,14 +13,39 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+PACKAGE = Path(__file__).parent.parent / "src" / "seshadri"
+
+MODULES = ["seshadri", "seshadri.exactmath", "seshadri.bielliptic", "seshadri.verify"]
 
 
-@pytest.mark.parametrize("module_name", ["seshadri", "seshadri.exactmath",
-                                         "seshadri.bielliptic", "seshadri.verify"])
+@pytest.mark.parametrize("module_name", MODULES)
 def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def _read_names() -> set[str]:
+    """Every name the package or the benchmark reads as a variable or an attribute.
+
+    Imports, def and class lines and the strings of __all__ are not reads.
+    """
+    names = set()
+    for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_export_is_read_outside_the_tests(module_name):
+    read = _read_names()
+    unread = [name for name in importlib.import_module(module_name).__all__
+              if name not in read]
+    assert unread == []
 
 
 def _package_imports(path: Path) -> list[tuple[str, str | None]]:

@@ -14,10 +14,11 @@ integer core bounds._tail_cutoff); the reference scan takes its cutoffs
 from tail_cutoff_reference, so it shares none of it.  certified_min wraps
 the integer scan bounds._certified_scan, which verify's agreement sweep
 reads directly; both are held equal to the reference scan.
-ceiling_threshold reads a census; its reference is the earlier direct
-scan of lower_bound_small.  census tabulates only below the analytic
-threshold and counts the rest under m = 4; its reference is the earlier
-census, lower_bound_small at every n of the range.  A box oracle computes
+ceiling_threshold takes only the parity and reads the table; its
+reference is the earlier direct scan of lower_bound_small.  census
+tabulates only below the analytic threshold and counts the rest under
+m = 4; its reference is the earlier census, lower_bound_small at every n
+of the range.  A box oracle computes
 the minimum over Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max,
 tail_cutoff and sqrt_linear_threshold are closed forms; their references
 are the earlier searches: a bisection on the defining inequality, a step
@@ -341,18 +342,10 @@ def ceiling_threshold_reference(even_only: bool):
 
 @pytest.mark.parametrize("even_only", [True, False])
 def test_ceiling_threshold_matches_reference(even_only):
-    rep = ceiling_threshold(census(2, 10_000, even_only=even_only))
+    rep = ceiling_threshold(even_only=even_only)
     assert rep.analytic.even_only is even_only
     assert (rep.threshold, rep.last_failure, rep.scanned_to, rep.analytic.per_m) == \
         ceiling_threshold_reference(even_only)
-
-
-def test_ceiling_threshold_needs_census_from_2_to_analytic_threshold():
-    with pytest.raises(ValueError):
-        ceiling_threshold(census(2, 8775))  # even analytic threshold is 8776
-    assert ceiling_threshold(census(2, 8776)).threshold == 4982
-    with pytest.raises(ValueError):
-        ceiling_threshold(census(3, 10_000, even_only=False))
 
 
 def census_reference(start: int, stop: int, even_only: bool):
@@ -376,12 +369,12 @@ def test_census_matches_brute_reference(start, stop, even_only):
     want = list(census_reference(start, stop, even_only))
     assert list(report.listing()) == want
     assert report.n_examined == len(want)
-    assert report.counts == dict(sorted(Counter(b.smallest_argmin for b in want).items()))
+    assert report.counts == dict(sorted(Counter(min(b.argmins) for b in want).items()))
 
 
 def test_even_census_counts_match_brute_reference_to_1e6():
     report = census(2, 10**6)
-    want = Counter(b.smallest_argmin for b in census_reference(2, 10**6, True))
+    want = Counter(min(b.argmins) for b in census_reference(2, 10**6, True))
     assert report.counts == dict(sorted(want.items()))
     assert report.n_examined == sum(want.values())
 
