@@ -18,6 +18,7 @@ from seshadri.bielliptic import (
     star_check_reducible,
     surface_kind,
 )
+from seshadri.bounds import candidate_values
 
 SEED = 20200817
 
@@ -165,6 +166,13 @@ class TestStarChecks:
 
 
 class TestValuesAndRatios:
+    def test_elliptic_values(self):
+        # An elliptic curve C with L.C = v and C^2 = 0 gives the value v;
+        # Hodge index bounds v by sqrt(L^2), so the values are 1..isqrt(n).
+        for n, want in ((3, [1]), (10, [1, 2, 3]), (16, [1, 2, 3, 4])):
+            fibers = [v for v, kind in candidate_values(n, 2) if kind == "integer_fiber"]
+            assert fibers == want
+
     def test_seshadri_ratio(self):
         assert seshadri_ratio(DivisorClass(1, 1), class_of_E(surface_kind(1)), 1) == 2
         assert seshadri_ratio(DivisorClass(2, 3), DivisorClass(1, 1), 2) == Fraction(5, 2)
