@@ -19,9 +19,10 @@ This module computes, entirely in exact integer arithmetic:
   * the same minimum certified over ALL m >= 2, via a quadratic
     tail-domination certificate that replaces the infinite case check by
     a finite scan: an integer core (_certified_scan: the running minimum
-    as an unreduced pair, the argmins as a list, the witness as
-    _tail_cutoff's tuple), which verify's agreement sweep reads, wrapped
-    by certified_min, which builds the certificate objects once;
+    as an unreduced pair, the argmins as a list, and whether its witness
+    holds from the next m on, decided by a few integer products per m),
+    which verify's agreement sweep reads, wrapped by certified_min, which
+    computes the cutoff once and builds the certificate objects;
   * the per-multiplicity comparison f(N,m) >= f(N,7) for m >= 8, with a
     complete, certified list of violations where they exist;
   * the exact thresholds from which the minimum settles at m = 4, both
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .exactmath import ceil_sqrt, sqrt_linear_cmp
 
@@ -271,36 +272,65 @@ class BoundCertificate:
         return self.tail_witness is not None
 
 
-def _certified_scan(n: int, scan_cap: int) -> tuple[int, int, list[int], int, _Tail | None]:
-    """certified_min's scan in integers: (best_d, best_m, argmins, scanned_to, tail).
+def _certified_scan(n: int, scan_cap: int) -> tuple[int, int, list[int], int, bool]:
+    """certified_min's scan in integers: (best_d, best_m, argmins, scanned_to, certified).
 
     The running minimum best_d/best_m is compared with each d_min(n,m)/m
     by cross-multiplication; it starts at 1/0, which that comparison
     places above every ratio, and is returned unreduced (best_m is the
-    first argmin).  Each improvement takes the cutoff of the reduced
-    minimum from _tail_cutoff, and each m compares that integer with
-    m + 1.  argmins lists the scanned minimizers in ascending order; tail
-    is _tail_cutoff's (poly, strict, cutoff), or None when no certificate
-    starts by scan_cap.  n >= 2 and scan_cap >= MIN_SCAN_CAP are the
-    caller's to ensure.
+    first argmin).  argmins lists the scanned minimizers in ascending
+    order.  certified says that the witness of the minimum holds from
+    scanned_to + 1 on; it is False when none does by scan_cap.  n >= 2 and
+    scan_cap >= MIN_SCAN_CAP are the caller's to ensure.
+
+    At each new minimum d/m the witness polynomial (a, b, c) of
+    _tail_cutoff is set up without reducing d/m.  There is none when
+    d^2 > n*m^2.  When m divides d it is the strict form at p = d/m,
+    (n - p^2, 2p - n, 2n - 1).  With a = 0 (n = p^2) it is linear with
+    c > 0 and holds from m = 2 on iff b >= 0; with a negative discriminant
+    it holds from m = 2 on; in both cases the scan stops at once.
+    Otherwise it is the non-strict form scaled by g^2 = gcd(d, m)^2,
+    (n*m^2 - d^2, -n*m^2, 2*n*m^2), which has the sign, the vertex and the
+    roots of the reduced one; here a > 0, as d/m = sqrt(n) needs m | d.
+
+    With a > 0 the scan stops at m iff, with k = m + 1, 2*a*k + b >= 0
+    and poly(k) holds (> 0 strict, >= 0 non-strict).  That is exactly
+    _tail_cutoff(...)[2] <= m + 1: the cutoff is the first integer
+    >= max(2, ceil(vertex)) at which poly holds, k >= 3 lies past the
+    vertex -b/(2a) iff 2*a*k + b >= 0, and poly does not decrease past its
+    vertex.  _tail_cutoff's cutoff 2 for a non-strict discriminant <= 0
+    needs no case of its own: that discriminant is n*m^2*(n*m^2 - 8a), so
+    poly >= 0 everywhere and the vertex is at most 4, while k >= 4, since
+    d_min(n, 2)^2 >= 4n puts every non-strict minimum at m >= 3.  So the
+    cutoff itself is computed only by certified_min, once, where a
+    certificate is built.
     """
     best_d, best_m = 1, 0
     argmins: list[int] = []
-    tail = None
-    no_cutoff = scan_cap + 2  # past every m + 1 of the scan
-    cutoff = no_cutoff
+    a = 0  # no witness to test
     for m in range(2, scan_cap + 1):
         d = d_min(n, m)
         if d * best_m < best_d * m:
             best_d, best_m, argmins = d, m, [m]
-            g = gcd(d, m)
-            tail = _tail_cutoff(n, d // g, m // g)
-            cutoff = no_cutoff if tail is None else tail[2]
+            nmm = n * m * m
+            a = 0
+            if d * d <= nmm:
+                if d % m:
+                    a, b, c, strict = nmm - d * d, -nmm, 2 * nmm, False
+                else:
+                    p = d // m
+                    a, b, c, strict = n - p * p, 2 * p - n, 2 * n - 1, True
+                    if (b >= 0) if a == 0 else (b * b < 4 * a * c):
+                        return best_d, best_m, argmins, m, True
         elif d * best_m == best_d * m:
             argmins.append(m)
-        if cutoff <= m + 1:
-            return best_d, best_m, argmins, m, tail
-    return best_d, best_m, argmins, scan_cap, None
+        if a:
+            k = m + 1
+            if 2 * a * k + b >= 0:
+                v = (a * k + b) * k + c
+                if v > 0 or (v == 0 and not strict):
+                    return best_d, best_m, argmins, m, True
+    return best_d, best_m, argmins, scan_cap, False
 
 
 def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
@@ -313,17 +343,20 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
     every n with some ratio below sqrt(n) the scan reaches one, after which
     the quadratic certificate exists.
 
-    The scan is the integer core _certified_scan; the Fraction, the
-    frozenset of argmins, the TailWitness and the BoundCertificate are
-    built here, once, from its result.
+    The scan is the integer core _certified_scan, which only decides
+    whether the witness holds from scanned_to + 1 on.  The Fraction, the
+    frozenset of argmins and the BoundCertificate are built here, once,
+    from its result; a certified result takes its witness from one
+    _tail_cutoff of the reduced minimum, and an uncertified one from none.
     """
     _require("self-intersection", n, 2)
     _require("scan_cap", scan_cap, MIN_SCAN_CAP)
-    best_d, best_m, argmins, scanned_to, tail = _certified_scan(n, scan_cap)
+    best_d, best_m, argmins, scanned_to, certified = _certified_scan(n, scan_cap)
     value = Fraction(best_d, best_m)
     witness = None
-    if tail is not None:
-        poly, strict, cutoff = tail
+    if certified:
+        poly, strict, cutoff = _tail_cutoff(n, value.numerator, value.denominator)
+        assert cutoff <= scanned_to + 1
         witness = TailWitness(value, cutoff, poly, strict)
     return BoundCertificate(n, value, frozenset(argmins), scanned_to, witness)
 

@@ -41,14 +41,12 @@ EXIT_DISCREPANCY = 1
 #: most N that census --per-n lists; each one past the analytic threshold costs a ceil_sqrt
 MAX_CENSUS_LISTING = 10**5
 
-#: most digits of --decimals and of a self-intersection, omega degree or multiplicity,
-#: or class coordinate: a rendered decimal then has at most about
-#: MAX_DECIMALS + MAX_N_DIGITS/2 digits and a radicand, certificate coefficient or
-#: intersection number about 2*MAX_N_DIGITS, below Python's default limit of 4300
-#: digits on converting an int to a string
+#: largest --decimals, and most digits of every integer input: a rendered decimal
+#: then has at most about MAX_DECIMALS + MAX_N_DIGITS/2 digits and a radicand,
+#: certificate coefficient or intersection number about 2*MAX_N_DIGITS, below
+#: Python's default limit of 4300 digits on converting an int to a string
 MAX_DECIMALS = 2000
 MAX_N_DIGITS = 2000
-_N_CEILING = 10**MAX_N_DIGITS
 
 FORMATS = ("text", "csv", "json")
 NO_CSV = ("text", "json")
@@ -96,25 +94,48 @@ def _format_option(formats: tuple[str, ...] = FORMATS):
     return click.option("--format", "fmt", type=click.Choice(formats), default="text")
 
 
+_DIGIT_CAP_MESSAGE = f"an integer input has at most {MAX_N_DIGITS} digits"
+
+
+def _over_digit_cap(text: str) -> bool:
+    """Whether text has more than MAX_N_DIGITS characters after its sign.
+
+    No integer within the cap does, so such a text is refused unread: int()
+    refuses one past 4300 digits, and click quotes a refused value in full.
+    """
+    return len(text.strip().lstrip("+-")) > MAX_N_DIGITS
+
+
+def _int(text: str) -> int:
+    """int(text), or a usage error that states the cap past MAX_N_DIGITS digits."""
+    if _over_digit_cap(text):
+        raise click.UsageError(_DIGIT_CAP_MESSAGE)
+    return int(text)
+
+
+class _DigitCapped:
+    """Refuses an option value past MAX_N_DIGITS digits with _DIGIT_CAP_MESSAGE."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str) and _over_digit_cap(value):
+            self.fail(_DIGIT_CAP_MESSAGE, param, ctx)
+        return super().convert(value, param, ctx)
+
+
+class _Int(_DigitCapped, click.types.IntParamType):
+    """The type of every unbounded integer option."""
+
+
+class _IntRange(_DigitCapped, click.IntRange):
+    """The type of every bounded integer option."""
+
+
 _decimals_option = click.option("--decimals", default=4, show_default=True,
-                                type=click.IntRange(0, MAX_DECIMALS))
+                                type=_IntRange(0, MAX_DECIMALS))
 _full_precision_option = click.option("--full-precision", is_flag=True,
                                       help="Keep trailing zeros in decimals.")
-
-
-def _digit_capped(n: int | None) -> int | None:
-    """n, or a usage error when |n| has more than MAX_N_DIGITS digits."""
-    if n is not None and abs(n) >= _N_CEILING:
-        raise click.UsageError(f"an integer input has at most {MAX_N_DIGITS} digits")
-    return n
-
-
-def _digit_cap_callback(_ctx, _param, n: int | None) -> int | None:
-    return _digit_capped(n)
-
-
-_n_option = click.option("--n", required=True, type=click.IntRange(min=2),
-                         callback=_digit_cap_callback, help="Self-intersection N = L^2 (>= 2).")
+_n_option = click.option("--n", required=True, type=_IntRange(min=2),
+                         help="Self-intersection N = L^2 (>= 2).")
 
 
 @click.group()
@@ -125,7 +146,7 @@ def cli() -> None:
 @cli.command()
 @_n_option
 @click.option("--scan-cap", default=bounds.DEFAULT_SCAN_CAP, show_default=True,
-              type=click.IntRange(min=bounds.MIN_SCAN_CAP))
+              type=_IntRange(min=bounds.MIN_SCAN_CAP))
 @_decimals_option
 @_format_option()
 @_full_precision_option
@@ -210,10 +231,8 @@ def _cert_json(cert: bounds.BoundCertificate) -> dict:
 
 @cli.command()
 @_n_option
-@click.option("--d", type=click.IntRange(min=1), default=None, callback=_digit_cap_callback,
-              help="Degree L.C.")
-@click.option("--m", type=click.IntRange(min=2), default=None, callback=_digit_cap_callback,
-              help="Multiplicity (>= 2).")
+@click.option("--d", type=_IntRange(min=1), default=None, help="Degree L.C.")
+@click.option("--m", type=_IntRange(min=2), default=None, help="Multiplicity (>= 2).")
 @_format_option()
 def omega(n: int, d: int | None, m: int | None, fmt: str) -> None:
     """Membership and extremal coordinates of the admissible set."""
@@ -241,7 +260,7 @@ def _omega_csv(r: dict) -> tuple[list[str], list[list]]:
 
 @cli.command()
 @_n_option
-@click.option("--max-m", default=7, show_default=True, type=click.IntRange(min=2))
+@click.option("--max-m", default=7, show_default=True, type=_IntRange(min=2))
 @_decimals_option
 @_format_option()
 def candidates(n: int, max_m: int, decimals: int, fmt: str) -> None:
@@ -269,8 +288,8 @@ def _candidate_rows(r: dict) -> list[list[str]]:
 
 
 @cli.command()
-@click.option("--from", "start", required=True, type=int)
-@click.option("--to", "stop", required=True, type=int)
+@click.option("--from", "start", required=True, type=_Int())
+@click.option("--to", "stop", required=True, type=_Int())
 @click.option("--include-odd", is_flag=True,
               help="Census all integers, not just even self-intersections.")
 @click.option("--per-n", "verbose", is_flag=True, help="List every examined N.")
@@ -332,7 +351,7 @@ def table(preset: str | None, ns: str | None, decimals: int, full_precision: boo
         raise click.UsageError("provide exactly one of --preset paper and --ns")
     try:
         values = (list(comparison.PAPER_TABLE_NS) if preset
-                  else [_digit_capped(int(v)) for v in ns.split(",")])
+                  else [_int(v) for v in ns.split(",")])
         rows = comparison.comparison_table(values)
     except ValueError as exc:
         raise click.UsageError(f"bad --ns list: {exc}")
@@ -367,10 +386,10 @@ def _table_text(r: dict) -> list[str]:
 
 @cli.command()
 @click.option("--agreement-to", default=100_000, show_default=True,
-              type=click.IntRange(min=2),
+              type=_IntRange(min=2),
               help="Upper end of the certified-minimum agreement sweep.")
 @click.option("--scan-cap", default=100_000, show_default=True,
-              type=click.IntRange(min=bounds.MIN_SCAN_CAP),
+              type=_IntRange(min=bounds.MIN_SCAN_CAP),
               help="Scan cap for the per-multiplicity comparison sweep.")
 @_format_option(NO_CSV)
 def verify(agreement_to: int, scan_cap: int, fmt: str) -> None:
@@ -428,14 +447,14 @@ def bielliptic_group() -> None:
 
 def _parse_class(text: str) -> bielliptic.DivisorClass:
     try:
-        a, b = (int(part) for part in text.split(","))
+        a, b = (_int(part) for part in text.split(","))
     except ValueError:
         raise click.UsageError(f"divisor class must be 'a,b', got {text!r}")
-    return bielliptic.DivisorClass(_digit_capped(a), _digit_capped(b))
+    return bielliptic.DivisorClass(a, b)
 
 
 _type_option = click.option("--type", "type_index", required=True,
-                            type=click.IntRange(1, 7))
+                            type=_IntRange(1, 7))
 
 
 @bielliptic_group.command(name="types")
@@ -500,15 +519,15 @@ def bielliptic_fiber_degrees(type_index: int, divisor: str, fmt: str) -> None:
 
 
 @bielliptic_group.command(name="star-check")
-@click.option("--c2", "c2_value", required=True, type=int, help="Self-intersection C^2.")
+@click.option("--c2", "c2_value", required=True, type=_Int(), help="Self-intersection C^2.")
 @click.option("--mults", default="", help="Comma-separated multiplicities >= 2.")
-@click.option("--components", "r", default=None, type=int,
+@click.option("--components", "r", default=None, type=_Int(),
               help="Component count for the reduced-curve form.")
 @_format_option(NO_CSV)
 def bielliptic_star_check(c2_value: int, mults: str, r: int | None, fmt: str) -> None:
     """Check C^2 against 2r + sum m_i(m_i - 1)  (r = 1: irreducible form)."""
     try:
-        mult_list = [int(part) for part in mults.split(",")] if mults else []
+        mult_list = [_int(part) for part in mults.split(",")] if mults else []
     except ValueError:
         raise click.UsageError(f"bad --mults list: {mults!r}")
     try:
@@ -530,7 +549,7 @@ def bielliptic_star_check(c2_value: int, mults: str, r: int | None, fmt: str) ->
 @_type_option
 @click.option("--ample", required=True, help="Ample class a,b.")
 @click.option("--curve", required=True, help="Curve class a,b.")
-@click.option("--m", default=1, show_default=True, type=click.IntRange(min=1))
+@click.option("--m", default=1, show_default=True, type=_IntRange(min=1))
 @_decimals_option
 @_format_option(NO_CSV)
 def bielliptic_ratio(type_index: int, ample: str, curve: str, m: int,

@@ -114,8 +114,9 @@ class RadicalBound:
     radicand: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coef", Fraction(self.coef))
-        if self.coef < 0:
+        if type(self.coef) is not Fraction:
+            object.__setattr__(self, "coef", Fraction(self.coef))
+        if self.coef.numerator < 0:
             raise ValueError(f"RadicalBound coefficient must be >= 0, got {self.coef}")
         if self.radicand < 0:
             raise ValueError(f"RadicalBound radicand must be >= 0, got {self.radicand}")

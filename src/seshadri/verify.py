@@ -48,7 +48,8 @@ def agreement_sweep(stop: int) -> tuple[list[int], list[int]]:
 
     The certified minimum comes from certified_min's integer core
     bounds._certified_scan at certified_min's default scan cap, as an
-    unreduced pair best_d/best_m; no certificate object is built.  The
+    unreduced pair best_d/best_m with a flag that says whether it is
+    certified; no witness or certificate object is built.  The
     six-term minimum comes from the kernel bounds._small_min as a
     numerator over SMALL_MS_LCM.  The two are compared by
     cross-multiplication.  The sweep reads no table and the scan does not
@@ -56,8 +57,8 @@ def agreement_sweep(stop: int) -> tuple[list[int], list[int]]:
     """
     disagreements, uncertified = [], []
     for n in range(2, stop + 1):
-        best_d, best_m, _, _, tail = bounds._certified_scan(n, bounds.DEFAULT_SCAN_CAP)
-        if tail is None:
+        best_d, best_m, _, _, certified = bounds._certified_scan(n, bounds.DEFAULT_SCAN_CAP)
+        if not certified:
             uncertified.append(n)
         elif best_d * bounds.SMALL_MS_LCM != bounds._small_min(n)[0] * best_m:
             disagreements.append(n)

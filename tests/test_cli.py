@@ -105,7 +105,12 @@ class TestBound:
     ["bielliptic", "intersect", "--type", "1", "--c1", "-1" + "0" * MAX_N_DIGITS + ",1",
      "--c2", "1,1"],
     # the refusal states the listing cap, not the range
-    ["census", "--from", "2", "--to", "1" + "0" * MAX_N_DIGITS, "--per-n"],
+    ["census", "--from", "2", "--to", "9" * MAX_N_DIGITS, "--per-n"],
+    # past Python's 4300-digit limit int() cannot read the value at all
+    ["bound", "--n", "9" * 5000],
+    ["bielliptic", "intersect", "--type", "1", "--c1", "9" * 5000 + ",1", "--c2", "1,1"],
+    ["census", "--from", "2", "--to", "9" * 5000],
+    ["bielliptic", "star-check", "--c2", "9" * 5000],
 ])
 def test_bad_numeric_input_is_a_usage_error(args):
     result = run(*args)
@@ -113,6 +118,8 @@ def test_bad_numeric_input_is_a_usage_error(args):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert len(result.output) < 200  # the message states the cap, not the number
+    if any(len(arg) > MAX_N_DIGITS + 1 for arg in args):
+        assert f"at most {MAX_N_DIGITS} digits" in result.output
 
 
 @pytest.mark.parametrize("args", [

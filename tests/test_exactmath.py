@@ -79,7 +79,15 @@ class TestRadicalBound:
         with pytest.raises(ValueError):
             RadicalBound(Fraction(-1, 2), 3)
         with pytest.raises(ValueError):
+            RadicalBound(-1, 3)
+        with pytest.raises(ValueError):
             RadicalBound(Fraction(1, 2), -3)
+
+    def test_coef_becomes_a_fraction_once(self):
+        coerced = RadicalBound(3, 2).coef
+        assert type(coerced) is Fraction and coerced == 3
+        coef = Fraction(93, 100)
+        assert RadicalBound(coef, 2).coef is coef
 
     def test_equality_is_fieldwise_and_unordered(self):
         assert RadicalBound(1, 2) == RadicalBound(Fraction(1), 2)

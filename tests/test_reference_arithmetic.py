@@ -13,7 +13,11 @@ certified_min and tail_cutoff now share the cutoff arithmetic (the
 integer core bounds._tail_cutoff); the reference scan takes its cutoffs
 from tail_cutoff_reference, so it shares none of it.  certified_min wraps
 the integer scan bounds._certified_scan, which verify's agreement sweep
-reads directly; both are held equal to the reference scan.
+reads directly; both are held equal to the reference scan.  The core
+stops where the witness of its minimum holds at m + 1, tested in a few
+integer products; certified_scan_reference is the earlier core, which
+took a cutoff from _tail_cutoff at every new minimum and compared it
+with m + 1, and the core is held equal to it.
 ceiling_threshold takes only the parity and reads the table; its
 reference is the earlier direct scan of lower_bound_small.  census
 tabulates only below the analytic threshold and counts the rest under
@@ -34,9 +38,10 @@ use it from here.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,6 +63,7 @@ from seshadri.bounds import (
     sqrt_linear_threshold,
     tail_cutoff,
 )
+from seshadri.cli import cli
 from seshadri.exactmath import RadicalBound, format_decimal, sqrt_linear_cmp
 
 
@@ -105,6 +111,29 @@ def certified_min_reference(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
             return best, frozenset(argmins), m, tail
         m += 1
     return best, frozenset(argmins), scan_cap, None
+
+
+def certified_scan_reference(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
+    """The earlier integer core: (best_d, best_m, argmins, scanned_to, tail),
+    with tail _tail_cutoff's (poly, strict, cutoff) of the reduced minimum,
+    taken at every new minimum, or None when no certificate starts by scan_cap."""
+    best_d, best_m = 1, 0
+    argmins: list[int] = []
+    tail = None
+    no_cutoff = scan_cap + 2  # past every m + 1 of the scan
+    cutoff = no_cutoff
+    for m in range(2, scan_cap + 1):
+        d = d_min(n, m)
+        if d * best_m < best_d * m:
+            best_d, best_m, argmins = d, m, [m]
+            g = gcd(d, m)
+            tail = bounds._tail_cutoff(n, d // g, m // g)
+            cutoff = no_cutoff if tail is None else tail[2]
+        elif d * best_m == best_d * m:
+            argmins.append(m)
+        if cutoff <= m + 1:
+            return best_d, best_m, argmins, m, tail
+    return best_d, best_m, argmins, scan_cap, None
 
 
 def dominance_check_reference(n: int) -> bool:
@@ -208,11 +237,16 @@ def _certificate(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
 
 
 def _scan(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
-    """The integer core bounds._certified_scan in _certificate's shape."""
-    best_d, best_m, argmins, scanned_to, tail = bounds._certified_scan(n, scan_cap)
+    """The integer core bounds._certified_scan in _certificate's shape, with
+    the witness from _tail_cutoff of the reduced minimum when certified."""
+    best_d, best_m, argmins, scanned_to, certified = bounds._certified_scan(n, scan_cap)
     assert argmins == sorted(set(argmins)) and argmins[0] == best_m
     value = Fraction(best_d, best_m)
-    witness = None if tail is None else TailWitness(value, tail[2], tail[0], tail[1])
+    assert type(certified) is bool
+    witness = None
+    if certified:
+        poly, strict, cutoff = bounds._tail_cutoff(n, value.numerator, value.denominator)
+        witness = TailWitness(value, cutoff, poly, strict)
     return value, frozenset(argmins), scanned_to, witness
 
 
@@ -275,6 +309,58 @@ def test_certified_min_matches_reference_at_and_next_to_squares(scan_cap):
     for n in ns + [(10**20 + 1) ** 2]:
         want = certified_min_reference(n, scan_cap)
         assert _certificate(n, scan_cap) == _scan(n, scan_cap) == want, n
+
+
+#: the ranges the certified_min references run on: a range, near 1e30, near
+#: 1e40, and at and next to squares
+SCAN_NS = [*range(2, 3001),
+           10**30 - 1, 10**30, 10**30 + 1, 10**30 + 10**15, 2 * 10**30 + 1, 4 * 10**30,
+           (10**15 + 1) ** 2,
+           *(random.Random(20200817).randint(10**39, 10**40) for _ in range(200)),
+           *(k * k + e for k in range(1, 301) for e in (-1, 0, 1) if k * k + e >= 2),
+           (10**20 + 1) ** 2]
+
+
+@pytest.mark.parametrize("scan_cap", [8, 9, 11, 12, DEFAULT_SCAN_CAP])
+def test_scan_core_matches_the_cutoff_per_improvement_reference(scan_cap):
+    # n = 3 certifies at m = 11, so caps 8, 9 leave it uncertified and 11, 12 do not
+    for n in SCAN_NS:
+        best_d, best_m, argmins, scanned_to, certified = bounds._certified_scan(n, scan_cap)
+        ref_d, ref_m, ref_argmins, ref_scanned_to, tail = certified_scan_reference(n, scan_cap)
+        assert (best_d, best_m, argmins, scanned_to) == (ref_d, ref_m, ref_argmins,
+                                                         ref_scanned_to), (n, scan_cap)
+        assert certified is (tail is not None), (n, scan_cap)
+    assert bounds._certified_scan(3, 11)[3:] == (11, True)
+    assert bounds._certified_scan(3, 9)[3:] == (9, False)
+
+
+def _count_tail_cutoff(monkeypatch) -> list[tuple[int, int, int]]:
+    """Patch bounds._tail_cutoff to record the arguments of each call."""
+    called, cutoff = [], bounds._tail_cutoff
+
+    def counted(n, p, q):
+        called.append((n, p, q))
+        return cutoff(n, p, q)
+
+    monkeypatch.setattr(bounds, "_tail_cutoff", counted)
+    return called
+
+
+def test_tail_cutoff_runs_once_per_certificate_and_never_in_the_sweep(monkeypatch):
+    called = _count_tail_cutoff(monkeypatch)
+    assert verify.agreement_sweep(1000) == ([], [])
+    assert called == []
+    for cap in (8, DEFAULT_SCAN_CAP):
+        for n in range(2, 1001):
+            called.clear()
+            cert = certified_min(n, cap)
+            want = [(n, cert.value.numerator, cert.value.denominator)] if cert.certified else []
+            assert called == want, (n, cap)
+    called.clear()
+    assert CliRunner().invoke(cli, ["bound", "--n", "3", "--scan-cap", "8"]).exit_code == 1
+    assert called == []  # uncertified
+    assert CliRunner().invoke(cli, ["bound", "--n", "3"]).exit_code == 0
+    assert called == [(3, 5, 3)]
 
 
 def test_certified_min_builds_one_witness_and_never_calls_tail_cutoff(monkeypatch):
@@ -466,8 +552,8 @@ def test_agreement_sweep_compares_the_scan_core(monkeypatch):
 
     def mutated(n, scan_cap):
         caps.add(scan_cap)
-        best_d, best_m, argmins, scanned_to, tail = core(n, scan_cap)
-        return best_d + (n == 3), best_m, argmins, scanned_to, None if n == 5 else tail
+        best_d, best_m, argmins, scanned_to, certified = core(n, scan_cap)
+        return best_d + (n == 3), best_m, argmins, scanned_to, False if n == 5 else certified
 
     monkeypatch.setattr(bounds, "_certified_scan", mutated)
     assert verify.agreement_sweep(50) == ([3], [5])
