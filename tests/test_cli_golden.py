@@ -4,12 +4,17 @@ Each case is stored as tests/golden/<name>.out: a first line "exit K"
 followed by the exact output.  Usage-error cases store the exit code
 only, so their click messages may change without breaking the golden.
 
-Regenerate (only when an output change is intended) with
+Capture the goldens of new cases with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+It writes only the golden files that are missing, prints the name of every
+existing golden whose render differs, and then exits 1.  It never rewrites
+an existing golden: to change one on purpose, delete it and run it again.
 """
 
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,6 +105,11 @@ def test_names_are_unique():
     assert len({name for name, _, _ in INVOCATIONS}) == len(INVOCATIONS)
 
 
+def test_no_orphan_goldens():
+    names = {name for name, _, _ in INVOCATIONS}
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.out") if p.stem not in names) == []
+
+
 def test_every_readme_example_is_golden():
     block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
                       re.M | re.S).group(1)
@@ -117,7 +127,21 @@ def test_golden(name, argv, with_output):
     assert _render(argv, with_output) == expected
 
 
-if __name__ == "__main__":
+def capture() -> int:
+    """Write the missing goldens; print the differing ones and return 1 if any."""
     GOLDEN_DIR.mkdir(exist_ok=True)
+    differing = []
     for name, argv, with_output in INVOCATIONS:
-        (GOLDEN_DIR / f"{name}.out").write_text(_render(argv, with_output), encoding="utf-8")
+        path = GOLDEN_DIR / f"{name}.out"
+        rendered = _render(argv, with_output)
+        if not path.exists():
+            path.write_text(rendered, encoding="utf-8")
+        elif path.read_text(encoding="utf-8") != rendered:
+            differing.append(name)
+    for name in differing:
+        print(f"differs: {name}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(capture())
