@@ -52,6 +52,9 @@ OUTPUT_CASES = [
     ("table --ns 7,99999 --full-precision --decimals 6", ALL_FORMATS),
     ("verify --agreement-to 300 --scan-cap 3000", NO_CSV),
     ("bielliptic star-check --c2 3 --mults 2", NO_CSV),
+    # 222 values with denominators up to 12; omega and fiber tie at 66, 67, 68 and 69
+    ("candidates --n 4900 --max-m 12", ALL_FORMATS),
+    ("candidates --n 50 --max-m 9 --decimals 0", ("text",)),
 ]
 
 #: usage errors: the exit code is golden, the message is not
