@@ -657,6 +657,14 @@ def candidate_values(
     "integer_fiber".  Values shared by several (d, m) pairs are listed
     once per kind; ties across kinds order "integer_fiber" first.
 
+    Values are ordered and deduplicated on one integer key, floor(v * S)
+    with S = max_m^2: d*S // m for d/m and k*S for the integer k.  The key
+    is exact.  Two distinct rationals with denominators at most max_m
+    differ by at least 1/max_m^2 = 1/S, so v < w gives w*S >= v*S + 1 and
+    floor(v*S) < floor(w*S); equal values give equal keys.  So two values
+    share a key exactly when they are equal, and keys order as values do.
+    A Fraction is built once per listed value, at the end.
+
     Raises ValueError, before listing anything, when the pairs and the
     integers together number more than MAX_CANDIDATES.
     """
@@ -673,12 +681,15 @@ def candidate_values(
                 f"{MAX_CANDIDATES} (d, m) pairs and integers"
             )
         per_m.append((m, degrees))
-    omega_vals: set[Fraction] = set()
+    scale = max_m * max_m
+    omega: dict[int, tuple[int, int]] = {}
     for m, degrees in per_m:
+        mmn = m * m * n
         for d in degrees:
-            assert d * d < m * m * n  # d/m < sqrt(n)
-            omega_vals.add(Fraction(d, m))
-    merged = [(v, OMEGA_KIND) for v in omega_vals]
-    merged.extend((Fraction(k), FIBER_KIND) for k in range(1, isqrt(n) + 1))
-    merged.sort(key=lambda item: (item[0], item[1]))
-    return merged
+            assert d * d < mmn  # d/m < sqrt(n)
+            omega[d * scale // m] = (d, m)
+    # (key, kind index, d, m): "integer_fiber" is 0, so it leads a tie
+    keyed = [(key, 1, d, m) for key, (d, m) in omega.items()]
+    keyed.extend((k * scale, 0, k, 1) for k in range(1, isqrt(n) + 1))
+    keyed.sort()
+    return [(Fraction(d, m), OMEGA_KIND if kind else FIBER_KIND) for _, kind, d, m in keyed]

@@ -89,15 +89,18 @@ def format_decimal(value: Fraction, decimals: int = 4, trim: bool = True) -> str
     Rounds to nearest with ties away from zero.  With trim=True a value
     that is exactly representable within `decimals` digits is printed
     minimally (47/5 -> "9.4", 3 -> "3"); non-terminating values keep all
-    digits (4/3 -> "1.3333").
+    digits (4/3 -> "1.3333").  For value = p/q and the rounded t, the value
+    is exact iff t/10^decimals == p/q, tested as t*q == p*10^decimals.
     """
     if decimals < 0:
         raise ValueError("decimals must be >= 0")
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    p, q = value.numerator, value.denominator
     scale = 10**decimals
-    t = _round_half_away(value.numerator * scale, value.denominator)
+    t = _round_half_away(p * scale, q)
     text = _digits_to_str(t, decimals)
-    if trim and Fraction(t, scale) == value:
+    if trim and t * q == p * scale:
         text = _trim_exact(text)
     return text
 

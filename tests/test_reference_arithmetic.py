@@ -30,6 +30,11 @@ up to the witness polynomial's larger root and back down to its vertex,
 and a gallop plus bisection on sqrt_linear_cmp.  RadicalBound.decimal
 rounds every radicand with one isqrt formula; its reference is the earlier
 two-path rendering, which sent square radicands through format_decimal.
+candidate_values orders and deduplicates its values on one integer key
+and builds a Fraction only per listed value; candidate_values_reference
+is the earlier listing, a set of Fractions sorted on (value, kind).
+format_decimal tests its trim by cross-multiplication;
+format_decimal_reference builds Fraction(t, 10^k) and compares.
 rat_cmp_sqrt, the exact order of a rational against sqrt(n), has no
 caller in the package; tail_cutoff_reference and tests/test_exactmath.py
 use it from here.
@@ -49,11 +54,14 @@ from certcheck import check_analytic_threshold
 from seshadri import bounds, comparison, verify
 from seshadri.bounds import (
     DEFAULT_SCAN_CAP,
+    FIBER_KIND,
+    OMEGA_KIND,
     SMALL_MS,
     SMALL_MS_LCM,
     SmallBound,
     SqrtLinearThreshold,
     TailWitness,
+    candidate_values,
     ceiling_threshold,
     census,
     certified_min,
@@ -229,6 +237,31 @@ def radical_decimal_reference(rb: RadicalBound, decimals: int, trim: bool) -> st
     # irrational value: never exactly representable, keep all digits
     digits = str(t).rjust(decimals + 1, "0")
     return digits if decimals == 0 else f"{digits[:-decimals]}.{digits[-decimals:]}"
+
+
+def candidate_values_reference(n: int, max_m: int) -> list[tuple[Fraction, str]]:
+    omega_vals: set[Fraction] = set()
+    for m in range(2, max_m + 1):
+        for d in range(d_min(n, m), isqrt(m * m * n - 1) + 1):
+            assert d * d < m * m * n  # d/m < sqrt(n)
+            omega_vals.add(Fraction(d, m))
+    merged = [(v, OMEGA_KIND) for v in omega_vals]
+    merged.extend((Fraction(k), FIBER_KIND) for k in range(1, isqrt(n) + 1))
+    merged.sort(key=lambda item: (item[0], item[1]))
+    return merged
+
+
+def format_decimal_reference(value: Fraction, decimals: int = 4, trim: bool = True) -> str:
+    value = Fraction(value)
+    scale = 10**decimals
+    num, den = value.numerator * scale, value.denominator
+    t = (2 * num + den) // (2 * den) if num >= 0 else -((-2 * num + den) // (2 * den))
+    digits = str(abs(t)).rjust(decimals + 1, "0")
+    text = ("-" if t < 0 else "") + (
+        digits if decimals == 0 else f"{digits[:-decimals]}.{digits[-decimals:]}")
+    if trim and Fraction(t, scale) == value and "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text
 
 
 def _certificate(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
@@ -658,3 +691,55 @@ def test_radical_decimal_matches_two_path_reference(decimals):
             for trim in (True, False):
                 assert rb.decimal(decimals, trim) == radical_decimal_reference(
                     rb, decimals, trim), (coef, radicand, trim)
+
+
+@pytest.mark.parametrize("max_m", range(2, 13))
+def test_candidate_values_match_reference_on_a_range(max_m):
+    for n in range(2, 3001):
+        assert candidate_values(n, max_m) == candidate_values_reference(n, max_m), n
+
+
+def test_candidate_values_match_reference_on_random_n_and_near_squares():
+    rng = random.Random(20200817)
+    for n in [rng.randint(2, 10**5) for _ in range(500)]:
+        assert candidate_values(n, 7) == candidate_values_reference(n, 7), n
+    for k in range(2, 300):
+        for n in (k * k - 1, k * k, k * k + 1):
+            assert candidate_values(n, 7) == candidate_values_reference(n, 7), n
+
+
+@pytest.mark.parametrize("n,max_m", [(2, 2000), (3, 5000)])
+def test_candidate_values_match_reference_at_a_large_key_scale(n, max_m):
+    assert candidate_values(n, max_m) == candidate_values_reference(n, max_m)
+
+
+def test_candidate_values_build_one_fraction_per_listed_value(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(bounds, "Fraction", counted)
+    values = candidate_values(99991, 7)
+    assert len(values) > 600 and len(built) == len(values)
+
+
+#: signed p/q with |p| < 60 and q < 40 or a power of ten times 1, 2, 3 or 7,
+#: halves at every scale (the rounding ties) and ints
+DECIMAL_VALUES = sorted(
+    {Fraction(p, q) for p in range(-60, 60) for q in range(1, 40)}
+    | {Fraction(p, c * 10**e) for p in range(-30, 30) for c in (1, 2, 3, 7) for e in range(9)}
+    | {Fraction(2 * p + 1, 2 * 10**e) for p in range(-20, 20) for e in range(13)})
+DECIMAL_INTS = [0, 1, -1, 7, -12, 10**6, -(10**20) - 3]
+
+
+@pytest.mark.parametrize("decimals", range(13))
+def test_format_decimal_matches_reference(decimals):
+    for trim in (True, False):
+        for value in DECIMAL_VALUES:
+            assert format_decimal(value, decimals, trim) == format_decimal_reference(
+                value, decimals, trim), (value, trim)
+        for value in DECIMAL_INTS:
+            assert format_decimal(value, decimals, trim) == format_decimal_reference(
+                value, decimals, trim), (value, trim)
