@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -47,6 +48,9 @@ MAX_CENSUS_LISTING = 10**5
 #: Python's default limit of 4300 digits on converting an int to a string
 MAX_DECIMALS = 2000
 MAX_N_DIGITS = 2000
+
+#: most digits of a number, and most characters of a class or list, that a usage error quotes
+MAX_QUOTED = 20
 
 FORMATS = ("text", "csv", "json")
 NO_CSV = ("text", "json")
@@ -95,6 +99,21 @@ def _format_option(formats: tuple[str, ...] = FORMATS):
 
 
 _DIGIT_CAP_MESSAGE = f"an integer input has at most {MAX_N_DIGITS} digits"
+_LONG_NUMBER = re.compile(rf"\d{{{MAX_QUOTED + 1},}}")
+
+
+def _short(message: str) -> str:
+    """message with every run of more than MAX_QUOTED digits cut to its first
+    MAX_QUOTED digits and its length."""
+    return _LONG_NUMBER.sub(lambda run: f"{run[0][:MAX_QUOTED]}... ({len(run[0])} digits)",
+                            message)
+
+
+def _quote(text: str) -> str:
+    """repr(text), cut to its first MAX_QUOTED characters and its length past that."""
+    if len(text) <= MAX_QUOTED:
+        return repr(text)
+    return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _over_digit_cap(text: str) -> bool:
@@ -114,12 +133,20 @@ def _int(text: str) -> int:
 
 
 class _DigitCapped:
-    """Refuses an option value past MAX_N_DIGITS digits with _DIGIT_CAP_MESSAGE."""
+    """Refuses an option value past MAX_N_DIGITS digits with _DIGIT_CAP_MESSAGE.
+
+    click quotes a refused value in full ("... is not in the range x>=2"),
+    so every refusal goes through _short: it names the range or the parse
+    error, and quotes at most MAX_QUOTED digits of the value.
+    """
 
     def convert(self, value, param, ctx):
         if isinstance(value, str) and _over_digit_cap(value):
             self.fail(_DIGIT_CAP_MESSAGE, param, ctx)
         return super().convert(value, param, ctx)
+
+    def fail(self, message, param=None, ctx=None) -> NoReturn:
+        super().fail(_short(message), param, ctx)
 
 
 class _Int(_DigitCapped, click.types.IntParamType):
@@ -268,7 +295,7 @@ def candidates(n: int, max_m: int, decimals: int, fmt: str) -> None:
     try:
         values = bounds.candidate_values(n, max_m)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.UsageError(_short(str(exc)))
     _emit(fmt, {
         "command": "candidates",
         "inputs": {"n": n, "max_m": max_m},
@@ -303,7 +330,7 @@ def census(start: int, stop: int, include_odd: bool, verbose: bool, fmt: str) ->
     try:
         result = bounds.census(start, stop, even_only=not include_odd)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.UsageError(_short(str(exc)))
     report = {
         "command": "census",
         "inputs": {"from": start, "to": stop, "even_only": result.even_only},
@@ -354,7 +381,7 @@ def table(preset: str | None, ns: str | None, decimals: int, full_precision: boo
                   else [_int(v) for v in ns.split(",")])
         rows = comparison.comparison_table(values)
     except ValueError as exc:
-        raise click.UsageError(f"bad --ns list: {exc}")
+        raise click.UsageError(_short(f"bad --ns list: {exc}"))
     trim = not full_precision
     _emit(fmt, {
         "command": "table",
@@ -449,7 +476,7 @@ def _parse_class(text: str) -> bielliptic.DivisorClass:
     try:
         a, b = (_int(part) for part in text.split(","))
     except ValueError:
-        raise click.UsageError(f"divisor class must be 'a,b', got {text!r}")
+        raise click.UsageError(f"divisor class must be 'a,b', got {_quote(text)}")
     return bielliptic.DivisorClass(a, b)
 
 
@@ -529,14 +556,14 @@ def bielliptic_star_check(c2_value: int, mults: str, r: int | None, fmt: str) ->
     try:
         mult_list = [_int(part) for part in mults.split(",")] if mults else []
     except ValueError:
-        raise click.UsageError(f"bad --mults list: {mults!r}")
+        raise click.UsageError(f"bad --mults list: {_quote(mults)}")
     try:
         if r is None:
             passed = bielliptic.star_check_irreducible(c2_value, mult_list)
         else:
             passed = bielliptic.star_check_reducible(c2_value, r, mult_list)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.UsageError(_short(str(exc)))
     _emit(fmt, {
         "command": "bielliptic star-check",
         "inputs": {"c2": c2_value, "mults": mult_list, "components": r},
@@ -558,7 +585,7 @@ def bielliptic_ratio(type_index: int, ample: str, curve: str, m: int,
     try:
         value = bielliptic.seshadri_ratio(_parse_class(ample), _parse_class(curve), m)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.UsageError(_short(str(exc)))
     _emit(fmt, {
         "command": "bielliptic ratio",
         "inputs": {"type": type_index, "ample": ample, "curve": curve, "m": m},

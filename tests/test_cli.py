@@ -111,6 +111,15 @@ class TestBound:
     ["bielliptic", "intersect", "--type", "1", "--c1", "9" * 5000 + ",1", "--c2", "1,1"],
     ["census", "--from", "2", "--to", "9" * 5000],
     ["bielliptic", "star-check", "--c2", "9" * 5000],
+    # a refused value within the digit cap is quoted only in part
+    ["bound", "--n", "-" + "9" * MAX_N_DIGITS],
+    ["bound", "--n", "2", "--decimals", "9" * MAX_N_DIGITS],
+    ["bielliptic", "ratio", "--type", "1", "--ample", "2,3", "--curve", "1,1",
+     "--m", "-" + "9" * MAX_N_DIGITS],
+    ["bielliptic", "intersect", "--type", "1", "--c1", ",".join(["1"] * 3001), "--c2", "1,1"],
+    ["bound", "--n", "9" * (MAX_N_DIGITS - 1) + "x"],
+    ["candidates", "--n", "9" * MAX_N_DIGITS],
+    ["table", "--ns", "-" + "9" * MAX_N_DIGITS],
 ])
 def test_bad_numeric_input_is_a_usage_error(args):
     result = run(*args)
@@ -118,7 +127,7 @@ def test_bad_numeric_input_is_a_usage_error(args):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert len(result.output) < 200  # the message states the cap, not the number
-    if any(len(arg) > MAX_N_DIGITS + 1 for arg in args):
+    if any(len(number) > MAX_N_DIGITS for arg in args for number in re.findall(r"\d+", arg)):
         assert f"at most {MAX_N_DIGITS} digits" in result.output
 
 
