@@ -29,7 +29,7 @@ This module computes, entirely in exact integer arithmetic:
     the analytic (real-inequality) threshold and the sharp ceiling-aware
     one, with integer-polynomial certificates;
   * a census classifying each N by the smallest minimizing multiplicity;
-  * the merged list of candidate rational values below sqrt(N).
+  * the merged list of candidate values below sqrt(N), as lowest-terms (p, q).
 
 Self-intersections of ample line bundles on abelian and on bielliptic
 surfaces are even (L^2 = 2*d1*d2, resp. L^2 = 2*a*b), so the census and
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .exactmath import ceil_sqrt, sqrt_linear_cmp
 
@@ -646,10 +646,8 @@ FIBER_KIND = "integer_fiber"
 MAX_CANDIDATES = 10**5
 
 
-def candidate_values(
-    n: int, max_m: int
-) -> list[tuple[Fraction, str]]:
-    """Sorted candidate Seshadri values below sqrt(n).
+def candidate_values(n: int, max_m: int) -> list[tuple[int, int, str]]:
+    """Sorted candidate Seshadri values below sqrt(n), as (p, q, kind) in lowest terms.
 
     Merges (a) every ratio d/m with m in [2, max_m], (d, m) in Omega(n)
     and d/m < sqrt(n) exactly, tagged "omega", and (b) the integers
@@ -663,7 +661,8 @@ def candidate_values(
     differ by at least 1/max_m^2 = 1/S, so v < w gives w*S >= v*S + 1 and
     floor(v*S) < floor(w*S); equal values give equal keys.  So two values
     share a key exactly when they are equal, and keys order as values do.
-    A Fraction is built once per listed value, at the end.
+    Each listed pair is reduced by its gcd at the end; no Fraction is built,
+    and the integer k is listed as (k, 1, "integer_fiber").
 
     Raises ValueError, before listing anything, when the pairs and the
     integers together number more than MAX_CANDIDATES.
@@ -692,4 +691,5 @@ def candidate_values(
     keyed = [(key, 1, d, m) for key, (d, m) in omega.items()]
     keyed.extend((k * scale, 0, k, 1) for k in range(1, isqrt(n) + 1))
     keyed.sort()
-    return [(Fraction(d, m), OMEGA_KIND if kind else FIBER_KIND) for _, kind, d, m in keyed]
+    kinds = (FIBER_KIND, OMEGA_KIND)
+    return [(d // (g := gcd(d, m)), m // g, kinds[kind]) for _, kind, d, m in keyed]

@@ -12,6 +12,7 @@ _emit alone fills in the schema keys, writes and exits.
 
 Every JSON report carries the keys {command, inputs, status,
 exact_values, decimal_renderings, certificates, paper_expectations}.
+_json writes it directly, byte for byte json.dumps(sort_keys=True, indent=2).
 Exact rationals appear as "p/q" strings; radicals as {"coef": "p/q",
 "radicand": "n"}.  Decimal renderings never feed back into computation.
 
@@ -28,13 +29,14 @@ import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _ascii
 from typing import NoReturn
 
 import click
 
 from . import bielliptic, bounds, comparison
 from . import verify as verify_checks
-from .exactmath import RadicalBound, format_decimal
+from .exactmath import RadicalBound, _decimal, format_decimal
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -74,6 +76,36 @@ def _join(values, sep: str = " ") -> str:
     return sep.join(map(str, values))
 
 
+def _json(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, written directly.
+
+    With an indent json runs its pure-Python encoder.  This writer sorts
+    dict items on their original keys as json does, escapes every str with
+    json's C encode_basestring_ascii, writes str leaves inline, and leaves
+    bools, None, floats, non-str keys (json.dumps({key: 0}) is '{"key": 0}')
+    and the TypeError of anything else to json.dumps.
+    """
+    if isinstance(value, str):
+        return _ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{\n" + inner + sep.join([
+            f"{_ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "
+            f"{_ascii(v) if isinstance(v, str) else _json(v, inner)}"
+            for k, v in sorted(value.items())]) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[\n" + inner + sep.join([_ascii(v) if isinstance(v, str) else _json(v, inner)
+                                         for v in value]) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _emit(fmt: str, report: dict, text: Callable, csv_table: Callable | None = None) -> NoReturn:
     """Write the report in fmt and exit 0 if its status is "ok", else 1.
 
@@ -81,7 +113,7 @@ def _emit(fmt: str, report: dict, text: Callable, csv_table: Callable | None = N
     the CSV header and rows; only the one for fmt is called.
     """
     if fmt == "json":
-        click.echo(json.dumps({**SCHEMA_DEFAULTS, **report}, sort_keys=True, indent=2))
+        click.echo(_json({**SCHEMA_DEFAULTS, **report}))
     elif fmt == "csv":
         header, rows = csv_table(report)
         buf = io.StringIO()
@@ -299,9 +331,10 @@ def candidates(n: int, max_m: int, decimals: int, fmt: str) -> None:
     _emit(fmt, {
         "command": "candidates",
         "inputs": {"n": n, "max_m": max_m},
-        "exact_values": {"candidates": [{"value": _rat_str(v), "kind": kind}
-                                        for v, kind in values]},
-        "decimal_renderings": {"candidates": [format_decimal(v, decimals) for v, _ in values]},
+        "exact_values": {"candidates": [{"value": f"{p}/{q}", "kind": kind}
+                                        for p, q, kind in values]},
+        "decimal_renderings": {"candidates": [_decimal(p, q, decimals, True)
+                                              for p, q, _ in values]},
     }, _candidates_text, lambda r: (["value", "decimal", "kind"], _candidate_rows(r)))
 
 

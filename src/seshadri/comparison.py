@@ -8,10 +8,10 @@ the form (irrational constant) * sqrt(N):
     abelian_7_8  sqrt(7/8)*sqrt(N)  = (1/4)*sqrt(14N)  (abelian surfaces)
     hr_093       0.93*sqrt(N)                          (bielliptic surfaces)
 
-Each is held as a RadicalBound (p/q)*sqrt(k) with a single radicand k,
-for display.  Comparisons read p, q and k from it and decide in integers,
-by cross-multiplying squares: p^2*k/q^2 against a rational's square or
-another radical's.  The chain
+prior_bound holds each as a RadicalBound (p/q)*sqrt(k), k = c*N, for
+display.  Comparisons read p/q and c from PRIOR_BOUNDS, the table
+prior_bound reads, and decide in integers, by cross-multiplying squares:
+p^2*k/q^2 against a rational's square or another radical's.  The chain
 
     d_min(N,m)/m >= sqrt(N(2+m(m-1)))/m >= sqrt(14N)/4
                  >= 0.93*sqrt(N) > sqrt(7/9)*sqrt(N)
@@ -71,9 +71,10 @@ class TableRow:
                 format_decimal(self.new_bound.value, decimals, trim))
 
 
-def _square(bound: RadicalBound) -> tuple[int, int]:
-    """(p^2*k, q^2): the square of (p/q)*sqrt(k) as numerator and denominator."""
-    return bound.coef.numerator ** 2 * bound.radicand, bound.coef.denominator ** 2
+def _prior_square(name: str, n: int) -> tuple[int, int]:
+    """(p^2*c*n, q^2): the square of the named bound (p/q)*sqrt(c*n), read from PRIOR_BOUNDS."""
+    coef, c = PRIOR_BOUNDS[name]
+    return coef.numerator ** 2 * c * n, coef.denominator ** 2
 
 
 def comparison_table(ns: list[int]) -> list[TableRow]:
@@ -89,7 +90,8 @@ def comparison_table(ns: list[int]) -> list[TableRow]:
         abelian = prior_bound("abelian_7_8", n)
         hr = prior_bound("hr_093", n)
         v_num, v_den = small.value.numerator ** 2, small.value.denominator ** 2
-        if any(v_num * den < num * v_den for num, den in map(_square, (abelian, hr))):
+        if any(v_num * den < num * v_den
+               for num, den in (_prior_square(name, n) for name in ("abelian_7_8", "hr_093"))):
             raise AssertionError(f"dominance chain violated at n={n}")
         rows.append(TableRow(n, abelian, hr, small))
     return rows
@@ -99,8 +101,8 @@ def dominance_check(n: int) -> bool:
     """Every link of the chain, exactly, for all m in 2..7.
 
     Each link compares squares by integer cross-multiplication, with the
-    prior bounds read from prior_bound, so the bounds checked are the
-    ones printed:
+    prior bounds' squares read from PRIOR_BOUNDS, the table prior_bound
+    reads, so the bounds checked are the ones printed:
     f >= g is the ceiling property (d_min(n,m)^2 >= n*(2+m(m-1)));
     g >= sqrt(14N)/4 cross-multiplies to (m-4)^2 >= 0;
     sqrt(14N)/4 >= 0.93*sqrt(N) reduces to 14/16 >= 8649/10000;
@@ -109,9 +111,9 @@ def dominance_check(n: int) -> bool:
     """
     if n < 2:
         raise ValueError(f"self-intersection must be >= 2, got {n}")
-    ab_num, ab_den = _square(prior_bound("abelian_7_8", n))
-    hr_num, hr_den = _square(prior_bound("hr_093", n))
-    ssz_num, ssz_den = _square(prior_bound("ssz_7_9", n))
+    ab_num, ab_den = _prior_square("abelian_7_8", n)
+    hr_num, hr_den = _prior_square("hr_093", n)
+    ssz_num, ssz_den = _prior_square("ssz_7_9", n)
     for m in SMALL_MS:
         radicand = n * (m * (m - 1) + 2)  # g(n,m)^2 = radicand / m^2
         d = d_min(n, m)

@@ -83,6 +83,16 @@ def _trim_exact(text: str) -> str:
     return text
 
 
+def _decimal(p: int, q: int, decimals: int, trim: bool) -> str:
+    """format_decimal's arithmetic on p/q, not necessarily in lowest terms; q > 0."""
+    scale = 10**decimals
+    t = _round_half_away(p * scale, q)
+    text = _digits_to_str(t, decimals)
+    if trim and t * q == p * scale:
+        text = _trim_exact(text)
+    return text
+
+
 def format_decimal(value: Fraction, decimals: int = 4, trim: bool = True) -> str:
     """Render an exact rational at a fixed digit count.
 
@@ -90,19 +100,14 @@ def format_decimal(value: Fraction, decimals: int = 4, trim: bool = True) -> str
     that is exactly representable within `decimals` digits is printed
     minimally (47/5 -> "9.4", 3 -> "3"); non-terminating values keep all
     digits (4/3 -> "1.3333").  For value = p/q and the rounded t, the value
-    is exact iff t/10^decimals == p/q, tested as t*q == p*10^decimals.
+    is exact iff t/10^decimals == p/q, tested as t*q == p*10^decimals in
+    the integer core _decimal.
     """
     if decimals < 0:
         raise ValueError("decimals must be >= 0")
     if type(value) is not Fraction:
         value = Fraction(value)
-    p, q = value.numerator, value.denominator
-    scale = 10**decimals
-    t = _round_half_away(p * scale, q)
-    text = _digits_to_str(t, decimals)
-    if trim and t * q == p * scale:
-        text = _trim_exact(text)
-    return text
+    return _decimal(value.numerator, value.denominator, decimals, trim)
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,8 @@ class TestValuesAndRatios:
         # An elliptic curve C with L.C = v and C^2 = 0 gives the value v;
         # Hodge index bounds v by sqrt(L^2), so the values are 1..isqrt(n).
         for n, want in ((3, [1]), (10, [1, 2, 3]), (16, [1, 2, 3, 4])):
-            fibers = [v for v, kind in candidate_values(n, 2) if kind == "integer_fiber"]
-            assert fibers == want
+            fibers = [(p, q) for p, q, kind in candidate_values(n, 2) if kind == "integer_fiber"]
+            assert fibers == [(v, 1) for v in want]
 
     def test_seshadri_ratio(self):
         assert seshadri_ratio(DivisorClass(1, 1), class_of_E(surface_kind(1)), 1) == 2

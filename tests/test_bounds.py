@@ -375,22 +375,23 @@ class TestThresholds:
 class TestCandidateValues:
     def test_fiber_part(self):
         for n, want in ((10, [1, 2, 3]), (16, [1, 2, 3, 4]), (15, [1, 2, 3])):
-            fibers = [v for v, kind in candidate_values(n, 2) if kind == "integer_fiber"]
-            assert fibers == want
+            fibers = [(p, q) for p, q, kind in candidate_values(n, 2) if kind == "integer_fiber"]
+            assert fibers == [(k, 1) for k in want]
 
     def test_omega_part_starts_above_excluded_ratio(self):
-        omega = [v for v, kind in candidate_values(2, 3) if kind == "omega"]
-        assert omega[0] == Fraction(4, 3)
-        assert Fraction(3, 2) not in omega  # 3/2 > sqrt(2)
+        omega = [(p, q) for p, q, kind in candidate_values(2, 3) if kind == "omega"]
+        assert omega[0] == (4, 3)
+        assert (3, 2) not in omega  # 3/2 > sqrt(2)
 
     def test_boundary_exclusion(self):
-        omega = [v for v, kind in candidate_values(4, 2) if kind == "omega"]
+        omega = [(p, q) for p, q, kind in candidate_values(4, 2) if kind == "omega"]
         assert omega == []  # d_min(4,2)/2 = 2 = sqrt(4), not strictly below
 
     def test_sorted_and_deduplicated(self):
         values = candidate_values(50, 9)
-        assert values == sorted(values, key=lambda item: (item[0], item[1]))
-        omega = [v for v, kind in values if kind == "omega"]
+        assert values == sorted(values, key=lambda item: (Fraction(item[0], item[1]), item[2]))
+        omega = [(p, q) for p, q, kind in values if kind == "omega"]
+        assert all(gcd(p, q) == 1 for p, q in omega)  # so equal values are equal pairs
         assert len(omega) == len(set(omega))
 
     def test_output_is_bounded_before_listing(self):

@@ -1,14 +1,18 @@
 """CLI surface: subcommands, formats, schema stability, exit codes."""
 
 import json
+import math
 import re
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seshadri import bounds
 from seshadri import cli as cli_module
@@ -344,3 +348,65 @@ class TestBielliptic:
     def test_malformed_class(self):
         assert run("bielliptic", "intersect", "--type", "1",
                    "--c1", "1;0", "--c2", "0,1").exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+#: quotes, backslashes, control characters, DEL, non-ASCII and lone surrogates
+_JSON_TEXT = st.text(st.characters(exclude_categories=())
+                     | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u20ac\U0001f600\ud800\udfff'))
+_JSON_LEAVES = (_JSON_TEXT | st.integers() | st.integers(-(2**200), 2**200) | st.booleans()
+                | st.none() | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+
+
+def _json_values(depth: int):
+    """Leaves, and dicts, lists and tuples nested up to depth, empty ones included."""
+    if depth == 0:
+        return _JSON_LEAVES
+    inner = _json_values(depth - 1)
+    return (_JSON_LEAVES | st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+            | st.dictionaries(st.integers(), inner, max_size=4))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(_json_values(4))
+def test_json_writer_is_json_dumps(value):
+    assert cli_module._json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {True: 1, False: [None]}, {None: "x"}, {1.5: 0, -0.0: 1, math.inf: 2, -(2**70): 3},
+], ids=["bool keys", "None key", "float and wide int keys"])
+def test_json_writer_spells_keys_as_json_dumps(value):
+    assert cli_module._json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, {"a": [1, {2}]}, {"a": 1, 1: 2}, [{"b": 0, 2: 1}], {(1, 2): 3}, object(),
+], ids=["set", "nested set", "mixed keys", "nested mixed keys", "tuple key", "object"])
+def test_json_writer_raises_where_json_dumps_does(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+    with pytest.raises(TypeError):
+        cli_module._json(value)
+
+
+JSON_GOLDENS = sorted((Path(__file__).parent / "golden").glob("*_format_json.out"))
+
+
+def test_json_goldens_are_found():
+    assert len(JSON_GOLDENS) == 20
+
+
+@pytest.mark.parametrize("path", JSON_GOLDENS, ids=[p.stem for p in JSON_GOLDENS])
+def test_json_writer_reencodes_every_json_golden(path):
+    text = path.read_text(encoding="utf-8").split("\n", 1)[1]  # after the "exit K" line
+    assert cli_module._json(json.loads(text)) + "\n" == text

@@ -12,7 +12,6 @@ The oracle solves the equation by the integer continued fraction of
 sqrt(N) and shares no code with the package.
 """
 
-from fractions import Fraction
 from math import isqrt
 
 from seshadri.bounds import candidate_values, lower_bound_small, omega_contains
@@ -68,7 +67,8 @@ def test_bound_is_at_most_the_pell_seshadri_constant():
         if p * l0 == n * k0 * q:
             equal.append(n)
         if l0 <= PELL_MAX_M:
-            assert (Fraction(n * k0, l0), "omega") in candidate_values(n, PELL_MAX_M), n
+            # l0^2 - n*k0^2 = 1, so (n*k0, l0) is in lowest terms
+            assert (n * k0, l0, "omega") in candidate_values(n, PELL_MAX_M), n
             listed.append(n)
     assert equal == [2, 4, 8]
     assert len(listed) == 10

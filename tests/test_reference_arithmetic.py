@@ -31,10 +31,13 @@ and a gallop plus bisection on sqrt_linear_cmp.  RadicalBound.decimal
 rounds every radicand with one isqrt formula; its reference is the earlier
 two-path rendering, which sent square radicands through format_decimal.
 candidate_values orders and deduplicates its values on one integer key
-and builds a Fraction only per listed value; candidate_values_reference
-is the earlier listing, a set of Fractions sorted on (value, kind).
-format_decimal tests its trim by cross-multiplication;
+and lists them as lowest-terms pairs (p, q), building no Fraction;
+candidate_values_reference is the earlier listing, a set of Fractions
+sorted on (value, kind).  format_decimal and its integer core
+exactmath._decimal test the trim by cross-multiplication;
 format_decimal_reference builds Fraction(t, 10^k) and compares.
+dominance_check reads the prior bounds' squares from PRIOR_BOUNDS;
+dominance_check_reference reads them from prior_bound.
 rat_cmp_sqrt, the exact order of a rational against sqrt(n), has no
 caller in the package; tail_cutoff_reference and tests/test_exactmath.py
 use it from here.
@@ -72,7 +75,7 @@ from seshadri.bounds import (
     tail_cutoff,
 )
 from seshadri.cli import cli
-from seshadri.exactmath import RadicalBound, format_decimal, sqrt_linear_cmp
+from seshadri.exactmath import RadicalBound, _decimal, format_decimal, sqrt_linear_cmp
 
 
 def rat_cmp_sqrt(r: Fraction, n: int) -> int:
@@ -424,14 +427,13 @@ def test_dominance_check_matches_reference():
 
 
 @pytest.mark.parametrize("name, broken", [
-    ("abelian_7_8", lambda n: RadicalBound(Fraction(1, 2), 14 * n)),  # above g(n,2)
-    ("hr_093", lambda n: RadicalBound(Fraction(94, 100), n)),  # above sqrt(14N)/4
-    ("ssz_7_9", lambda n: RadicalBound(Fraction(1, 3), 8 * n)),  # above 0.93 sqrt(N)
+    ("abelian_7_8", (Fraction(1, 2), 14)),  # above g(n,2)
+    ("hr_093", (Fraction(94, 100), 1)),  # above sqrt(14N)/4
+    ("ssz_7_9", (Fraction(1, 3), 8)),  # above 0.93 sqrt(N)
 ])
 def test_dominance_check_matches_reference_on_broken_chains(monkeypatch, name, broken):
-    original = comparison.prior_bound
-    monkeypatch.setattr(comparison, "prior_bound",
-                        lambda which, n: broken(n) if which == name else original(which, n))
+    monkeypatch.setitem(comparison.PRIOR_BOUNDS, name, broken)
+    assert comparison.prior_bound(name, 5) == RadicalBound(broken[0], broken[1] * 5)
     for n in range(2, 200):
         assert comparison.dominance_check(n) is dominance_check_reference(n) is False
 
@@ -693,36 +695,42 @@ def test_radical_decimal_matches_two_path_reference(decimals):
                     rb, decimals, trim), (coef, radicand, trim)
 
 
+def _candidate_fractions(n: int, max_m: int) -> list[tuple[Fraction, str]]:
+    """candidate_values(n, max_m) in the reference's shape, as (Fraction(p, q), kind)."""
+    return [(Fraction(p, q), kind) for p, q, kind in candidate_values(n, max_m)]
+
+
 @pytest.mark.parametrize("max_m", range(2, 13))
 def test_candidate_values_match_reference_on_a_range(max_m):
     for n in range(2, 3001):
-        assert candidate_values(n, max_m) == candidate_values_reference(n, max_m), n
+        values = candidate_values(n, max_m)
+        assert all(gcd(p, q) == 1 and 1 <= q <= max_m for p, q, _ in values), n
+        assert [(Fraction(p, q), kind) for p, q, kind in values] == candidate_values_reference(
+            n, max_m), n
 
 
 def test_candidate_values_match_reference_on_random_n_and_near_squares():
     rng = random.Random(20200817)
     for n in [rng.randint(2, 10**5) for _ in range(500)]:
-        assert candidate_values(n, 7) == candidate_values_reference(n, 7), n
+        assert _candidate_fractions(n, 7) == candidate_values_reference(n, 7), n
     for k in range(2, 300):
         for n in (k * k - 1, k * k, k * k + 1):
-            assert candidate_values(n, 7) == candidate_values_reference(n, 7), n
+            assert _candidate_fractions(n, 7) == candidate_values_reference(n, 7), n
 
 
 @pytest.mark.parametrize("n,max_m", [(2, 2000), (3, 5000)])
 def test_candidate_values_match_reference_at_a_large_key_scale(n, max_m):
-    assert candidate_values(n, max_m) == candidate_values_reference(n, max_m)
+    assert _candidate_fractions(n, max_m) == candidate_values_reference(n, max_m)
 
 
-def test_candidate_values_build_one_fraction_per_listed_value(monkeypatch):
-    built = []
+def test_candidate_values_build_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built")
 
-    def counted(*args):
-        built.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr(bounds, "Fraction", counted)
+    monkeypatch.setattr(bounds, "Fraction", refuse)
     values = candidate_values(99991, 7)
-    assert len(values) > 600 and len(built) == len(values)
+    assert len(values) > 600
+    assert all(type(p) is int and type(q) is int for p, q, _ in values)
 
 
 #: signed p/q with |p| < 60 and q < 40 or a power of ten times 1, 2, 3 or 7,
@@ -732,6 +740,15 @@ DECIMAL_VALUES = sorted(
     | {Fraction(p, c * 10**e) for p in range(-30, 30) for c in (1, 2, 3, 7) for e in range(9)}
     | {Fraction(2 * p + 1, 2 * 10**e) for p in range(-20, 20) for e in range(13)})
 DECIMAL_INTS = [0, 1, -1, 7, -12, 10**6, -(10**20) - 3]
+
+
+@pytest.mark.parametrize("decimals", range(13))
+def test_decimal_core_matches_reference(decimals):
+    for trim in (True, False):
+        for value in DECIMAL_VALUES:
+            p, q = value.numerator, value.denominator
+            assert _decimal(p, q, decimals, trim) == format_decimal_reference(
+                Fraction(p, q), decimals, trim), (value, trim)
 
 
 @pytest.mark.parametrize("decimals", range(13))
