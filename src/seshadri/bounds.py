@@ -25,6 +25,8 @@ This module computes, entirely in exact integer arithmetic:
     computes the cutoff once and builds the certificate objects;
   * the per-multiplicity comparison f(N,m) >= f(N,7) for m >= 8, with a
     complete, certified list of violations where they exist;
+  * one integer core for every witness polynomial and cutoff
+    (_tail_cutoff), which certified_min and check_f7 both call;
   * the exact thresholds from which the minimum settles at m = 4, both
     the analytic (real-inequality) threshold and the sharp ceiling-aware
     one, with integer-polynomial certificates;
@@ -189,20 +191,20 @@ class TailWitness:
     strict: bool
 
 
-def _poly_holds(poly: tuple[int, int, int], strict: bool, m: int) -> bool:
-    a, b, c = poly
-    v = (a * m + b) * m + c
-    return v > 0 if strict else v >= 0
-
-
 #: _tail_cutoff's (poly, strict, cutoff)
 _Tail = tuple[tuple[int, int, int], bool, int]
 
 
 def _tail_cutoff(n: int, p: int, q: int) -> _Tail | None:
-    """(poly, strict, cutoff) of the witness at threshold p/q, or None.
+    """(poly, strict, cutoff) of the TailWitness at threshold p/q, or None.
 
     p/q must be in lowest terms with p >= 0; the arithmetic is all integer.
+    The cutoff is the first m >= max(2, ceil(vertex)) at which poly holds;
+    past the vertex -B/(2A) the upward parabola does not decrease.  poly may
+    hold below the cutoff: at n = 249, p/q = 15 the cutoff is 5, although
+    24m^2 - 219m + 497 > 0 for all m >= 2.  None means that no quadratic
+    certificate exists, which happens exactly when p/q > sqrt(n), or when
+    p/q = sqrt(n) >= 3.
     """
     nq2 = n * q * q
     if p * p > nq2:
@@ -225,30 +227,8 @@ def _tail_cutoff(n: int, p: int, q: int) -> _Tail | None:
     # floor((-b + isqrt(disc)) / 2a) is the floor of the larger root r; poly
     # fails on [ceil(vertex), r) and holds past r
     m = max(2, -(b // (2 * a)), (-b + isqrt(disc)) // (2 * a))
-    return poly, strict, m if _poly_holds(poly, strict, m) else m + 1
-
-
-def tail_cutoff(n: int, threshold: Fraction) -> TailWitness | None:
-    """Certified cutoff for the given threshold, read off the witness poly, or None.
-
-    The integer core _tail_cutoff(n, p, q) does the arithmetic; certified_min
-    calls it directly.  The cutoff is the first m >= max(2, ceil(vertex)) at
-    which poly holds, where the vertex -B/(2A) is the start of the range on
-    which the upward parabola is nondecreasing.  poly may also hold below it:
-    for tail_cutoff(249, Fraction(15)) the cutoff is 5 although
-    24m^2 - 219m + 497 > 0 for every m >= 2.
-
-    None means no quadratic certificate exists at this threshold, which
-    happens exactly when threshold > sqrt(n) (the relevant parabola opens
-    downward), or threshold = sqrt(n) with sqrt(n) >= 3.  A negative
-    threshold raises ValueError.
-    """
-    _require("threshold", threshold, 0)
-    tail = _tail_cutoff(n, threshold.numerator, threshold.denominator)
-    if tail is None:
-        return None
-    poly, strict, cutoff = tail
-    return TailWitness(threshold, cutoff, poly, strict)
+    v = (a * m + b) * m + c
+    return poly, strict, m if (v > 0 if strict else v >= 0) else m + 1
 
 
 @dataclass(frozen=True)
@@ -386,14 +366,15 @@ class F7Report:
                                      exists when f(n,7) > sqrt(n)); nothing is
                                      scanned, so violations is empty and
                                      scanned_to is None.
+
+    violations lists each m with f(n,m) < threshold as (m, f(n,m)).
     """
 
     n: int
     threshold: Fraction  # f(n, 7), in lowest terms
     status: str
-    violations: tuple[tuple[int, Fraction, Fraction], ...]
+    violations: tuple[tuple[int, Fraction], ...]
     scanned_to: int | None
-    tail_witness: TailWitness | None
 
 
 def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
@@ -402,27 +383,28 @@ def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     Where SQRT58_PARAMS holds (exactly, via sqrt_linear_cmp: for n >= 1072)
     the chain f(n,m) >= g(n,m) >= g(n,8) >= g(n,7) + 1/7 >= f(n,7) applies,
     so no scan is needed.  Otherwise the comparison is checked exactly per m, and the
-    tail-domination certificate at threshold f(n,7) bounds the search; where
-    that certificate does not exist or starts past scan_cap, nothing is scanned.
+    tail-domination certificate at threshold f(n,7), whose cutoff _tail_cutoff
+    derives, bounds the search; where that certificate does not exist or
+    starts past scan_cap, nothing is scanned.
     """
     _require("self-intersection", n, 2)
     _require("scan_cap", scan_cap, MIN_SCAN_CAP)
     d7 = d_min(n, 7)
     threshold = Fraction(d7, 7)
     if sqrt_linear_cmp(*SQRT58_PARAMS, n):
-        return F7Report(n, threshold, "holds_analytic", (), None, None)
-    tail = tail_cutoff(n, threshold)
-    if tail is None or tail.cutoff - 1 > scan_cap:
+        return F7Report(n, threshold, "holds_analytic", (), None)
+    tail = _tail_cutoff(n, threshold.numerator, threshold.denominator)
+    if tail is None or tail[2] - 1 > scan_cap:
         # a list of violations up to the cap would be an arbitrary prefix
-        return F7Report(n, threshold, "uncertified", (), None, None)
-    scan_to = max(7, tail.cutoff - 1)
+        return F7Report(n, threshold, "uncertified", (), None)
+    scan_to = max(7, tail[2] - 1)
     violations = tuple(
-        (m, Fraction(dm, m), threshold)
+        (m, Fraction(dm, m))
         for m in range(8, scan_to + 1)
         if 7 * (dm := d_min(n, m)) < d7 * m  # d_min(n,m)/m < d_min(n,7)/7
     )
     status = "counterexamples_complete" if violations else "holds_scanned"
-    return F7Report(n, threshold, status, violations, scan_to, tail)
+    return F7Report(n, threshold, status, violations, scan_to)
 
 
 # ---------------------------------------------------------------------------

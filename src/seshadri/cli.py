@@ -44,10 +44,11 @@ EXIT_DISCREPANCY = 1
 #: most N that census --per-n lists; each one past the analytic threshold costs a ceil_sqrt
 MAX_CENSUS_LISTING = 10**5
 
-#: largest --decimals, and most digits of every integer input: a rendered decimal
-#: then has at most about MAX_DECIMALS + MAX_N_DIGITS/2 digits and a radicand,
-#: certificate coefficient or intersection number about 2*MAX_N_DIGITS, below
-#: Python's default limit of 4300 digits on converting an int to a string
+#: largest --decimals, and most digits of every integer input.  A radicand,
+#: certificate coefficient or intersection number then has about 2*MAX_N_DIGITS
+#: digits, and a rendered decimal about 2*MAX_N_DIGITS + MAX_DECIMALS (a
+#: bielliptic ratio), whose integer part and decimals are converted apart.  Each
+#: conversion stays below Python's default limit of 4300 digits on int to string.
 MAX_DECIMALS = 2000
 MAX_N_DIGITS = 2000
 

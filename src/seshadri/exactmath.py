@@ -70,11 +70,13 @@ def _round_half_away(num: int, den: int) -> int:
 
 
 def _digits_to_str(t: int, decimals: int) -> str:
+    """t/10^decimals with `decimals` digits after the point; the integer part and
+    the decimals are converted apart, each below Python's int-to-str limit."""
     sign = "-" if t < 0 else ""
-    s = str(abs(t)).rjust(decimals + 1, "0")
     if decimals == 0:
-        return sign + s
-    return f"{sign}{s[:-decimals]}.{s[-decimals:]}"
+        return sign + str(abs(t))
+    whole, frac = divmod(abs(t), 10**decimals)
+    return f"{sign}{whole}.{str(frac).rjust(decimals, '0')}"
 
 
 def _trim_exact(text: str) -> str:

@@ -21,7 +21,6 @@ from seshadri.bounds import (
     omega_contains,
     sqrt58_threshold,
     sqrt_linear_threshold,
-    tail_cutoff,
 )
 
 SEED = 20200817
@@ -57,7 +56,6 @@ class TestOmega:
         pytest.param(lambda: d_min(2, 1), "multiplicity must be >= 2, got 1", id="d_min(2, 1)"),
         pytest.param(lambda: d_min(0, 1), "multiplicity must be >= 2, got 1", id="d_min(0, 1)"),
         (lambda: d_min(-3, 2), "self-intersection must be >= 1, got -3"),
-        (lambda: tail_cutoff(5, Fraction(-1, 2)), "threshold must be >= 0, got -1/2"),
     ])
     def test_range_error_messages(self, call, message):
         with pytest.raises(ValueError) as info:
@@ -200,15 +198,14 @@ class TestCertifiedMin:
     def test_tail_cutoff_starts_at_the_vertex(self):
         # 24m^2 - 219m + 497 is positive at every m >= 2, but its vertex
         # 219/48 rounds up to 5, and the cutoff starts there
-        w = tail_cutoff(249, Fraction(15))
-        assert (w.cutoff, w.poly, w.strict) == (5, (24, -219, 497), True)
+        assert bounds._tail_cutoff(249, 15, 1) == ((24, -219, 497), True, 5)
         assert all(24 * m * m - 219 * m + 497 > 0 for m in range(2, 5))
         assert certified_min(249).scanned_to == 4  # 3 with a cutoff below 5
 
     def test_tail_cutoff_impossible_above_sqrt(self):
         # threshold above sqrt(n): parabola opens downward, no certificate
-        assert tail_cutoff(2, Fraction(3, 2)) is None
-        assert tail_cutoff(9, Fraction(3)) is None  # = sqrt(9), p >= 3
+        assert bounds._tail_cutoff(2, 3, 2) is None
+        assert bounds._tail_cutoff(9, 3, 1) is None  # = sqrt(9), p >= 3
 
 
 class TestCheckF7:
@@ -231,11 +228,11 @@ class TestCheckF7:
     def test_n3_certified_counterexamples(self):
         report = check_f7(3, scan_cap=10**4)
         assert report.status == "counterexamples_complete"
-        found = {m for m, _, _ in report.violations}
+        found = {m for m, _ in report.violations}
         assert {9, 10, 13}.issubset(found)
-        for m, value, threshold in report.violations:
+        for m, value in report.violations:
             assert value == Fraction(d_min(3, m), m)
-            assert value < threshold
+            assert value < report.threshold
 
     def test_violation_free_case(self):
         report = check_f7(5, scan_cap=10**4)

@@ -155,6 +155,8 @@ _AT_CAP = str(10**MAX_N_DIGITS - 1)
 @pytest.mark.parametrize("args", [
     ["intersect", "--type", "1", "--c1", f"{_AT_CAP},-{_AT_CAP}", "--c2", f"-{_AT_CAP},{_AT_CAP}"],
     ["ratio", "--type", "1", "--ample", f"{_AT_CAP},{_AT_CAP}", "--curve", f"{_AT_CAP},{_AT_CAP}"],
+    ["ratio", "--type", "1", "--ample", f"{_AT_CAP},{_AT_CAP}", "--curve", f"{_AT_CAP},{_AT_CAP}",
+     "--m", "3", "--decimals", str(MAX_DECIMALS)],
     ["fiber-degrees", "--type", "7", "--class", f"-{_AT_CAP},{_AT_CAP}"],
 ])
 @pytest.mark.parametrize("fmt", ["text", "json"])

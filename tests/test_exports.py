@@ -1,9 +1,12 @@
 """Every exported name resolves on its module and is read by the package or
-the benchmark, and every name the benchmark imports from the package resolves.
+the benchmark, every name the benchmark imports from the package resolves,
+and every layer the benchmark's tracer wraps exists.
 
 A stale __all__ entry otherwise fails only at `from module import *`, a
-name that only tests call stays exported unnoticed, and a name deleted
-from under perfbench/ fails only when the benchmark runs.
+name that only tests call stays exported unnoticed, a name deleted
+from under perfbench/ fails only when the benchmark runs, and a traced
+function deleted from the package reads as an absent layer, 0 in every
+one of its rows, without failing anything.
 """
 
 import ast
@@ -80,3 +83,34 @@ def test_benchmark_imports_are_found():
     imports = {item for path in PERFBENCH.glob("*.py") for item in _package_imports(path)}
     assert {("seshadri.exactmath", "RadicalBound"), ("seshadri.exactmath", "format_decimal"),
             ("seshadri.cli", "cli"), ("seshadri", None)} <= imports
+
+
+#: tracer layers whose function the package no longer has; each reads absent
+#: until the benchmark drops it, and must not come back under the same name
+STALE_LAYERS = {"exactmath.RadicalBound.cmp", "bounds.tail_cutoff"}
+
+
+def _tracer_layers() -> dict[str, tuple[str, str | None]]:
+    """LAYERS of perfbench/tracer.py, read from its source without importing it."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+def _layer_resolves(module_name: str, path: str | None) -> bool:
+    target = importlib.import_module(module_name)
+    for part in path.split(".") if path else ():
+        target = getattr(target, part, None)
+        if target is None:
+            return False
+    return True
+
+
+def test_tracer_layers_resolve_except_the_named_stale_ones():
+    layers = _tracer_layers()
+    unresolved = {name for name, (module, path) in layers.items()
+                  if not _layer_resolves(module, path)}
+    assert unresolved == STALE_LAYERS & layers.keys()

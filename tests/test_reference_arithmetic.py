@@ -9,22 +9,24 @@ isqrt per m, an argmin bitmask) are both held equal to the Fraction
 minimum of d_min(n, m)/m; census, per_n and ceiling_threshold read a
 table of the kernel's results, and their references below call
 lower_bound_small, which shares no arithmetic with the kernel.
-certified_min and tail_cutoff now share the cutoff arithmetic (the
-integer core bounds._tail_cutoff); the reference scan takes its cutoffs
-from tail_cutoff_reference, so it shares none of it.  certified_min wraps
-the integer scan bounds._certified_scan, which verify's agreement sweep
-reads directly; both are held equal to the reference scan.  The core
-stops where the witness of its minimum holds at m + 1, tested in a few
-integer products; certified_scan_reference is the earlier core, which
-took a cutoff from _tail_cutoff at every new minimum and compared it
-with m + 1, and the core is held equal to it.
+certified_min and check_f7 take every witness polynomial and cutoff
+from one integer core, bounds._tail_cutoff; the reference scan takes its
+cutoffs from tail_cutoff_reference, so it shares none of it, and
+check_f7's violation lists are held equal to a brute scan far past the
+cutoff.  certified_min wraps the integer scan bounds._certified_scan,
+which verify's agreement sweep reads directly; both are held equal to
+the reference scan.  The core stops where the witness of its minimum
+holds at m + 1, tested in a few integer products;
+certified_scan_reference is the earlier core, which took a cutoff from
+_tail_cutoff at every new minimum and compared it with m + 1, and the
+core is held equal to it.
 ceiling_threshold takes only the parity and reads the table; its
 reference is the earlier direct scan of lower_bound_small.  census
 tabulates only below the analytic threshold and counts the rest under
 m = 4; its reference is the earlier census, lower_bound_small at every n
 of the range.  A box oracle computes
 the minimum over Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max,
-tail_cutoff and sqrt_linear_threshold are closed forms; their references
+_tail_cutoff and sqrt_linear_threshold are closed forms; their references
 are the earlier searches: a bisection on the defining inequality, a step
 up to the witness polynomial's larger root and back down to its vertex,
 and a gallop plus bisection on sqrt_linear_cmp.  RadicalBound.decimal
@@ -68,11 +70,11 @@ from seshadri.bounds import (
     ceiling_threshold,
     census,
     certified_min,
+    check_f7,
     d_min,
     lower_bound_small,
     m_max,
     sqrt_linear_threshold,
-    tail_cutoff,
 )
 from seshadri.cli import cli
 from seshadri.exactmath import RadicalBound, _decimal, format_decimal, sqrt_linear_cmp
@@ -399,7 +401,7 @@ def test_tail_cutoff_runs_once_per_certificate_and_never_in_the_sweep(monkeypatc
     assert called == [(3, 5, 3)]
 
 
-def test_certified_min_builds_one_witness_and_never_calls_tail_cutoff(monkeypatch):
+def test_certified_min_builds_one_witness(monkeypatch):
     ns, caps = range(2, 3001), (DEFAULT_SCAN_CAP, 8)
     expected = {(n, cap): certified_min_reference(n, cap) for n in ns for cap in caps}
     built = []
@@ -408,10 +410,6 @@ def test_certified_min_builds_one_witness_and_never_calls_tail_cutoff(monkeypatc
         built.append(fields)
         return TailWitness(*fields)
 
-    def no_tail_cutoff(*_):
-        raise AssertionError("certified_min called tail_cutoff")
-
-    monkeypatch.setattr(bounds, "tail_cutoff", no_tail_cutoff)
     monkeypatch.setattr(bounds, "TailWitness", counted_witness)
     for (n, cap), want in expected.items():
         before = len(built)
@@ -649,13 +647,22 @@ def test_m_max_matches_bisection_reference_below_1e40():
         assert m_max(n, d) == m_max_reference(n, d), (n, d)
 
 
+def _tail_as_reference(n: int, threshold: Fraction):
+    """bounds._tail_cutoff at threshold, and tail_cutoff_reference in that
+    (poly, strict, cutoff) shape."""
+    w = tail_cutoff_reference(n, threshold)
+    return (bounds._tail_cutoff(n, threshold.numerator, threshold.denominator),
+            None if w is None else (w.poly, w.strict, w.cutoff))
+
+
 def test_tail_cutoff_matches_search_reference():
     # the running-minimum thresholds d/m near d_min(n, m)/m, and integers
     for n in range(2, 401):
         thresholds = {Fraction(d_min(n, m) + k, m) for m in range(2, 30) for k in range(-2, 3)}
         thresholds.update(Fraction(p) for p in range(1, 30))
         for threshold in thresholds:
-            assert tail_cutoff(n, threshold) == tail_cutoff_reference(n, threshold), (n, threshold)
+            got, want = _tail_as_reference(n, threshold)
+            assert got == want, (n, threshold)
 
 
 def test_tail_cutoff_matches_search_reference_below_1e40():
@@ -665,7 +672,26 @@ def test_tail_cutoff_matches_search_reference_below_1e40():
         root = isqrt(n)
         for threshold in (Fraction(d_min(n, m) + rng.randint(-2, 2), m),
                           Fraction(root), Fraction(root - 1)):
-            assert tail_cutoff(n, threshold) == tail_cutoff_reference(n, threshold), (n, threshold)
+            got, want = _tail_as_reference(n, threshold)
+            assert got == want, (n, threshold)
+
+
+def test_check_f7_lists_every_violation_by_a_brute_scan():
+    # the cutoff check_f7 scans to comes from _tail_cutoff; the brute scan
+    # runs far past it, and the search reference places the cutoff
+    certified, deepest = 0, 0
+    for n in range(2, 1071):
+        report = check_f7(n, 10**5)
+        if report.status == "uncertified":
+            continue
+        certified += 1
+        deepest = max(deepest, report.scanned_to)
+        d7 = d_min(n, 7)
+        brute = [m for m in range(8, 4 * report.scanned_to + 51) if 7 * d_min(n, m) < d7 * m]
+        assert report.violations == tuple((m, Fraction(d_min(n, m), m)) for m in brute), n
+        assert report.status == ("counterexamples_complete" if brute else "holds_scanned"), n
+        assert tail_cutoff_reference(n, report.threshold).cutoff <= report.scanned_to + 1, n
+    assert (certified, deepest) == (1068, 56)
 
 
 def test_sqrt_linear_threshold_matches_search_reference():
