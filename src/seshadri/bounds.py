@@ -27,9 +27,9 @@ This module computes, entirely in exact integer arithmetic:
     complete, certified list of violations where they exist;
   * one integer core for every witness polynomial and cutoff
     (_tail_cutoff), which certified_min and check_f7 both call;
-  * the exact thresholds from which the minimum settles at m = 4, both
-    the analytic (real-inequality) threshold and the sharp ceiling-aware
-    one, with integer-polynomial certificates;
+  * the exact thresholds from which the minimum settles at m = 4: the
+    analytic one, read once per parity off the table SQRT_LINEAR of analytic
+    steps, and the sharp ceiling-aware one, with integer-polynomial certificates;
   * a census classifying each N by the smallest minimizing multiplicity;
   * the merged list of candidate values below sqrt(N), as lowest-terms (p, q).
 
@@ -59,6 +59,11 @@ SMALL_MS_LCM = lcm(*SMALL_MS)
 
 DEFAULT_SCAN_CAP = 10**6
 MIN_SCAN_CAP = 8
+
+#: (p, a, q, b, c) of each p*sqrt(a*N) >= q*sqrt(b*N) + c, with g(N,m) = sqrt(N*(m^2-m+2))/m:
+#: "f7" is g(N,8) >= g(N,7) + 1/7 (check_f7), m is g(N,m) >= g(N,4) + 1/4 (analytic_threshold)
+SQRT_LINEAR = {"f7": (7, 58, 8, 44, 8),
+               **{m: (4, m * m - m + 2, m, 14, m) for m in (2, 3, 5, 6, 7)}}
 
 
 def _require(what: str, value: int, minimum: int) -> None:
@@ -345,9 +350,6 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
 # f(N, m) >= f(N, 7) for m >= 8
 # ---------------------------------------------------------------------------
 
-#: the inequality sqrt(58N)/8 >= sqrt(44N)/7 + 1/7, cleared of denominators
-SQRT58_PARAMS = (7, 58, 8, 44, 8)
-
 
 @dataclass(frozen=True)
 class F7Report:
@@ -380,7 +382,7 @@ class F7Report:
 def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     """Decide f(n,m) >= f(n,7) for all m >= 8, listing every violation.
 
-    Where SQRT58_PARAMS holds (exactly, via sqrt_linear_cmp: for n >= 1072)
+    Where SQRT_LINEAR["f7"] holds (exactly, via sqrt_linear_cmp: for n >= 1072)
     the chain f(n,m) >= g(n,m) >= g(n,8) >= g(n,7) + 1/7 >= f(n,7) applies,
     so no scan is needed.  Otherwise the comparison is checked exactly per m, and the
     tail-domination certificate at threshold f(n,7), whose cutoff _tail_cutoff
@@ -391,7 +393,7 @@ def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     _require("scan_cap", scan_cap, MIN_SCAN_CAP)
     d7 = d_min(n, 7)
     threshold = Fraction(d7, 7)
-    if sqrt_linear_cmp(*SQRT58_PARAMS, n):
+    if sqrt_linear_cmp(*SQRT_LINEAR["f7"], n):
         return F7Report(n, threshold, "holds_analytic", (), None)
     tail = _tail_cutoff(n, threshold.numerator, threshold.denominator)
     if tail is None or tail[2] - 1 > scan_cap:
@@ -540,14 +542,11 @@ def sqrt_linear_threshold(p: int, a: int, q: int, b: int, c: int) -> SqrtLinearT
 
 
 def sqrt58_threshold() -> int:
-    """Smallest integer N with 7*sqrt(58N) >= 8*sqrt(44N) + 8 (exact).
+    """Smallest N with SQRT_LINEAR["f7"], 7*sqrt(58N) >= 8*sqrt(44N) + 8 (exact): 1072.
 
-    This is the threshold from which the analytic tail argument covers all
-    m >= 8 in one stroke; the known value is 1072.
+    From there check_f7's analytic tail argument covers all m >= 8 in one stroke.
     """
-    t = sqrt_linear_threshold(*SQRT58_PARAMS)
-    assert t is not None
-    return t.threshold
+    return sqrt_linear_threshold(*SQRT_LINEAR["f7"]).threshold
 
 
 @dataclass(frozen=True)
@@ -567,18 +566,16 @@ class AnalyticThreshold:
     even_only: bool
 
 
+@cache
 def analytic_threshold(*, even_only: bool = False) -> AnalyticThreshold:
     """Per-m thresholds for g(n,m) >= g(n,4) + 1/4, all m != 4 in 2..7.
 
-    Clearing denominators, the m-th inequality reads
+    Clearing denominators, the m-th inequality is SQRT_LINEAR[m],
     4*sqrt((m^2-m+2)*n) >= m*sqrt(14*n) + m.  Over all integers the max is
-    8775; restricted to even n it is 8776.
+    8775; restricted to even n it is 8776.  Built once per parity: every
+    caller shares per_m and certificates, which none mutates.
     """
-    certs: dict[int, SqrtLinearThreshold] = {}
-    for m in (2, 3, 5, 6, 7):
-        cert = sqrt_linear_threshold(4, m * (m - 1) + 2, m, 14, m)
-        assert cert is not None  # (m-4)^2 > 0 for m != 4
-        certs[m] = cert
+    certs = {m: sqrt_linear_threshold(*SQRT_LINEAR[m]) for m in SMALL_MS if m != 4}
     per_m = {m: c.threshold + (c.threshold % 2 if even_only else 0) for m, c in certs.items()}
     return AnalyticThreshold(max(per_m.values()), per_m, certs, even_only)
 
@@ -646,11 +643,13 @@ def candidate_values(n: int, max_m: int) -> list[tuple[int, int, str]]:
     Each listed pair is reduced by its gcd at the end; no Fraction is built,
     and the integer k is listed as (k, 1, "integer_fiber").
 
-    Raises ValueError, before listing anything, when the pairs and the
-    integers together number more than MAX_CANDIDATES.
+    Raises ValueError, before listing anything, when max_m, or the number
+    of pairs and integers together, exceeds MAX_CANDIDATES.
     """
     _require("self-intersection", n, 2)
     _require("max_m", max_m, 2)
+    if max_m > MAX_CANDIDATES:  # per_m would hold a range per m, listed or not
+        raise ValueError(f"max_m must not exceed {MAX_CANDIDATES}, got {max_m}")
     per_m: list[tuple[int, range]] = []
     total = isqrt(n)
     for m in range(2, max_m + 1):

@@ -24,10 +24,12 @@ after that), or A > 0 and P has no real root (a double root is allowed
 when not strict).  The second case covers cutoff 2 where P is still
 decreasing at 2 but positive everywhere.
 
-check_analytic_threshold(m, cert) takes one entry of the
+check_sqrt_linear(params, cert) takes the certificate {"threshold": t,
+"poly": h} of one inequality p*sqrt(a*n) >= q*sqrt(b*n) + c, with
+params = (p, a, q, b, c) positive integers, such as an entry of the
 certificates.analytic_threshold block that `seshadri verify --format json`
-prints.  With (p, a, q, b, c) = (4, m^2-m+2, m, 14, m), the inequality
-p*sqrt(a*n) >= q*sqrt(b*n) + c, i.e. g(n,m) >= g(n,4) + 1/4, holds iff
+prints, where (p, a, q, b, c) = (4, m^2-m+2, m, 14, m) states
+g(n,m) >= g(n,4) + 1/4.  Squaring twice, the inequality holds iff
 alpha*n >= c^2 and h(n) >= 0, where alpha = p^2*a - q^2*b and
 
   h(n) = alpha^2*n^2 - (2*alpha*c^2 + 4*q^2*c^2*b)*n + c^4
@@ -36,6 +38,16 @@ is the square of alpha*n - c^2 minus 4*q^2*c^2*b*n.  Both conditions
 persist for every n >= t once they hold at t and t is at or past h's
 vertex, so the threshold t is sound; it is the first such n when the
 inequality fails at t - 1.
+
+check_ceiling_threshold(cert, even_only) takes the
+certificates.ceiling_threshold block that `seshadri verify --format json`
+prints: the claim that m = 4 attains min{ceil(sqrt(n*(m^2-m+2)))/m : m in
+2..7} for every n of the parity from threshold on, and at last_failure,
+the n of the parity just below threshold, it does not.  It recomputes the
+six ceilings at every n of the parity in [threshold, scanned_to] and at
+last_failure.  Past scanned_to the claim rests on the analytic
+certificates, whose first n of the parity are analytic_per_m: the scan
+must reach the largest of them.
 """
 
 from math import isqrt
@@ -105,13 +117,14 @@ def check_certified_min(n: int, cert: dict) -> list[str]:
     return problems
 
 
-def check_analytic_threshold(m: int, cert: dict, even_first: int | None = None) -> list[str]:
-    """The checks that cert fails as the analytic threshold certificate of m.
+def check_sqrt_linear(params: tuple[int, int, int, int, int], cert: dict,
+                      even_first: int | None = None) -> list[str]:
+    """The checks that cert fails as the threshold certificate of params.
 
     even_first, when given, is the first even n of that inequality's truth
     set, as printed under certificates.ceiling_threshold.analytic_per_m.
     """
-    p, a, q, b, c = 4, m * m - m + 2, m, 14, m
+    p, a, q, b, c = params
     alpha = p * p * a - q * q * b
     h = (alpha * alpha, -(2 * alpha * c * c + 4 * q * q * c * c * b), c**4)
     t = cert["threshold"]
@@ -121,7 +134,7 @@ def check_analytic_threshold(m: int, cert: dict, even_first: int | None = None) 
 
     problems = []
     if tuple(cert["poly"]) != h:
-        problems.append("poly is not h of (4, m^2-m+2, m, 14, m)")
+        problems.append("poly is not h of (p, a, q, b, c)")
     if not holds(t):
         problems.append("inequality fails at threshold")
     if 2 * h[0] * t + h[1] < 0:
@@ -130,4 +143,34 @@ def check_analytic_threshold(m: int, cert: dict, even_first: int | None = None) 
         problems.append("inequality holds at threshold - 1")
     if even_first is not None and even_first != t + t % 2:
         problems.append("even threshold is not the first even n from threshold")
+    return problems
+
+
+def _four_attains_the_minimum(n: int) -> bool:
+    d4 = _ceil_sqrt(14 * n)
+    return all(d4 * m <= _ceil_sqrt(n * (m * m - m + 2)) * 4 for m in (2, 3, 5, 6, 7))
+
+
+def check_ceiling_threshold(cert: dict, even_only: bool) -> list[str]:
+    """The checks that cert fails as the ceiling threshold of the parity."""
+    step = 2 if even_only else 1
+    threshold, last_failure = cert["threshold"], cert["last_failure"]
+    scanned_to = cert["scanned_to"]
+    problems = []
+    if threshold % step or threshold < 2:
+        problems.append("threshold is not an n >= 2 of the parity")
+    if last_failure is None:
+        if threshold != 2:
+            problems.append("no last failure, but the threshold is not 2")
+    else:
+        if last_failure != threshold - step:
+            problems.append("last failure is not the n of the parity before the threshold")
+        if _four_attains_the_minimum(last_failure):
+            problems.append("m = 4 attains the minimum at the last failure")
+    if scanned_to + 1 < max(cert["analytic_per_m"].values()):
+        problems.append("scan stops before the analytic threshold")
+    failures = [n for n in range(threshold, scanned_to + 1, step)
+                if not _four_attains_the_minimum(n)]
+    if failures:
+        problems.append(f"m = 4 does not attain the minimum at n = {failures[0]}")
     return problems

@@ -299,6 +299,10 @@ class TestThresholds:
     def test_sqrt58(self):
         assert sqrt58_threshold() == 1072
 
+    def test_every_sqrt_linear_entry_has_a_threshold(self):
+        for name, params in bounds.SQRT_LINEAR.items():
+            assert sqrt_linear_threshold(*params) is not None, name
+
     def test_sqrt_linear_threshold_none_when_unreachable(self):
         assert sqrt_linear_threshold(1, 4, 1, 4, 1) is None
 
@@ -393,7 +397,7 @@ class TestCandidateValues:
 
     def test_output_is_bounded_before_listing(self):
         # about 2.45*sqrt(n) pairs and integers: 10^9 fits, 10^10 and 10^20 do
-        # not, and n = 2 with max_m = 10^9 stops after about 1.4*10^5 multiplicities
+        # not, and max_m = 10^9 is past the cap before any multiplicity is listed
         assert 60000 < len(candidate_values(10**9, 7)) <= MAX_CANDIDATES
         for n, max_m in ((10**10, 7), (10**20, 7), (2, 10**9)):
             with pytest.raises(ValueError, match="exceed"):

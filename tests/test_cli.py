@@ -124,6 +124,8 @@ class TestBound:
     ["bound", "--n", "9" * (MAX_N_DIGITS - 1) + "x"],
     ["candidates", "--n", "9" * MAX_N_DIGITS],
     ["table", "--ns", "-" + "9" * MAX_N_DIGITS],
+    # at N = 4 no (d, m) pair lies below sqrt(N): the refusal is on max_m itself
+    ["candidates", "--n", "4", "--max-m", str(bounds.MAX_CANDIDATES + 1)],
 ])
 def test_bad_numeric_input_is_a_usage_error(args):
     result = run(*args)

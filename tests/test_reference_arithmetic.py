@@ -55,7 +55,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certcheck import check_analytic_threshold
+from certcheck import check_sqrt_linear
 from seshadri import bounds, comparison, verify
 from seshadri.bounds import (
     DEFAULT_SCAN_CAP,
@@ -545,8 +545,32 @@ def test_census_never_brute_forces_past_its_rechecked_analytic_threshold(
     for m, cert in analytic.certificates.items():
         printed = {"threshold": cert.threshold, "poly": list(cert.poly)}
         even_first = analytic.per_m[m] if even_only else None
-        assert check_analytic_threshold(m, printed, even_first) == [], m
+        assert check_sqrt_linear((4, m * m - m + 2, m, 14, m), printed, even_first) == [], m
         assert even_only or analytic.per_m[m] == cert.threshold
+
+
+def test_analytic_thresholds_are_derived_once_per_parity(monkeypatch, fresh_small_table):
+    # the first census or ceiling_threshold of each parity derives the five
+    # per-m certificates; every later one, of either kind, derives none
+    called, derive = [], bounds.sqrt_linear_threshold
+
+    def counted(*params):
+        called.append(params)
+        return derive(*params)
+
+    monkeypatch.setattr(bounds, "sqrt_linear_threshold", counted)
+    per_m = [bounds.SQRT_LINEAR[m] for m in (2, 3, 5, 6, 7)]
+    census(2, 10**6, even_only=True)
+    ceiling_threshold(even_only=True)
+    assert called == per_m
+    ceiling_threshold(even_only=False)
+    census(2, 10**6, even_only=False)
+    assert called == per_m * 2
+    called.clear()
+    for even_only in (True, False):
+        census(3, 10**9, even_only=even_only).per_n
+        ceiling_threshold(even_only=even_only)
+    assert called == []
 
 
 def test_verify_evaluates_each_n_below_the_threshold_once(monkeypatch, fresh_small_table):
@@ -700,6 +724,7 @@ def test_sqrt_linear_threshold_matches_search_reference():
     rng = random.Random(20200817)
     grid += [(rng.randint(1, 50), rng.randint(1, 10**4), rng.randint(1, 50),
               rng.randint(1, 10**4), rng.randint(1, 100)) for _ in range(300)]
+    grid += bounds.SQRT_LINEAR.values()
     for params in grid:
         assert sqrt_linear_threshold(*params) == sqrt_linear_threshold_reference(*params), params
 
