@@ -424,11 +424,11 @@ class CensusReport:
 
     per_n holds the n below analytic.threshold.  Past it f(n,m) >= g(n,m) >=
     g(n,4) + 1/4 > f(n,4) for m != 4, so the rest is counted under m = 4.
+    The parity of the examined n is analytic.even_only.
     """
 
     start: int
     stop: int
-    even_only: bool
     counts: dict[int, int]
     n_examined: int
     analytic: AnalyticThreshold = field(repr=False)
@@ -436,7 +436,7 @@ class CensusReport:
     @cached_property
     def per_n(self) -> dict[int, SmallBound]:
         """The exact bound of every examined n below the threshold, read off the shared table."""
-        step = 2 if self.even_only else 1
+        step = 2 if self.analytic.even_only else 1
         stop = min(self.stop, self.analytic.threshold - 1)
         nums, masks = _small_table()
         return {n: SmallBound(n, Fraction(nums[n], SMALL_MS_LCM),
@@ -446,7 +446,7 @@ class CensusReport:
     def listing(self) -> Iterator[SmallBound]:
         """Every examined n in order: per_n, then the tail at one ceil_sqrt per n."""
         yield from self.per_n.values()
-        step = 2 if self.even_only else 1
+        step = 2 if self.analytic.even_only else 1
         first = max(self.start, self.analytic.threshold)
         for n in range(first + first % step, self.stop + 1, step):
             yield SmallBound(n, Fraction(d_min(n, 4), 4), frozenset({4}))
@@ -491,7 +491,7 @@ def census(start: int, stop: int, *, even_only: bool = True) -> CensusReport:
     counts = Counter({m: prefix[hi] - prefix[lo]
                       for m, prefix in _argmin_prefix_counts(even_only).items()})
     counts += Counter({4: tail})
-    return CensusReport(start, stop, even_only, dict(sorted(counts.items())),
+    return CensusReport(start, stop, dict(sorted(counts.items())),
                         census_size(start, stop, even_only=even_only), analytic)
 
 

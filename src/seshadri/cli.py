@@ -358,7 +358,7 @@ def _candidate_rows(r: dict) -> list[list[str]]:
 def census(start: int, stop: int, include_odd: bool, verbose: bool, fmt: str) -> None:
     """Classify each N by the smallest minimizing multiplicity."""
     size = bounds.census_size(start, stop, even_only=not include_odd)
-    if verbose and size > MAX_CENSUS_LISTING:
+    if verbose and start >= 2 and size > MAX_CENSUS_LISTING:
         raise click.UsageError(
             f"--per-n lists at most {MAX_CENSUS_LISTING} N, and the range has more")
     try:
@@ -367,7 +367,7 @@ def census(start: int, stop: int, include_odd: bool, verbose: bool, fmt: str) ->
         raise click.UsageError(_short(str(exc)))
     report = {
         "command": "census",
-        "inputs": {"from": start, "to": stop, "even_only": result.even_only},
+        "inputs": {"from": start, "to": stop, "even_only": result.analytic.even_only},
         "counts": {str(k): v for k, v in result.counts.items()},
         "n_examined": result.n_examined,
     }
@@ -479,7 +479,7 @@ def verify(agreement_to: int, scan_cap: int, fmt: str) -> None:
             },
             "analytic_threshold": {
                 m: {"threshold": c.threshold, "poly": list(c.poly)}
-                for m, c in result.analytic.certificates.items()
+                for m, c in ceiling.analytic.certificates.items()
             },
         },
     }, _verify_text)

@@ -17,8 +17,8 @@ p^2*k/q^2 against a rational's square or another radical's.  The chain
                  >= 0.93*sqrt(N) > sqrt(7/9)*sqrt(N)
 
 holds link by link for every m in 2..7 and every N >= 2 (the last link
-strictly for every N >= 1); dominance_check verifies it in integer
-arithmetic for a given N.
+strictly for every N >= 1); dominance_check, its one owner, verifies it in
+integer arithmetic for a given N, and comparison_table asks it per row.
 
 The eight-row comparison table is regenerated from the exact values.  Two
 of the sixteen prior-bound cells as printed in the source table disagree
@@ -80,20 +80,16 @@ def _prior_square(name: str, n: int) -> tuple[int, int]:
 def comparison_table(ns: list[int]) -> list[TableRow]:
     """One row per n: the two prior bounds and the new minimum.
 
-    The new bound is checked exactly (not at rendered precision) to
-    dominate both prior columns; a violation would falsify the dominance
-    chain and raises.
+    Each row is guarded by dominance_check(n), so every link of the chain
+    is checked exactly (not at rendered precision), the unprinted ssz_7_9
+    link included; a violation raises.
     """
     rows = []
     for n in ns:
-        small = lower_bound_small(n)
-        abelian = prior_bound("abelian_7_8", n)
-        hr = prior_bound("hr_093", n)
-        v_num, v_den = small.value.numerator ** 2, small.value.denominator ** 2
-        if any(v_num * den < num * v_den
-               for num, den in (_prior_square(name, n) for name in ("abelian_7_8", "hr_093"))):
+        if not dominance_check(n):
             raise AssertionError(f"dominance chain violated at n={n}")
-        rows.append(TableRow(n, abelian, hr, small))
+        rows.append(TableRow(n, prior_bound("abelian_7_8", n), prior_bound("hr_093", n),
+                             lower_bound_small(n)))
     return rows
 
 

@@ -62,21 +62,13 @@ def sqrt_linear_cmp(p: int, a: int, q: int, b: int, c: int, n: int) -> bool:
     return d * d >= 4 * q * q * c * c * b * n
 
 
-def _round_half_away(num: int, den: int) -> int:
-    """round(num/den) with ties away from zero, den > 0."""
-    if num >= 0:
-        return (2 * num + den) // (2 * den)
-    return -((-2 * num + den) // (2 * den))
-
-
 def _digits_to_str(t: int, decimals: int) -> str:
-    """t/10^decimals with `decimals` digits after the point; the integer part and
-    the decimals are converted apart, each below Python's int-to-str limit."""
-    sign = "-" if t < 0 else ""
+    """t/10^decimals for t >= 0, with `decimals` digits after the point; the integer
+    part and the decimals are converted apart, each below Python's int-to-str limit."""
     if decimals == 0:
-        return sign + str(abs(t))
-    whole, frac = divmod(abs(t), 10**decimals)
-    return f"{sign}{whole}.{str(frac).rjust(decimals, '0')}"
+        return str(t)
+    whole, frac = divmod(t, 10**decimals)
+    return f"{whole}.{str(frac).rjust(decimals, '0')}"
 
 
 def _trim_exact(text: str) -> str:
@@ -86,13 +78,14 @@ def _trim_exact(text: str) -> str:
 
 
 def _decimal(p: int, q: int, decimals: int, trim: bool) -> str:
-    """format_decimal's arithmetic on p/q, not necessarily in lowest terms; q > 0."""
-    scale = 10**decimals
-    t = _round_half_away(p * scale, q)
+    """format_decimal's arithmetic on p/q, not necessarily in lowest terms; q > 0.
+    It rounds |p|/q to t and owns the sign: "-" only when p < 0 and t != 0."""
+    a, scale = abs(p), 10**decimals
+    t = (2 * a * scale + q) // (2 * q)
     text = _digits_to_str(t, decimals)
-    if trim and t * q == p * scale:
+    if trim and t * q == a * scale:
         text = _trim_exact(text)
-    return text
+    return "-" + text if p < 0 and t else text
 
 
 def format_decimal(value: Fraction, decimals: int = 4, trim: bool = True) -> str:
@@ -101,9 +94,9 @@ def format_decimal(value: Fraction, decimals: int = 4, trim: bool = True) -> str
     Rounds to nearest with ties away from zero.  With trim=True a value
     that is exactly representable within `decimals` digits is printed
     minimally (47/5 -> "9.4", 3 -> "3"); non-terminating values keep all
-    digits (4/3 -> "1.3333").  For value = p/q and the rounded t, the value
-    is exact iff t/10^decimals == p/q, tested as t*q == p*10^decimals in
-    the integer core _decimal.
+    digits (4/3 -> "1.3333").  For value = p/q and t, |p|/q rounded, the
+    value is exact iff t/10^decimals == |p|/q, tested as t*q == |p|*10^decimals
+    in the integer core _decimal.
     """
     if decimals < 0:
         raise ValueError("decimals must be >= 0")

@@ -35,11 +35,10 @@ class Check:
 
 @dataclass(frozen=True)
 class Verification:
-    """The checks plus the threshold results behind their certificates."""
+    """The checks plus the even-N ceiling threshold; ceiling.analytic holds the certificates."""
 
     checks: list[Check]
     ceiling: bounds.CeilingThreshold
-    analytic: bounds.AnalyticThreshold
 
 
 def agreement_sweep(stop: int) -> tuple[list[int], list[int]]:
@@ -120,4 +119,4 @@ def run(agreement_to: int, scan_cap: int) -> Verification:
               f"ceiling threshold over all integers: {all_int_ceiling.threshold} "
               f"(last failure N={all_int_ceiling.last_failure})"),
     ]
-    return Verification(checks, ceiling, analytic)
+    return Verification(checks, ceiling)

@@ -5,14 +5,15 @@ from seshadri import bounds
 
 @pytest.fixture
 def fresh_small_table():
-    """Empty the per-process six-term table, the prefix counts built from it
-    and the analytic thresholds, before and after the test, so a patched
-    bounds._small_min or bounds.sqrt_linear_threshold builds them and never
-    leaks into another test."""
+    """Empty every cache of seshadri.bounds, before and after the test, so a
+    patched bounds._small_min or bounds.sqrt_linear_threshold builds them and
+    never leaks into another test.  The caches are found as the objects of the
+    module with cache_clear (today the six-term table, the prefix counts built
+    from it and the analytic thresholds), so a cache added later is cleared too."""
     def clear():
-        bounds._small_table.cache_clear()
-        bounds._argmin_prefix_counts.cache_clear()
-        bounds.analytic_threshold.cache_clear()
+        for obj in vars(bounds).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
     clear()
     yield

@@ -249,6 +249,9 @@ class TestCensus:
             ["8774", "8776", "8778"]
         assert run("census", "--from", "8773", "--to", "8780", "--per-n").exit_code == 2
         assert run("census", "--from", "8773", "--to", "8780").exit_code == 0
+        # an invalid start is named as such, not as a listing over the cap
+        assert "census needs 2 <= start <= stop, got [1, 8780]" in \
+            run("census", "--from", "1", "--to", "8780", "--per-n").output
 
 
 class TestTable:

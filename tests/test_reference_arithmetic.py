@@ -434,6 +434,8 @@ def test_dominance_check_matches_reference_on_broken_chains(monkeypatch, name, b
     assert comparison.prior_bound(name, 5) == RadicalBound(broken[0], broken[1] * 5)
     for n in range(2, 200):
         assert comparison.dominance_check(n) is dominance_check_reference(n) is False
+    with pytest.raises(AssertionError, match="dominance chain violated"):
+        comparison.comparison_table([5])
 
 
 def analytic_per_m_reference(step: int) -> dict[int, int]:
