@@ -29,9 +29,9 @@ dropped, so callers state singular points explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 __all__ = [
     "DivisorClass",
@@ -49,22 +49,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurfaceKind:
-    """One of the seven numerical types of bielliptic surfaces."""
+class SurfaceKind(NamedTuple("SurfaceKind", [("type_index", int), ("group", str),
+                                               ("group_order", int),  # gamma = |G|
+                                               ("fiber_multiplicities", tuple[int, ...])])):
+    """One of the seven numerical types of bielliptic surfaces; __new__ checks its data."""
 
-    type_index: int
-    group: str
-    group_order: int  # gamma = |G|
-    fiber_multiplicities: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, type_index: int, group: str, group_order: int,
+                fiber_multiplicities: tuple[int, ...]) -> SurfaceKind:
+        self = super().__new__(cls, type_index, group, group_order, fiber_multiplicities)
         if not 1 <= self.type_index <= 7:
             raise ValueError(f"type index must be 1..7, got {self.type_index}")
         if self.group_order % self.mu:
             raise AssertionError("corrupted surface data: gamma/mu not integral")
         if self.basis_f_factor not in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
             raise AssertionError("corrupted surface data: mu/gamma not in {1, 1/2, 1/3}")
+        return self
 
     @property
     def mu(self) -> int:
@@ -102,8 +103,7 @@ def surface_kind(type_index: int) -> SurfaceKind:
     return SURFACE_KINDS[type_index - 1]
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """Integer coordinates (a, b) w.r.t. the basis (E/mu, (mu/gamma) F)."""
 
     a: int

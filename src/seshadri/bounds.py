@@ -44,11 +44,11 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .exactmath import ceil_sqrt, sqrt_linear_cmp
 
@@ -102,8 +102,7 @@ def m_max(n: int, d: int) -> int | None:
     return m if m >= 2 else None
 
 
-@dataclass(frozen=True)
-class SmallBound:
+class SmallBound(NamedTuple):
     """min{ d_min(n,m)/m : m in 2..7 } and the multiplicities attaining it."""
 
     n: int
@@ -169,8 +168,7 @@ def _small_table() -> tuple[array, array]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailWitness:
+class TailWitness(NamedTuple):
     """Witness that d_min(n,m)/m >= threshold for every m >= cutoff.
 
     poly holds (A, B, C) with the guarantee that A*m^2 + B*m + C > 0
@@ -236,8 +234,7 @@ def _tail_cutoff(n: int, p: int, q: int) -> _Tail | None:
     return poly, strict, m if (v > 0 if strict else v >= 0) else m + 1
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Result of a certified minimum of d_min(n,m)/m over all m >= 2.
 
     value is the minimum over the scanned range [2, scanned_to]; when
@@ -351,8 +348,7 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class F7Report:
+class F7Report(NamedTuple):
     """Outcome of checking f(n,m) >= f(n,7) for all m >= 8.
 
     status:
@@ -414,28 +410,28 @@ def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Classification of each examined n under its smallest minimizing m.
 
     Ties are credited to the smallest attaining multiplicity; this is the
     convention that reproduces the published occurrence counts (n=4 under
     m=2, n=2 -- where 3 and 6 tie -- under m=3).
 
-    per_n holds the n below analytic.threshold.  Past it f(n,m) >= g(n,m) >=
-    g(n,4) + 1/4 > f(n,4) for m != 4, so the rest is counted under m = 4.
-    The parity of the examined n is analytic.even_only.
+    per_n lists the n below analytic.threshold; it is computed on each
+    read, in O(range).  Past the threshold f(n,m) >= g(n,m) >= g(n,4) + 1/4
+    > f(n,4) for m != 4, so the rest is counted under m = 4.  The parity of
+    the examined n is analytic.even_only.
     """
 
     start: int
     stop: int
     counts: dict[int, int]
     n_examined: int
-    analytic: AnalyticThreshold = field(repr=False)
+    analytic: AnalyticThreshold
 
-    @cached_property
+    @property
     def per_n(self) -> dict[int, SmallBound]:
-        """The exact bound of every examined n below the threshold, read off the shared table."""
+        """Exact bounds of the examined n below the threshold, built on each read in O(range)."""
         step = 2 if self.analytic.even_only else 1
         stop = min(self.stop, self.analytic.threshold - 1)
         nums, masks = _small_table()
@@ -500,8 +496,7 @@ def census(start: int, stop: int, *, even_only: bool = True) -> CensusReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SqrtLinearThreshold:
+class SqrtLinearThreshold(NamedTuple):
     """Smallest n from which p*sqrt(a*n) >= q*sqrt(b*n) + c holds for good.
 
     The truth set in n is a final segment whenever p^2*a > q^2*b: with
@@ -549,8 +544,7 @@ def sqrt58_threshold() -> int:
     return sqrt_linear_threshold(*SQRT_LINEAR["f7"]).threshold
 
 
-@dataclass(frozen=True)
-class AnalyticThreshold:
+class AnalyticThreshold(NamedTuple):
     """max over m in {2,3,5,6,7} of the first n with g(n,m) >= g(n,4) + 1/4.
 
     g(n,m) = sqrt(n*(2+m(m-1)))/m.  Past the max threshold the minimum of
@@ -580,8 +574,7 @@ def analytic_threshold(*, even_only: bool = False) -> AnalyticThreshold:
     return AnalyticThreshold(max(per_m.values()), per_m, certs, even_only)
 
 
-@dataclass(frozen=True)
-class CeilingThreshold:
+class CeilingThreshold(NamedTuple):
     """Sharp first n from which min{d_min(n,m)/m : m in 2..7} = d_min(n,4)/4.
 
     Certification: the shared table's exact ceilings up to the analytic

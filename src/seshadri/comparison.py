@@ -31,8 +31,8 @@ rather than silently matching either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import SMALL_MS, SmallBound, d_min, lower_bound_small
 from .exactmath import RadicalBound, format_decimal
@@ -58,8 +58,7 @@ def prior_bound(name: str, n: int) -> RadicalBound:
     return RadicalBound(coef, c * n)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     n: int
     abelian_7_8: RadicalBound
     hr_093: RadicalBound
@@ -144,8 +143,7 @@ KNOWN_TABLE_ERRATA = {
 }
 
 
-@dataclass(frozen=True)
-class CellDiscrepancy:
+class CellDiscrepancy(NamedTuple):
     n: int
     column: str
     printed: str

@@ -10,8 +10,9 @@ one the threshold computations need:
 
 It is decided by squaring with exact sign handling, so boundary cases
 (perfect squares, exact ties) are resolved by integer identities.
-RadicalBound holds a value c*sqrt(n) for display only: it has no order,
-and comparisons against it go through its coefficient and radicand.
+RadicalBound holds a value c*sqrt(n) for display only: it is a tuple that
+refuses order, and comparisons against it go through its coefficient and
+radicand.
 
 Decimal rendering is display-only: round to nearest, ties away from zero,
 at a fixed number of digits.  Values that are exactly representable in at
@@ -23,8 +24,8 @@ back into any computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "RadicalBound",
@@ -105,24 +106,28 @@ def format_decimal(value: Fraction, decimals: int = 4, trim: bool = True) -> str
     return _decimal(value.numerator, value.denominator, decimals, trim)
 
 
-@dataclass(frozen=True)
-class RadicalBound:
+class RadicalBound(NamedTuple("RadicalBound", [("coef", Fraction), ("radicand", int)])):
     """The real number coef * sqrt(radicand), held exactly for display.
 
-    coef is a non-negative rational, radicand a non-negative integer.
-    Equality is field-wise; the class defines no order.
+    coef is a non-negative rational, coerced to Fraction, and radicand a
+    non-negative integer.  A tuple that refuses order: equality and hashing
+    are field-wise, and <, <=, > and >= raise TypeError, even against a tuple.
     """
 
-    coef: Fraction
-    radicand: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.coef) is not Fraction:
-            object.__setattr__(self, "coef", Fraction(self.coef))
+    def __new__(cls, coef: Fraction, radicand: int) -> RadicalBound:
+        self = super().__new__(cls, coef if type(coef) is Fraction else Fraction(coef), radicand)
         if self.coef.numerator < 0:
             raise ValueError(f"RadicalBound coefficient must be >= 0, got {self.coef}")
-        if self.radicand < 0:
-            raise ValueError(f"RadicalBound radicand must be >= 0, got {self.radicand}")
+        if radicand < 0:
+            raise ValueError(f"RadicalBound radicand must be >= 0, got {radicand}")
+        return self
+
+    def __lt__(self, other):  # raising, not NotImplemented: a plain tuple would order it
+        raise TypeError("RadicalBound defines no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def decimal(self, decimals: int = 4, trim: bool = True) -> str:
         """Rounded rendering (nearest, ties away from zero), exactly computed.

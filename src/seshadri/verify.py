@@ -14,7 +14,7 @@ long sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounds, comparison
 
@@ -24,8 +24,7 @@ __all__ = ["Check", "Verification", "agreement_sweep", "f7_survey", "run"]
 EXPECTED_CENSUS = {2: 1, 3: 59, 4: 4656, 5: 274, 6: 9, 7: 1}
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One check: passed is True/False when anchored, None for an investigation."""
 
     name: str
@@ -33,8 +32,7 @@ class Check:
     detail: str
 
 
-@dataclass(frozen=True)
-class Verification:
+class Verification(NamedTuple):
     """The checks plus the even-N ceiling threshold; ceiling.analytic holds the certificates."""
 
     checks: list[Check]

@@ -8,6 +8,7 @@ import pytest
 from seshadri.bielliptic import (
     SURFACE_KINDS,
     DivisorClass,
+    SurfaceKind,
     class_of_E,
     class_of_F,
     fiber_degrees,
@@ -56,6 +57,14 @@ class TestSurfaceData:
         for bad in (0, 8, -1):
             with pytest.raises(ValueError):
                 surface_kind(bad)
+
+    def test_constructor_refuses_inconsistent_data(self):
+        with pytest.raises(ValueError, match="type index must be 1..7"):
+            SurfaceKind(8, "Z2", 2, (2, 2, 2, 2))
+        with pytest.raises(AssertionError, match="gamma/mu not integral"):
+            SurfaceKind(1, "Z2", 3, (2, 2, 2, 2))
+        with pytest.raises(AssertionError, match="mu/gamma not in"):  # mu/gamma = 1/4
+            SurfaceKind(1, "Z2", 8, (2, 2, 2, 2))
 
 
 def _random_class(rng: random.Random) -> DivisorClass:

@@ -95,6 +95,10 @@ class TestRadicalBound:
         assert RadicalBound(Fraction(1, 2), 4) != RadicalBound(Fraction(1), 1)
         with pytest.raises(TypeError):
             RadicalBound(Fraction(1), 2) < RadicalBound(Fraction(1), 3)
+        with pytest.raises(TypeError):
+            RadicalBound(Fraction(1), 2) <= (Fraction(1), 3)
+        with pytest.raises(TypeError):
+            (Fraction(1), 3) > RadicalBound(Fraction(1), 2)
 
 
 class TestSqrtLinearCmp:

@@ -7,13 +7,22 @@ name that only tests call stays exported unnoticed, a name deleted
 from under perfbench/ fails only when the benchmark runs, and a traced
 function deleted from the package reads as an absent layer, 0 in every
 one of its rows, without failing anything.
+
+The package's records are immutable values with field-wise equality, and
+none is a dataclass, whose generated methods are compiled at import.
 """
 
 import ast
+import copy
+import dataclasses
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import seshadri
+from seshadri import bielliptic, bounds, comparison, verify
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 PACKAGE = Path(__file__).parent.parent / "src" / "seshadri"
@@ -114,3 +123,51 @@ def test_tracer_layers_resolve_except_the_named_stale_ones():
     unresolved = {name for name, (module, path) in layers.items()
                   if not _layer_resolves(module, path)}
     assert unresolved == STALE_LAYERS & layers.keys()
+
+
+#: (record, a real call that returns one, one of its fields)
+RECORDS = [
+    ("SmallBound", lambda: bounds.lower_bound_small(2), "value"),
+    ("BoundCertificate", lambda: bounds.certified_min(2), "value"),
+    ("TailWitness", lambda: bounds.certified_min(2).tail_witness, "cutoff"),
+    ("F7Report", lambda: bounds.check_f7(2), "status"),
+    ("CensusReport", lambda: bounds.census(2, 100), "counts"),
+    ("SqrtLinearThreshold", lambda: bounds.analytic_threshold().certificates[2], "threshold"),
+    ("AnalyticThreshold", lambda: bounds.analytic_threshold(), "threshold"),
+    ("CeilingThreshold", lambda: bounds.ceiling_threshold(), "threshold"),
+    ("Check", lambda: verify.run(2, 8).checks[0], "passed"),
+    ("Verification", lambda: verify.run(2, 8), "checks"),
+    ("TableRow", lambda: comparison.comparison_table([2])[0], "new_bound"),
+    ("CellDiscrepancy", lambda: comparison.table_vs_printed()[0], "computed"),
+    ("RadicalBound", lambda: comparison.prior_bound("hr_093", 5), "coef"),
+    ("SurfaceKind", lambda: bielliptic.surface_kind(1), "group_order"),
+    ("DivisorClass", lambda: bielliptic.class_of_E(bielliptic.surface_kind(1)), "a"),
+]
+
+
+@pytest.mark.parametrize("name, make, field", RECORDS, ids=[r[0] for r in RECORDS])
+def test_records_are_immutable_values(name, make, field):
+    record = make()
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.not_a_field = 0
+    twin = copy.copy(record)
+    assert twin == record
+    try:
+        assert hash(twin) == hash(record)
+    except TypeError:  # a dict or list field makes the record unhashable
+        pass
+    assert repr(record).startswith(f"{name}(")
+
+
+def test_no_record_is_a_dataclass():
+    modules = [seshadri] + [importlib.import_module(f"seshadri.{info.name}")
+                            for info in pkgutil.iter_modules(seshadri.__path__)]
+    found = [f"{module.__name__}.{name}" for module in modules
+             for name, obj in vars(module).items()
+             if isinstance(obj, type) and obj.__module__ == module.__name__
+             and dataclasses.is_dataclass(obj)]
+    assert found == [], ("a frozen dataclass compiles six methods at import, about 1 ms "
+                         f"of every CLI start each; make these NamedTuples: {found}")
