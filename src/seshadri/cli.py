@@ -22,7 +22,6 @@ discrepancy, counterexample or uncertified result; 2 usage error.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import re
@@ -116,6 +115,7 @@ def _emit(fmt: str, report: dict, text: Callable, csv_table: Callable | None = N
     if fmt == "json":
         click.echo(_json({**SCHEMA_DEFAULTS, **report}))
     elif fmt == "csv":
+        import csv  # only CSV output needs it; every other start skips its import
         header, rows = csv_table(report)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

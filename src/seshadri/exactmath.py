@@ -17,8 +17,9 @@ radicand.
 Decimal rendering is display-only: round to nearest, ties away from zero,
 at a fixed number of digits.  Values that are exactly representable in at
 most that many decimal digits are printed minimally ("9.4", "3"); all
-others keep the full digit count ("2.2780").  Rendered strings never feed
-back into any computation.
+others keep the full digit count ("2.2780").  One integer core, _decimal,
+rounds, trims and spells rationals and radicals alike.  Rendered strings
+never feed back into any computation.
 """
 
 from __future__ import annotations
@@ -63,29 +64,36 @@ def sqrt_linear_cmp(p: int, a: int, q: int, b: int, c: int, n: int) -> bool:
     return d * d >= 4 * q * q * c * c * b * n
 
 
-def _digits_to_str(t: int, decimals: int) -> str:
-    """t/10^decimals for t >= 0, with `decimals` digits after the point; the integer
-    part and the decimals are converted apart, each below Python's int-to-str limit."""
-    if decimals == 0:
-        return str(t)
-    whole, frac = divmod(t, 10**decimals)
-    return f"{whole}.{str(frac).rjust(decimals, '0')}"
+def _decimal(p: int, q: int, decimals: int, trim: bool, radicand: int = 1) -> str:
+    """Render (p/q) * sqrt(radicand), rounded to nearest with ties away from zero;
+    q > 0, radicand >= 0, p/q not necessarily in lowest terms.
 
-
-def _trim_exact(text: str) -> str:
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text
-
-
-def _decimal(p: int, q: int, decimals: int, trim: bool) -> str:
-    """format_decimal's arithmetic on p/q, not necessarily in lowest terms; q > 0.
-    It rounds |p|/q to t and owns the sign: "-" only when p < 0 and t != 0."""
+    With a = |p| and S = 10^decimals, the rounded scaled value is
+    t = (isqrt(4 * a^2 * S^2 * radicand) + q) // (2q): the half-offset is
+    folded into the integer square root, so no approximation of
+    sqrt(radicand) is ever taken.  For radicand = s^2 (a rational, s = 1)
+    the isqrt is exact and t = (2*a*s*S + q) // (2q).  Only then can the
+    value terminate, so only then does trim shorten the digits, when
+    t*q == a*s*S.  The integer part and the decimals are converted apart,
+    each below Python's int-to-str limit.  "-" is prefixed only when p < 0
+    and t != 0.
+    """
     a, scale = abs(p), 10**decimals
-    t = (2 * a * scale + q) // (2 * q)
-    text = _digits_to_str(t, decimals)
-    if trim and t * q == a * scale:
-        text = _trim_exact(text)
+    s = math.isqrt(radicand) if radicand != 1 else 1
+    if s * s == radicand:
+        a *= s
+        t = (2 * a * scale + q) // (2 * q)
+        trim = trim and t * q == a * scale
+    else:
+        t = (math.isqrt(4 * a * a * scale * scale * radicand) + q) // (2 * q)
+        trim = False
+    if decimals == 0:
+        text = str(t)
+    else:
+        whole, frac = divmod(t, scale)
+        text = f"{whole}.{str(frac).rjust(decimals, '0')}"
+        if trim:
+            text = text.rstrip("0").rstrip(".")
     return "-" + text if p < 0 and t else text
 
 
@@ -97,7 +105,7 @@ def format_decimal(value: Fraction, decimals: int = 4, trim: bool = True) -> str
     minimally (47/5 -> "9.4", 3 -> "3"); non-terminating values keep all
     digits (4/3 -> "1.3333").  For value = p/q and t, |p|/q rounded, the
     value is exact iff t/10^decimals == |p|/q, tested as t*q == |p|*10^decimals
-    in the integer core _decimal.
+    in the integer core _decimal, which RadicalBound.decimal shares.
     """
     if decimals < 0:
         raise ValueError("decimals must be >= 0")
@@ -130,24 +138,8 @@ class RadicalBound(NamedTuple("RadicalBound", [("coef", Fraction), ("radicand", 
     __le__ = __gt__ = __ge__ = __lt__
 
     def decimal(self, decimals: int = 4, trim: bool = True) -> str:
-        """Rounded rendering (nearest, ties away from zero), exactly computed.
-
-        With v = (p/q) * sqrt(rad) and k digits, the scaled floor
-        round(v * 10^k) equals (isqrt(4 * p^2 * 10^(2k) * rad) + q) // (2q):
-        the half-offset is folded into the integer square root, so no
-        approximation of sqrt(rad) is ever taken.  For rad = s^2 the isqrt
-        is exact and this is floor(p*s*10^k/q + 1/2), the rounding that
-        format_decimal applies to the non-negative rational p*s/q.  Only
-        such a value can terminate, so only then does trim shorten the
-        digits, and only when they are exact.
-        """
+        """Rounded rendering (nearest, ties away from zero), exactly computed by
+        the core that renders rationals, exactmath._decimal."""
         if decimals < 0:
             raise ValueError("decimals must be >= 0")
-        p, q = self.coef.numerator, self.coef.denominator
-        scale = 10**decimals
-        t = (math.isqrt(4 * p * p * scale * scale * self.radicand) + q) // (2 * q)
-        text = _digits_to_str(t, decimals)
-        s = math.isqrt(self.radicand)
-        if trim and s * s == self.radicand and t * q == p * s * scale:  # t/10^k == p*s/q
-            text = _trim_exact(text)
-        return text
+        return _decimal(self.coef.numerator, self.coef.denominator, decimals, trim, self.radicand)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seshadri import exactmath
 from seshadri.exactmath import (
     RadicalBound,
     ceil_sqrt,
@@ -162,6 +163,23 @@ class TestDecimalRendering:
         assert RadicalBound(Fraction(93, 100), 6).decimal() == "2.2780"
         assert RadicalBound(Fraction(1, 2), 4).decimal() == "1"
         assert RadicalBound(Fraction(1, 2), 1, ).decimal(0) == "1"  # 0.5 -> up
+
+    @pytest.mark.parametrize("render, text", [
+        (lambda: format_decimal(Fraction(4, 3)), "1.3333"),
+        (lambda: RadicalBound(Fraction(1, 4), 28).decimal(), "1.3229"),  # not a square
+        (lambda: RadicalBound(Fraction(93, 100), 100).decimal(), "9.3"),  # a square, trimmed
+    ], ids=["rational", "radical", "square_radical"])
+    def test_one_core_rounds_every_value(self, monkeypatch, render, text):
+        calls = []
+        core = exactmath._decimal
+
+        def counting(*args):
+            calls.append(args)
+            return core(*args)
+
+        monkeypatch.setattr(exactmath, "_decimal", counting)
+        assert render() == text
+        assert len(calls) == 1
 
     def test_rendering_is_pure_and_idempotent(self):
         rng = random.Random(SEED)

@@ -10,6 +10,7 @@ one of its rows, without failing anything.
 
 The package's records are immutable values with field-wise equality, and
 none is a dataclass, whose generated methods are compiled at import.
+Importing the CLI does not import csv, which only CSV output needs.
 """
 
 import ast
@@ -17,6 +18,8 @@ import copy
 import dataclasses
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,3 +174,10 @@ def test_no_record_is_a_dataclass():
              and dataclasses.is_dataclass(obj)]
     assert found == [], ("a frozen dataclass compiles six methods at import, about 1 ms "
                          f"of every CLI start each; make these NamedTuples: {found}")
+
+
+def test_cli_import_leaves_csv_unloaded():
+    code = "import sys; sys.path.insert(0, 'src'); import seshadri.cli; print('csv' in sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", code], cwd=PACKAGE.parent.parent,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False", "import csv inside the CSV branch of cli._emit, not at module level"

@@ -30,8 +30,10 @@ _tail_cutoff and sqrt_linear_threshold are closed forms; their references
 are the earlier searches: a bisection on the defining inequality, a step
 up to the witness polynomial's larger root and back down to its vertex,
 and a gallop plus bisection on sqrt_linear_cmp.  RadicalBound.decimal
-rounds every radicand with one isqrt formula; its reference is the earlier
-two-path rendering, which sent square radicands through format_decimal.
+now renders through exactmath._decimal, the core that renders rationals;
+the earlier two-path rendering still checks it: radical_decimal_reference
+sends square radicands through format_decimal and rounds every other
+radicand with its own isqrt formula and digit split.
 candidate_values orders and deduplicates its values on one integer key
 and lists them as lowest-terms pairs (p, q), building no Fraction;
 candidate_values_reference is the earlier listing, a set of Fractions
