@@ -510,7 +510,6 @@ class SqrtLinearThreshold(NamedTuple):
     outside it.
     """
 
-    params: tuple[int, int, int, int, int]  # (p, a, q, b, c)
     threshold: int
     poly: tuple[int, int, int]
 
@@ -533,7 +532,7 @@ def sqrt_linear_threshold(p: int, a: int, q: int, b: int, c: int) -> SqrtLinearT
     h2, h1, h0 = poly  # h1^2 - 4*h2*h0 = e*(4*alpha*c^2 + e)
     lo = max(1, (-h1 + isqrt(h1 * h1 - 4 * h2 * h0)) // (2 * h2))
     lo += not sqrt_linear_cmp(p, a, q, b, c, lo)
-    return SqrtLinearThreshold((p, a, q, b, c), lo, poly)
+    return SqrtLinearThreshold(lo, poly)
 
 
 def sqrt58_threshold() -> int:

@@ -5,10 +5,11 @@ bielliptic group (types, intersect, fiber-degrees, star-check, ratio).
 Output formats: aligned text (default), CSV (RFC-style commas, "."
 decimal points), and JSON.
 
-Each command computes its values once into one report dict, which is
-its JSON output, and hands it to _emit.  The command's text and CSV
-renderers only read that dict, so the three formats cannot disagree.
-_emit alone fills in the schema keys, writes and exits.
+Each command is a function from its own options to one report dict, its
+JSON output.  _command registers it, appends --format (with csv only where
+the command has a CSV renderer) and is the one writer of every report: it
+adds the schema keys and the command's name, renders, writes and exits.
+The renderers only read the report, so the three formats cannot disagree.
 
 Every JSON report carries the keys {command, inputs, status,
 exact_values, decimal_renderings, certificates, paper_expectations}.
@@ -59,7 +60,7 @@ NO_CSV = ("text", "json")
 
 #: schema keys of every JSON report, with the values a report may leave out
 SCHEMA_DEFAULTS = {
-    "command": None, "inputs": {}, "status": "ok", "exact_values": {},
+    "inputs": {}, "status": "ok", "exact_values": {},
     "decimal_renderings": {}, "certificates": {}, "paper_expectations": {},
 }
 
@@ -104,31 +105,6 @@ def _json(value, indent: str = "") -> str:
         return "[\n" + inner + sep.join([_ascii(v) if isinstance(v, str) else _json(v, inner)
                                          for v in value]) + "\n" + indent + "]"
     return json.dumps(value)
-
-
-def _emit(fmt: str, report: dict, text: Callable, csv_table: Callable | None = None) -> NoReturn:
-    """Write the report in fmt and exit 0 if its status is "ok", else 1.
-
-    text(report) gives the lines of the text rendering and csv_table(report)
-    the CSV header and rows; only the one for fmt is called.
-    """
-    if fmt == "json":
-        click.echo(_json({**SCHEMA_DEFAULTS, **report}))
-    elif fmt == "csv":
-        import csv  # only CSV output needs it; every other start skips its import
-        header, rows = csv_table(report)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        click.echo(buf.getvalue(), nl=False)
-    else:
-        click.echo("\n".join(text(report)))
-    sys.exit(EXIT_OK if report.get("status", "ok") == "ok" else EXIT_DISCREPANCY)
-
-
-def _format_option(formats: tuple[str, ...] = FORMATS):
-    return click.option("--format", "fmt", type=click.Choice(formats), default="text")
 
 
 _DIGIT_CAP_MESSAGE = f"an integer input has at most {MAX_N_DIGITS} digits"
@@ -203,44 +179,41 @@ def cli() -> None:
     """Exact Seshadri-constant lower bounds on abelian and bielliptic surfaces."""
 
 
-@cli.command()
-@_n_option
-@click.option("--scan-cap", default=bounds.DEFAULT_SCAN_CAP, show_default=True,
-              type=_IntRange(min=bounds.MIN_SCAN_CAP))
-@_decimals_option
-@_format_option()
-@_full_precision_option
-def bound(n: int, scan_cap: int, decimals: int, fmt: str, full_precision: bool) -> None:
-    """Certified lower bound for epsilon(L, x) at self-intersection N.
+def _command(group: click.Group, text: Callable, csv_table: Callable | None = None,
+             name: str | None = None) -> Callable[[Callable[..., dict]], click.Command]:
+    """Register the decorated function, from its options to its report, on group.
 
-    The status is "discrepancy" when the certified minimum over all m
-    differs from the six-term minimum printed as the bound.
+    The command's last option is --format, with csv exactly when csv_table is
+    given.  Its report's "command" is its name, after "bielliptic " in that
+    group.  It writes the report in the chosen format, text(report)
+    giving the text lines and csv_table(report) the CSV header and rows, and
+    exits 0 if the status is "ok", else 1.
     """
-    trim = not full_precision
-    small = bounds.lower_bound_small(n)
-    cert = bounds.certified_min(n, scan_cap)
-    priors = {name: comparison.prior_bound(name, n) for name in comparison.PRIOR_BOUNDS}
-    if not cert.certified:
-        status = "uncertified"
-    elif cert.value != small.value:
-        status = "discrepancy"
-    else:
-        status = "ok"
-    _emit(fmt, {
-        "command": "bound",
-        "inputs": {"n": n, "scan_cap": scan_cap, "decimals": decimals},
-        "status": status,
-        "exact_values": {
-            "lower_bound": _rat_str(small.value),
-            "priors": {k: _radical_json(v) for k, v in priors.items()},
-        },
-        "decimal_renderings": {
-            "lower_bound": format_decimal(small.value, decimals, trim),
-            "priors": {k: v.decimal(decimals, trim) for k, v in priors.items()},
-        },
-        "argmins": sorted(small.argmins),
-        "certificates": {"certified_min": _cert_json(cert)},
-    }, _bound_text, _bound_csv)
+    def register(compute: Callable[..., dict]) -> click.Command:
+        command = group.command(name=name)(compute)
+        command.params.append(click.Option(["--format", "fmt"], default="text",
+                                           type=click.Choice(FORMATS if csv_table else NO_CSV)))
+        label = command.name if group is cli else f"{group.name} {command.name}"
+
+        def write(fmt: str, **options) -> NoReturn:
+            report = {**SCHEMA_DEFAULTS, "command": label, **compute(**options)}
+            if fmt == "json":
+                click.echo(_json(report))
+            elif fmt == "csv":
+                import csv  # only CSV output needs it; every other start skips its import
+                header, rows = csv_table(report)
+                buf = io.StringIO()
+                writer = csv.writer(buf, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+                click.echo(buf.getvalue(), nl=False)
+            else:
+                click.echo("\n".join(text(report)))
+            sys.exit(EXIT_OK if report["status"] == "ok" else EXIT_DISCREPANCY)
+
+        command.callback = write
+        return command
+    return register
 
 
 def _bound_text(r: dict) -> list[str]:
@@ -289,12 +262,56 @@ def _cert_json(cert: bounds.BoundCertificate) -> dict:
     return out
 
 
-@cli.command()
+@_command(cli, _bound_text, _bound_csv)
+@_n_option
+@click.option("--scan-cap", default=bounds.DEFAULT_SCAN_CAP, show_default=True,
+              type=_IntRange(min=bounds.MIN_SCAN_CAP))
+@_decimals_option
+@_full_precision_option
+def bound(n: int, scan_cap: int, decimals: int, full_precision: bool) -> dict:
+    """Certified lower bound for epsilon(L, x) at self-intersection N.
+
+    The status is "discrepancy" when the certified minimum over all m
+    differs from the six-term minimum printed as the bound.
+    """
+    trim = not full_precision
+    small = bounds.lower_bound_small(n)
+    cert = bounds.certified_min(n, scan_cap)
+    priors = {name: comparison.prior_bound(name, n) for name in comparison.PRIOR_BOUNDS}
+    if not cert.certified:
+        status = "uncertified"
+    elif cert.value != small.value:
+        status = "discrepancy"
+    else:
+        status = "ok"
+    return {
+        "inputs": {"n": n, "scan_cap": scan_cap, "decimals": decimals},
+        "status": status,
+        "exact_values": {
+            "lower_bound": _rat_str(small.value),
+            "priors": {k: _radical_json(v) for k, v in priors.items()},
+        },
+        "decimal_renderings": {
+            "lower_bound": format_decimal(small.value, decimals, trim),
+            "priors": {k: v.decimal(decimals, trim) for k, v in priors.items()},
+        },
+        "argmins": sorted(small.argmins),
+        "certificates": {"certified_min": _cert_json(cert)},
+    }
+
+
+def _omega_csv(r: dict) -> tuple[list[str], list[list]]:
+    header = ["n", "d", "m", "contains", "d_min", "m_max"]
+    row = {**r["inputs"], **r["membership"]}
+    return header, [[row.get(key) for key in header]]
+
+
+@_command(cli, lambda r: [f"{key}: {value}" for key, value in r["membership"].items()],
+          _omega_csv)
 @_n_option
 @click.option("--d", type=_IntRange(min=1), default=None, help="Degree L.C.")
 @click.option("--m", type=_IntRange(min=2), default=None, help="Multiplicity (>= 2).")
-@_format_option()
-def omega(n: int, d: int | None, m: int | None, fmt: str) -> None:
+def omega(n: int, d: int | None, m: int | None) -> dict:
     """Membership and extremal coordinates of the admissible set."""
     if d is None and m is None:
         raise click.UsageError("provide --d, --m, or both")
@@ -305,42 +322,7 @@ def omega(n: int, d: int | None, m: int | None, fmt: str) -> None:
         info["m_max"] = bounds.m_max(n, d)
     if d is not None and m is not None:
         info["contains"] = bounds.omega_contains(n, d, m)
-    _emit(fmt, {
-        "command": "omega",
-        "inputs": {"n": n, "d": d, "m": m},
-        "membership": info,
-    }, lambda r: [f"{key}: {value}" for key, value in r["membership"].items()], _omega_csv)
-
-
-def _omega_csv(r: dict) -> tuple[list[str], list[list]]:
-    header = ["n", "d", "m", "contains", "d_min", "m_max"]
-    row = {**r["inputs"], **r["membership"]}
-    return header, [[row.get(key) for key in header]]
-
-
-@cli.command()
-@_n_option
-@click.option("--max-m", default=7, show_default=True, type=_IntRange(min=2))
-@_decimals_option
-@_format_option()
-def candidates(n: int, max_m: int, decimals: int, fmt: str) -> None:
-    """Candidate values below sqrt(N): admissible ratios and fiber integers."""
-    try:
-        values = bounds.candidate_values(n, max_m)
-    except ValueError as exc:
-        raise click.UsageError(_short(str(exc)))
-    _emit(fmt, {
-        "command": "candidates",
-        "inputs": {"n": n, "max_m": max_m},
-        "exact_values": {"candidates": [{"value": f"{p}/{q}", "kind": kind}
-                                        for p, q, kind in values]},
-        "decimal_renderings": {"candidates": [_decimal(p, q, decimals, True)
-                                              for p, q, _ in values]},
-    }, _candidates_text, lambda r: (["value", "decimal", "kind"], _candidate_rows(r)))
-
-
-def _candidates_text(r: dict) -> list[str]:
-    return [f"{value:>12}  {decimal:>10}  {kind}" for value, decimal, kind in _candidate_rows(r)]
+    return {"inputs": {"n": n, "d": d, "m": m}, "membership": info}
 
 
 def _candidate_rows(r: dict) -> list[list[str]]:
@@ -348,35 +330,27 @@ def _candidate_rows(r: dict) -> list[list[str]]:
         r["exact_values"]["candidates"], r["decimal_renderings"]["candidates"])]
 
 
-@cli.command()
-@click.option("--from", "start", required=True, type=_Int())
-@click.option("--to", "stop", required=True, type=_Int())
-@click.option("--include-odd", is_flag=True,
-              help="Census all integers, not just even self-intersections.")
-@click.option("--per-n", "verbose", is_flag=True, help="List every examined N.")
-@_format_option()
-def census(start: int, stop: int, include_odd: bool, verbose: bool, fmt: str) -> None:
-    """Classify each N by the smallest minimizing multiplicity."""
-    size = bounds.census_size(start, stop, even_only=not include_odd)
-    if verbose and start >= 2 and size > MAX_CENSUS_LISTING:
-        raise click.UsageError(
-            f"--per-n lists at most {MAX_CENSUS_LISTING} N, and the range has more")
+def _candidates_text(r: dict) -> list[str]:
+    return [f"{value:>12}  {decimal:>10}  {kind}" for value, decimal, kind in _candidate_rows(r)]
+
+
+@_command(cli, _candidates_text, lambda r: (["value", "decimal", "kind"], _candidate_rows(r)))
+@_n_option
+@click.option("--max-m", default=7, show_default=True, type=_IntRange(min=2))
+@_decimals_option
+def candidates(n: int, max_m: int, decimals: int) -> dict:
+    """Candidate values below sqrt(N): admissible ratios and fiber integers."""
     try:
-        result = bounds.census(start, stop, even_only=not include_odd)
+        values = bounds.candidate_values(n, max_m)
     except ValueError as exc:
         raise click.UsageError(_short(str(exc)))
-    report = {
-        "command": "census",
-        "inputs": {"from": start, "to": stop, "even_only": result.analytic.even_only},
-        "counts": {str(k): v for k, v in result.counts.items()},
-        "n_examined": result.n_examined,
+    return {
+        "inputs": {"n": n, "max_m": max_m},
+        "exact_values": {"candidates": [{"value": f"{p}/{q}", "kind": kind}
+                                        for p, q, kind in values]},
+        "decimal_renderings": {"candidates": [_decimal(p, q, decimals, True)
+                                              for p, q, _ in values]},
     }
-    if verbose:
-        report["per_n"] = {
-            str(b.n): {"value": _rat_str(b.value), "argmins": sorted(b.argmins)}
-            for b in result.listing()
-        }
-    _emit(fmt, report, _census_text, _census_csv)
 
 
 def _census_text(r: dict) -> list[str]:
@@ -398,40 +372,33 @@ def _census_csv(r: dict) -> tuple[list[str], list[list]]:
              for n, b in r["per_n"].items()])
 
 
-@cli.command()
-@click.option("--preset", type=click.Choice(["paper"]), default=None,
-              help="Use the eight published self-intersections.")
-@click.option("--ns", default=None, help="Comma-separated self-intersections.")
-@_decimals_option
-@_full_precision_option
-@_format_option()
-def table(preset: str | None, ns: str | None, decimals: int, full_precision: bool,
-          fmt: str) -> None:
-    """Comparison table: prior bounds versus the new bound."""
-    if (preset is None) == (ns is None):
-        raise click.UsageError("provide exactly one of --preset paper and --ns")
+@_command(cli, _census_text, _census_csv)
+@click.option("--from", "start", required=True, type=_Int())
+@click.option("--to", "stop", required=True, type=_Int())
+@click.option("--include-odd", is_flag=True,
+              help="Census all integers, not just even self-intersections.")
+@click.option("--per-n", "verbose", is_flag=True, help="List every examined N.")
+def census(start: int, stop: int, include_odd: bool, verbose: bool) -> dict:
+    """Classify each N by the smallest minimizing multiplicity."""
+    size = bounds.census_size(start, stop, even_only=not include_odd)
+    if verbose and start >= 2 and size > MAX_CENSUS_LISTING:
+        raise click.UsageError(
+            f"--per-n lists at most {MAX_CENSUS_LISTING} N, and the range has more")
     try:
-        values = (list(comparison.PAPER_TABLE_NS) if preset
-                  else [_int(v) for v in ns.split(",")])
-        rows = comparison.comparison_table(values)
+        result = bounds.census(start, stop, even_only=not include_odd)
     except ValueError as exc:
-        raise click.UsageError(_short(f"bad --ns list: {exc}"))
-    trim = not full_precision
-    _emit(fmt, {
-        "command": "table",
-        "inputs": {"ns": values, "decimals": decimals},
-        "exact_values": {"rows": [
-            {"n": row.n,
-             "abelian_7_8": _radical_json(row.abelian_7_8),
-             "hr_093": _radical_json(row.hr_093),
-             "new_bound": _rat_str(row.new_bound.value)}
-            for row in rows
-        ]},
-        "decimal_renderings": {"rows": [
-            {"n": row.n, **dict(zip(comparison.TABLE_COLUMNS, row.cells(decimals, trim)))}
-            for row in rows
-        ]},
-    }, _table_text, _table_csv)
+        raise click.UsageError(_short(str(exc)))
+    report = {
+        "inputs": {"from": start, "to": stop, "even_only": result.analytic.even_only},
+        "counts": {str(k): v for k, v in result.counts.items()},
+        "n_examined": result.n_examined,
+    }
+    if verbose:
+        report["per_n"] = {
+            str(b.n): {"value": _rat_str(b.value), "argmins": sorted(b.argmins)}
+            for b in result.listing()
+        }
+    return report
 
 
 def _table_csv(r: dict) -> tuple[list[str], list[list]]:
@@ -445,15 +412,58 @@ def _table_text(r: dict) -> list[str]:
     return lines
 
 
-@cli.command()
+@_command(cli, _table_text, _table_csv)
+@click.option("--preset", type=click.Choice(["paper"]), default=None,
+              help="Use the eight published self-intersections.")
+@click.option("--ns", default=None, help="Comma-separated self-intersections.")
+@_decimals_option
+@_full_precision_option
+def table(preset: str | None, ns: str | None, decimals: int, full_precision: bool) -> dict:
+    """Comparison table: prior bounds versus the new bound."""
+    if (preset is None) == (ns is None):
+        raise click.UsageError("provide exactly one of --preset paper and --ns")
+    try:
+        values = (list(comparison.PAPER_TABLE_NS) if preset
+                  else [_int(v) for v in ns.split(",")])
+        rows = comparison.comparison_table(values)
+    except ValueError as exc:
+        raise click.UsageError(_short(f"bad --ns list: {exc}"))
+    trim = not full_precision
+    return {
+        "inputs": {"ns": values, "decimals": decimals},
+        "exact_values": {"rows": [
+            {"n": row.n,
+             "abelian_7_8": _radical_json(row.abelian_7_8),
+             "hr_093": _radical_json(row.hr_093),
+             "new_bound": _rat_str(row.new_bound.value)}
+            for row in rows
+        ]},
+        "decimal_renderings": {"rows": [
+            {"n": row.n, **dict(zip(comparison.TABLE_COLUMNS, row.cells(decimals, trim)))}
+            for row in rows
+        ]},
+    }
+
+
+def _verify_text(r: dict) -> list[str]:
+    lines = ["anchored expectations:"]
+    lines += [f"  [{'PASS' if check['pass'] else 'FAIL'}] {name}: {check['detail']}"
+              for name, check in r["paper_expectations"].items()]
+    lines.append("investigations (reported, not gating):")
+    lines += [f"  [INFO] {name}: {detail}" for name, detail in r["investigations"].items()]
+    lines.append("verify: " + ("all anchored checks pass" if r["status"] == "ok"
+                               else "DISCREPANCY"))
+    return lines
+
+
+@_command(cli, _verify_text)
 @click.option("--agreement-to", default=100_000, show_default=True,
               type=_IntRange(min=2),
               help="Upper end of the certified-minimum agreement sweep.")
 @click.option("--scan-cap", default=100_000, show_default=True,
               type=_IntRange(min=bounds.MIN_SCAN_CAP),
               help="Scan cap for the per-multiplicity comparison sweep.")
-@_format_option(NO_CSV)
-def verify(agreement_to: int, scan_cap: int, fmt: str) -> None:
+def verify(agreement_to: int, scan_cap: int) -> dict:
     """Re-run every finite computation and compare against expectations.
 
     Expectations that the source states exactly must match and drive the
@@ -464,8 +474,7 @@ def verify(agreement_to: int, scan_cap: int, fmt: str) -> None:
     anchored = {c.name: {"pass": c.passed, "detail": c.detail}
                 for c in result.checks if c.passed is not None}
     ceiling = result.ceiling
-    _emit(fmt, {
-        "command": "verify",
+    return {
         "inputs": {"agreement_to": agreement_to, "scan_cap": scan_cap},
         "status": "ok" if all(c["pass"] for c in anchored.values()) else "discrepancy",
         "paper_expectations": anchored,
@@ -482,18 +491,7 @@ def verify(agreement_to: int, scan_cap: int, fmt: str) -> None:
                 for m, c in ceiling.analytic.certificates.items()
             },
         },
-    }, _verify_text)
-
-
-def _verify_text(r: dict) -> list[str]:
-    lines = ["anchored expectations:"]
-    lines += [f"  [{'PASS' if check['pass'] else 'FAIL'}] {name}: {check['detail']}"
-              for name, check in r["paper_expectations"].items()]
-    lines.append("investigations (reported, not gating):")
-    lines += [f"  [INFO] {name}: {detail}" for name, detail in r["investigations"].items()]
-    lines.append("verify: " + ("all anchored checks pass" if r["status"] == "ok"
-                               else "DISCREPANCY"))
-    return lines
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +516,6 @@ _type_option = click.option("--type", "type_index", required=True,
                             type=_IntRange(1, 7))
 
 
-@bielliptic_group.command(name="types")
-@_format_option()
-def bielliptic_types(fmt: str) -> None:
-    """Dump the seven-row table of numerical invariants."""
-    _emit(fmt, {
-        "command": "bielliptic types",
-        "types": [
-            {"type": k.type_index, "group": k.group, "gamma": k.group_order,
-             "multiplicities": list(k.fiber_multiplicities), "mu": k.mu,
-             "basis": list(k.basis_labels)}
-            for k in bielliptic.SURFACE_KINDS
-        ],
-    }, _types_text, _types_csv)
-
-
 def _types_text(r: dict) -> list[str]:
     lines = [f"{'type':>4}  {'group':<6} {'gamma':>5}  {'mults':<10} {'mu':>2}  basis"]
     lines += [f"{k['type']:>4}  {k['group']:<6} {k['gamma']:>5}  "
@@ -547,45 +530,52 @@ def _types_csv(r: dict) -> tuple[list[str], list[list]]:
               _join(k["basis"])] for k in r["types"]])
 
 
-@bielliptic_group.command(name="intersect")
+@_command(bielliptic_group, _types_text, _types_csv, name="types")
+def bielliptic_types() -> dict:
+    """Dump the seven-row table of numerical invariants."""
+    return {"types": [
+        {"type": k.type_index, "group": k.group, "gamma": k.group_order,
+         "multiplicities": list(k.fiber_multiplicities), "mu": k.mu,
+         "basis": list(k.basis_labels)}
+        for k in bielliptic.SURFACE_KINDS
+    ]}
+
+
+@_command(bielliptic_group, lambda r: [r["exact_values"]["intersection"]], name="intersect")
 @_type_option
 @click.option("--c1", required=True)
 @click.option("--c2", required=True)
-@_format_option(NO_CSV)
-def bielliptic_intersect(type_index: int, c1: str, c2: str, fmt: str) -> None:
+def bielliptic_intersect(type_index: int, c1: str, c2: str) -> dict:
     """Intersection number of two divisor classes."""
     d1, d2 = _parse_class(c1), _parse_class(c2)
-    _emit(fmt, {
-        "command": "bielliptic intersect",
+    return {
         "inputs": {"type": type_index, "c1": str(d1), "c2": str(d2)},
         "exact_values": {"intersection": str(bielliptic.intersect(d1, d2))},
-    }, lambda r: [r["exact_values"]["intersection"]])
+    }
 
 
-@bielliptic_group.command(name="fiber-degrees")
+@_command(bielliptic_group, lambda r: [f"L.E = {r['exact_values']['deg_E']}",
+                                        f"L.F = {r['exact_values']['deg_F']}"],
+          name="fiber-degrees")
 @_type_option
 @click.option("--class", "divisor", required=True, help="Divisor class a,b.")
-@_format_option(NO_CSV)
-def bielliptic_fiber_degrees(type_index: int, divisor: str, fmt: str) -> None:
+def bielliptic_fiber_degrees(type_index: int, divisor: str) -> dict:
     """Degrees L.E and L.F of a divisor class against the two fibrations."""
     kind = bielliptic.surface_kind(type_index)
     cls = _parse_class(divisor)
     deg_e, deg_f = bielliptic.fiber_degrees(kind, cls)
-    _emit(fmt, {
-        "command": "bielliptic fiber-degrees",
+    return {
         "inputs": {"type": type_index, "class": str(cls)},
         "exact_values": {"deg_E": str(deg_e), "deg_F": str(deg_f)},
-    }, lambda r: [f"L.E = {r['exact_values']['deg_E']}",
-                  f"L.F = {r['exact_values']['deg_F']}"])
+    }
 
 
-@bielliptic_group.command(name="star-check")
+@_command(bielliptic_group, lambda r: ["true" if r["holds"] else "false"], name="star-check")
 @click.option("--c2", "c2_value", required=True, type=_Int(), help="Self-intersection C^2.")
 @click.option("--mults", default="", help="Comma-separated multiplicities >= 2.")
 @click.option("--components", "r", default=None, type=_Int(),
               help="Component count for the reduced-curve form.")
-@_format_option(NO_CSV)
-def bielliptic_star_check(c2_value: int, mults: str, r: int | None, fmt: str) -> None:
+def bielliptic_star_check(c2_value: int, mults: str, r: int | None) -> dict:
     """Check C^2 against 2r + sum m_i(m_i - 1)  (r = 1: irreducible form)."""
     try:
         mult_list = [_int(part) for part in mults.split(",")] if mults else []
@@ -598,34 +588,32 @@ def bielliptic_star_check(c2_value: int, mults: str, r: int | None, fmt: str) ->
             passed = bielliptic.star_check_reducible(c2_value, r, mult_list)
     except ValueError as exc:
         raise click.UsageError(_short(str(exc)))
-    _emit(fmt, {
-        "command": "bielliptic star-check",
+    return {
         "inputs": {"c2": c2_value, "mults": mult_list, "components": r},
         "status": "ok" if passed else "violation",
         "holds": passed,
-    }, lambda report: ["true" if report["holds"] else "false"])
+    }
 
 
-@bielliptic_group.command(name="ratio")
+@_command(bielliptic_group,
+          lambda r: [f"{r['exact_values']['ratio']} = {r['decimal_renderings']['ratio']}"],
+          name="ratio")
 @_type_option
 @click.option("--ample", required=True, help="Ample class a,b.")
 @click.option("--curve", required=True, help="Curve class a,b.")
 @click.option("--m", default=1, show_default=True, type=_IntRange(min=1))
 @_decimals_option
-@_format_option(NO_CSV)
-def bielliptic_ratio(type_index: int, ample: str, curve: str, m: int,
-                     decimals: int, fmt: str) -> None:
+def bielliptic_ratio(type_index: int, ample: str, curve: str, m: int, decimals: int) -> dict:
     """L.C / m as an exact rational."""
     try:
         value = bielliptic.seshadri_ratio(_parse_class(ample), _parse_class(curve), m)
     except ValueError as exc:
         raise click.UsageError(_short(str(exc)))
-    _emit(fmt, {
-        "command": "bielliptic ratio",
+    return {
         "inputs": {"type": type_index, "ample": ample, "curve": curve, "m": m},
         "exact_values": {"ratio": _rat_str(value)},
         "decimal_renderings": {"ratio": format_decimal(value, decimals)},
-    }, lambda r: [f"{r['exact_values']['ratio']} = {r['decimal_renderings']['ratio']}"])
+    }
 
 
 def main() -> None:

@@ -357,6 +357,31 @@ class TestBielliptic:
                    "--c1", "1;0", "--c2", "0,1").exit_code == 2
 
 
+def _commands(group, prefix=""):
+    """(name, command) of every command under group, nested names joined by a space."""
+    for name, command in group.commands.items():
+        if hasattr(command, "commands"):
+            yield from _commands(command, f"{prefix}{name} ")
+        else:
+            yield f"{prefix}{name}", command
+
+
+#: the commands that offer --format csv, as the README's "Common flags" lists them
+CSV_COMMANDS = {"bound", "omega", "candidates", "census", "table", "bielliptic types"}
+
+
+def test_every_command_ends_with_its_format_option():
+    layouts = {name: (last.name, last.opts, last.default, tuple(getattr(last.type, "choices", ())))
+               for name, command in _commands(cli) for last in command.params[-1:]}
+    assert layouts == {
+        name: ("fmt", ["--format"], "text",
+               ("text", "csv", "json") if name in CSV_COMMANDS else ("text", "json"))
+        for name in ["bound", "omega", "candidates", "census", "table", "verify",
+                     "bielliptic types", "bielliptic intersect", "bielliptic fiber-degrees",
+                     "bielliptic star-check", "bielliptic ratio"]
+    }
+
+
 # ---------------------------------------------------------------------------
 # the JSON writer
 # ---------------------------------------------------------------------------

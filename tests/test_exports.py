@@ -8,8 +8,9 @@ from under perfbench/ fails only when the benchmark runs, and a traced
 function deleted from the package reads as an absent layer, 0 in every
 one of its rows, without failing anything.
 
-The package's records are immutable values with field-wise equality, and
-none is a dataclass, whose generated methods are compiled at import.
+The package's records are immutable values with field-wise equality,
+none is a dataclass, whose generated methods are compiled at import, and
+the package or the benchmark reads every field of each.
 Importing the CLI does not import csv, which only CSV output needs.
 """
 
@@ -128,6 +129,24 @@ def test_tracer_layers_resolve_except_the_named_stale_ones():
     assert unresolved == STALE_LAYERS & layers.keys()
 
 
+def _package_modules() -> list:
+    return [seshadri] + [importlib.import_module(f"seshadri.{info.name}")
+                         for info in pkgutil.iter_modules(seshadri.__path__)]
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    loaded = {node.attr for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    records = {obj for module in _package_modules() for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == module.__name__
+               and hasattr(obj, "_fields")}
+    assert {"SurfaceKind", "RadicalBound"} <= {record.__name__ for record in records}
+    unread = sorted(f"{record.__name__}.{field}" for record in records
+                    for field in record._fields if field not in loaded)
+    assert unread == []
+
+
 #: (record, a real call that returns one, one of its fields)
 RECORDS = [
     ("SmallBound", lambda: bounds.lower_bound_small(2), "value"),
@@ -166,9 +185,7 @@ def test_records_are_immutable_values(name, make, field):
 
 
 def test_no_record_is_a_dataclass():
-    modules = [seshadri] + [importlib.import_module(f"seshadri.{info.name}")
-                            for info in pkgutil.iter_modules(seshadri.__path__)]
-    found = [f"{module.__name__}.{name}" for module in modules
+    found = [f"{module.__name__}.{name}" for module in _package_modules()
              for name, obj in vars(module).items()
              if isinstance(obj, type) and obj.__module__ == module.__name__
              and dataclasses.is_dataclass(obj)]
@@ -180,4 +197,5 @@ def test_cli_import_leaves_csv_unloaded():
     code = "import sys; sys.path.insert(0, 'src'); import seshadri.cli; print('csv' in sys.modules)"
     out = subprocess.run([sys.executable, "-I", "-c", code], cwd=PACKAGE.parent.parent,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False", "import csv inside the CSV branch of cli._emit, not at module level"
+    assert out.strip() == "False", ("import csv inside the CSV branch of the writer in "
+                                     "cli._command, not at module level")

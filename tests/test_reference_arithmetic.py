@@ -232,7 +232,7 @@ def sqrt_linear_threshold_reference(p: int, a: int, q: int, b: int, c: int):
             hi = mid
         else:
             lo = mid + 1
-    return SqrtLinearThreshold((p, a, q, b, c), lo, (alpha * alpha, -(2 * alpha * c * c + e), c**4))
+    return SqrtLinearThreshold(lo, (alpha * alpha, -(2 * alpha * c * c + e), c**4))
 
 
 def radical_decimal_reference(rb: RadicalBound, decimals: int, trim: bool) -> str:
