@@ -6,10 +6,10 @@ Output formats: aligned text (default), CSV (RFC-style commas, "."
 decimal points), and JSON.
 
 Each command is a function from its own options to one report dict, its
-JSON output.  _command registers it, appends --format (with csv only where
-the command has a CSV renderer) and is the one writer of every report: it
-adds the schema keys and the command's name, renders, writes and exits.
-The renderers only read the report, so the three formats cannot disagree.
+JSON output.  _command registers it, appends --format (csv only where the
+command has a CSV renderer) and is the one writer of every report, with the
+schema keys and the command's name, and of every library ValueError, as a
+usage error.  The renderers only read the report, so formats cannot disagree.
 
 Every JSON report carries the keys {command, inputs, status,
 exact_values, decimal_renderings, certificates, paper_expectations}.
@@ -17,8 +17,8 @@ _json writes it directly, byte for byte json.dumps(sort_keys=True, indent=2).
 Exact rationals appear as "p/q" strings; radicals as {"coef": "p/q",
 "radicand": "n"}.  Decimal renderings never feed back into computation.
 
-Exit codes: 0 all checks pass (status "ok"); 1 a verification produced a
-discrepancy, counterexample or uncertified result; 2 usage error.
+Exit codes: 0 all checks pass (status "ok"); 1 a discrepancy, counterexample
+or uncertified result; 2 a usage error or any argument the library refuses.
 """
 
 from __future__ import annotations
@@ -179,24 +179,28 @@ def cli() -> None:
     """Exact Seshadri-constant lower bounds on abelian and bielliptic surfaces."""
 
 
-def _command(group: click.Group, text: Callable, csv_table: Callable | None = None,
-             name: str | None = None) -> Callable[[Callable[..., dict]], click.Command]:
+def _command(group: click.Group, text: Callable,
+             csv_table: Callable | None = None) -> Callable[[Callable[..., dict]], click.Command]:
     """Register the decorated function, from its options to its report, on group.
 
-    The command's last option is --format, with csv exactly when csv_table is
-    given.  Its report's "command" is its name, after "bielliptic " in that
-    group.  It writes the report in the chosen format, text(report)
-    giving the text lines and csv_table(report) the CSV header and rows, and
-    exits 0 if the status is "ok", else 1.
+    click names the command after the function ("_" as "-"), and its last
+    option is --format, with csv exactly when csv_table is given.  Its report's
+    "command" is its name, after "bielliptic " in that group.  A ValueError of
+    the library is a usage error, cut by _short.  Else it writes the report in
+    the chosen format, text(report) giving the text lines and csv_table(report)
+    the CSV header and rows, and exits 0 if the status is "ok", else 1.
     """
     def register(compute: Callable[..., dict]) -> click.Command:
-        command = group.command(name=name)(compute)
+        command = group.command()(compute)
         command.params.append(click.Option(["--format", "fmt"], default="text",
                                            type=click.Choice(FORMATS if csv_table else NO_CSV)))
         label = command.name if group is cli else f"{group.name} {command.name}"
 
         def write(fmt: str, **options) -> NoReturn:
-            report = {**SCHEMA_DEFAULTS, "command": label, **compute(**options)}
+            try:
+                report = {**SCHEMA_DEFAULTS, "command": label, **compute(**options)}
+            except ValueError as exc:
+                raise click.UsageError(_short(str(exc)))
             if fmt == "json":
                 click.echo(_json(report))
             elif fmt == "csv":
@@ -340,10 +344,7 @@ def _candidates_text(r: dict) -> list[str]:
 @_decimals_option
 def candidates(n: int, max_m: int, decimals: int) -> dict:
     """Candidate values below sqrt(N): admissible ratios and fiber integers."""
-    try:
-        values = bounds.candidate_values(n, max_m)
-    except ValueError as exc:
-        raise click.UsageError(_short(str(exc)))
+    values = bounds.candidate_values(n, max_m)
     return {
         "inputs": {"n": n, "max_m": max_m},
         "exact_values": {"candidates": [{"value": f"{p}/{q}", "kind": kind}
@@ -380,14 +381,10 @@ def _census_csv(r: dict) -> tuple[list[str], list[list]]:
 @click.option("--per-n", "verbose", is_flag=True, help="List every examined N.")
 def census(start: int, stop: int, include_odd: bool, verbose: bool) -> dict:
     """Classify each N by the smallest minimizing multiplicity."""
-    size = bounds.census_size(start, stop, even_only=not include_odd)
-    if verbose and start >= 2 and size > MAX_CENSUS_LISTING:
+    result = bounds.census(start, stop, even_only=not include_odd)
+    if verbose and result.n_examined > MAX_CENSUS_LISTING:
         raise click.UsageError(
             f"--per-n lists at most {MAX_CENSUS_LISTING} N, and the range has more")
-    try:
-        result = bounds.census(start, stop, even_only=not include_odd)
-    except ValueError as exc:
-        raise click.UsageError(_short(str(exc)))
     report = {
         "inputs": {"from": start, "to": stop, "even_only": result.analytic.even_only},
         "counts": {str(k): v for k, v in result.counts.items()},
@@ -530,8 +527,8 @@ def _types_csv(r: dict) -> tuple[list[str], list[list]]:
               _join(k["basis"])] for k in r["types"]])
 
 
-@_command(bielliptic_group, _types_text, _types_csv, name="types")
-def bielliptic_types() -> dict:
+@_command(bielliptic_group, _types_text, _types_csv)
+def types() -> dict:
     """Dump the seven-row table of numerical invariants."""
     return {"types": [
         {"type": k.type_index, "group": k.group, "gamma": k.group_order,
@@ -541,11 +538,11 @@ def bielliptic_types() -> dict:
     ]}
 
 
-@_command(bielliptic_group, lambda r: [r["exact_values"]["intersection"]], name="intersect")
+@_command(bielliptic_group, lambda r: [r["exact_values"]["intersection"]])
 @_type_option
 @click.option("--c1", required=True)
 @click.option("--c2", required=True)
-def bielliptic_intersect(type_index: int, c1: str, c2: str) -> dict:
+def intersect(type_index: int, c1: str, c2: str) -> dict:
     """Intersection number of two divisor classes."""
     d1, d2 = _parse_class(c1), _parse_class(c2)
     return {
@@ -555,11 +552,10 @@ def bielliptic_intersect(type_index: int, c1: str, c2: str) -> dict:
 
 
 @_command(bielliptic_group, lambda r: [f"L.E = {r['exact_values']['deg_E']}",
-                                        f"L.F = {r['exact_values']['deg_F']}"],
-          name="fiber-degrees")
+                                        f"L.F = {r['exact_values']['deg_F']}"])
 @_type_option
 @click.option("--class", "divisor", required=True, help="Divisor class a,b.")
-def bielliptic_fiber_degrees(type_index: int, divisor: str) -> dict:
+def fiber_degrees(type_index: int, divisor: str) -> dict:
     """Degrees L.E and L.F of a divisor class against the two fibrations."""
     kind = bielliptic.surface_kind(type_index)
     cls = _parse_class(divisor)
@@ -570,24 +566,21 @@ def bielliptic_fiber_degrees(type_index: int, divisor: str) -> dict:
     }
 
 
-@_command(bielliptic_group, lambda r: ["true" if r["holds"] else "false"], name="star-check")
+@_command(bielliptic_group, lambda r: ["true" if r["holds"] else "false"])
 @click.option("--c2", "c2_value", required=True, type=_Int(), help="Self-intersection C^2.")
 @click.option("--mults", default="", help="Comma-separated multiplicities >= 2.")
 @click.option("--components", "r", default=None, type=_Int(),
               help="Component count for the reduced-curve form.")
-def bielliptic_star_check(c2_value: int, mults: str, r: int | None) -> dict:
+def star_check(c2_value: int, mults: str, r: int | None) -> dict:
     """Check C^2 against 2r + sum m_i(m_i - 1)  (r = 1: irreducible form)."""
     try:
         mult_list = [_int(part) for part in mults.split(",")] if mults else []
     except ValueError:
         raise click.UsageError(f"bad --mults list: {_quote(mults)}")
-    try:
-        if r is None:
-            passed = bielliptic.star_check_irreducible(c2_value, mult_list)
-        else:
-            passed = bielliptic.star_check_reducible(c2_value, r, mult_list)
-    except ValueError as exc:
-        raise click.UsageError(_short(str(exc)))
+    if r is None:
+        passed = bielliptic.star_check_irreducible(c2_value, mult_list)
+    else:
+        passed = bielliptic.star_check_reducible(c2_value, r, mult_list)
     return {
         "inputs": {"c2": c2_value, "mults": mult_list, "components": r},
         "status": "ok" if passed else "violation",
@@ -596,19 +589,15 @@ def bielliptic_star_check(c2_value: int, mults: str, r: int | None) -> dict:
 
 
 @_command(bielliptic_group,
-          lambda r: [f"{r['exact_values']['ratio']} = {r['decimal_renderings']['ratio']}"],
-          name="ratio")
+          lambda r: [f"{r['exact_values']['ratio']} = {r['decimal_renderings']['ratio']}"])
 @_type_option
 @click.option("--ample", required=True, help="Ample class a,b.")
 @click.option("--curve", required=True, help="Curve class a,b.")
 @click.option("--m", default=1, show_default=True, type=_IntRange(min=1))
 @_decimals_option
-def bielliptic_ratio(type_index: int, ample: str, curve: str, m: int, decimals: int) -> dict:
+def ratio(type_index: int, ample: str, curve: str, m: int, decimals: int) -> dict:
     """L.C / m as an exact rational."""
-    try:
-        value = bielliptic.seshadri_ratio(_parse_class(ample), _parse_class(curve), m)
-    except ValueError as exc:
-        raise click.UsageError(_short(str(exc)))
+    value = bielliptic.seshadri_ratio(_parse_class(ample), _parse_class(curve), m)
     return {
         "inputs": {"type": type_index, "ample": ample, "curve": curve, "m": m},
         "exact_values": {"ratio": _rat_str(value)},

@@ -14,8 +14,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri import bounds
+from seshadri import bielliptic, bounds, comparison
 from seshadri import cli as cli_module
+from seshadri import verify as verify_module
 from seshadri.cli import MAX_CENSUS_LISTING, MAX_DECIMALS, MAX_N_DIGITS, cli
 
 JSON_SCHEMA_KEYS = {
@@ -229,10 +230,11 @@ class TestCensus:
         assert elapsed < 1.0 and peak < 16 * 2**20  # at most 4387 N are evaluated
 
     def test_per_n_over_the_listing_cap_is_refused_before_computing(self, monkeypatch):
-        def no_census(*_args, **_kwargs):
-            raise AssertionError("census ran")
+        # the census itself is O(1); what the cap spares is building the listing
+        def no_listing(*_args, **_kwargs):
+            raise AssertionError("listing built")
 
-        monkeypatch.setattr(bounds, "census", no_census)
+        monkeypatch.setattr(bounds.CensusReport, "listing", no_listing)
         for args in (["--from", "2", "--to", str(2 * MAX_CENSUS_LISTING + 2)],
                      ["--from", "2", "--to", str(MAX_CENSUS_LISTING + 2), "--include-odd"],
                      ["--from", "2", "--to", str(10**30)]):
@@ -368,6 +370,49 @@ def _commands(group, prefix=""):
 
 #: the commands that offer --format csv, as the README's "Common flags" lists them
 CSV_COMMANDS = {"bound", "omega", "candidates", "census", "table", "bielliptic types"}
+
+
+#: (module, function, a command calling it, prefix of the command's message)
+LIBRARY_CALLS = [
+    (bounds, "lower_bound_small", ["bound", "--n", "5"], ""),
+    (bounds, "d_min", ["omega", "--n", "5", "--m", "2"], ""),
+    (bounds, "candidate_values", ["candidates", "--n", "5"], ""),
+    (bounds, "census", ["census", "--from", "2", "--to", "10"], ""),
+    (comparison, "comparison_table", ["table", "--ns", "2,5"], "bad --ns list: "),
+    (verify_module, "run", ["verify"], ""),
+    (bielliptic, "intersect", ["bielliptic", "intersect", "--type", "1", "--c1", "1,1",
+                               "--c2", "1,1"], ""),
+    (bielliptic, "fiber_degrees", ["bielliptic", "fiber-degrees", "--type", "1",
+                                   "--class", "1,1"], ""),
+    (bielliptic, "star_check_irreducible", ["bielliptic", "star-check", "--c2", "10"], ""),
+    (bielliptic, "seshadri_ratio", ["bielliptic", "ratio", "--type", "1", "--ample", "2,3",
+                                    "--curve", "1,1"], ""),
+]
+
+
+def test_library_calls_cover_every_command_but_types():
+    called = {" ".join(args[:2] if args[0] == "bielliptic" else args[:1])
+              for _, _, args, _ in LIBRARY_CALLS}
+    assert called == {name for name, _ in _commands(cli)} - {"bielliptic types"}
+
+
+@pytest.mark.parametrize("module, function, args, prefix", LIBRARY_CALLS,
+                         ids=[f"{call[0].__name__}.{call[1]}" for call in LIBRARY_CALLS])
+def test_a_library_value_error_and_only_it_is_a_short_usage_error(
+        monkeypatch, module, function, args, prefix):
+    def raise_(exc):
+        def call(*_args, **_kwargs):
+            raise exc
+        return call
+
+    monkeypatch.setattr(module, function, raise_(ValueError(f"refused {10**29 + 7}")))
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"Error: {prefix}refused 10000000000000000000... (30 digits)\n")
+    failure = AssertionError("dominance chain violated")
+    monkeypatch.setattr(module, function, raise_(failure))
+    assert run(*args).exception is failure
 
 
 def test_every_command_ends_with_its_format_option():

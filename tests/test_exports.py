@@ -12,6 +12,8 @@ The package's records are immutable values with field-wise equality,
 none is a dataclass, whose generated methods are compiled at import, and
 the package or the benchmark reads every field of each.
 Importing the CLI does not import csv, which only CSV output needs.
+The CLI turns a library ValueError into a usage error in one place, the
+writer of cli._command, so no command grows its own copy of that rule.
 """
 
 import ast
@@ -199,3 +201,13 @@ def test_cli_import_leaves_csv_unloaded():
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False", ("import csv inside the CSV branch of the writer in "
                                      "cli._command, not at module level")
+
+
+def test_cli_turns_a_library_value_error_into_a_usage_error_only_in_its_writer():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    owners = [top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+              for node in ast.walk(top) if isinstance(node, ast.ExceptHandler)
+              and node.type is not None and ast.unparse(node.type) == "ValueError"
+              and any(ast.unparse(stmt) == "raise click.UsageError(_short(str(exc)))"
+                      for stmt in node.body)]
+    assert owners == ["_command"]

@@ -37,7 +37,8 @@ radicand with its own isqrt formula and digit split.
 candidate_values orders and deduplicates its values on one integer key
 and lists them as lowest-terms pairs (p, q), building no Fraction;
 candidate_values_reference is the earlier listing, a set of Fractions
-sorted on (value, kind).  format_decimal and its integer core
+sorted on (value, kind), and each Fraction's numerator and denominator
+are held equal to the package's pair.  format_decimal and its integer core
 exactmath._decimal test the trim by cross-multiplication;
 format_decimal_reference builds Fraction(t, 10^k) and compares.
 dominance_check reads the prior bounds' squares from PRIOR_BOUNDS;
@@ -750,9 +751,9 @@ def test_radical_decimal_matches_two_path_reference(decimals):
                     rb, decimals, trim), (coef, radicand, trim)
 
 
-def _candidate_fractions(n: int, max_m: int) -> list[tuple[Fraction, str]]:
-    """candidate_values(n, max_m) in the reference's shape, as (Fraction(p, q), kind)."""
-    return [(Fraction(p, q), kind) for p, q, kind in candidate_values(n, max_m)]
+def _reference_triples(n: int, max_m: int) -> list[tuple[int, int, str]]:
+    """candidate_values_reference(n, max_m) as lowest-terms (p, q, kind), the package's shape."""
+    return [(v.numerator, v.denominator, kind) for v, kind in candidate_values_reference(n, max_m)]
 
 
 @pytest.mark.parametrize("max_m", range(2, 13))
@@ -760,22 +761,21 @@ def test_candidate_values_match_reference_on_a_range(max_m):
     for n in range(2, 3001):
         values = candidate_values(n, max_m)
         assert all(gcd(p, q) == 1 and 1 <= q <= max_m for p, q, _ in values), n
-        assert [(Fraction(p, q), kind) for p, q, kind in values] == candidate_values_reference(
-            n, max_m), n
+        assert values == _reference_triples(n, max_m), n
 
 
 def test_candidate_values_match_reference_on_random_n_and_near_squares():
     rng = random.Random(20200817)
     for n in [rng.randint(2, 10**5) for _ in range(500)]:
-        assert _candidate_fractions(n, 7) == candidate_values_reference(n, 7), n
+        assert candidate_values(n, 7) == _reference_triples(n, 7), n
     for k in range(2, 300):
         for n in (k * k - 1, k * k, k * k + 1):
-            assert _candidate_fractions(n, 7) == candidate_values_reference(n, 7), n
+            assert candidate_values(n, 7) == _reference_triples(n, 7), n
 
 
 @pytest.mark.parametrize("n,max_m", [(2, 2000), (3, 5000)])
 def test_candidate_values_match_reference_at_a_large_key_scale(n, max_m):
-    assert _candidate_fractions(n, max_m) == candidate_values_reference(n, max_m)
+    assert candidate_values(n, max_m) == _reference_triples(n, max_m)
 
 
 def test_candidate_values_build_no_fraction(monkeypatch):
