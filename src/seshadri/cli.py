@@ -6,10 +6,11 @@ Output formats: aligned text (default), CSV (RFC-style commas, "."
 decimal points), and JSON.
 
 Each command is a function from its own options to one report dict, its
-JSON output.  _command registers it, appends --format (csv only where the
-command has a CSV renderer) and is the one writer of every report, with the
-schema keys and the command's name, and of every library ValueError, as a
-usage error.  The renderers only read the report, so formats cannot disagree.
+JSON output.  click types read every option value.  _command registers the
+command, appends --format (csv only where it has a CSV renderer) and is the
+one writer of every report, with the schema keys and the command's name,
+and of every library refusal, a ValueError, as a usage error.  The
+renderers only read the report, so formats cannot disagree.
 
 Every JSON report carries the keys {command, inputs, status,
 exact_values, decimal_renderings, certificates, paper_expectations}.
@@ -107,7 +108,6 @@ def _json(value, indent: str = "") -> str:
     return json.dumps(value)
 
 
-_DIGIT_CAP_MESSAGE = f"an integer input has at most {MAX_N_DIGITS} digits"
 _LONG_NUMBER = re.compile(rf"\d{{{MAX_QUOTED + 1},}}")
 
 
@@ -125,33 +125,17 @@ def _quote(text: str) -> str:
     return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
 
 
-def _over_digit_cap(text: str) -> bool:
-    """Whether text has more than MAX_N_DIGITS characters after its sign.
-
-    No integer within the cap does, so such a text is refused unread: int()
-    refuses one past 4300 digits, and click quotes a refused value in full.
-    """
-    return len(text.strip().lstrip("+-")) > MAX_N_DIGITS
-
-
-def _int(text: str) -> int:
-    """int(text), or a usage error that states the cap past MAX_N_DIGITS digits."""
-    if _over_digit_cap(text):
-        raise click.UsageError(_DIGIT_CAP_MESSAGE)
-    return int(text)
-
-
 class _DigitCapped:
-    """Refuses an option value past MAX_N_DIGITS digits with _DIGIT_CAP_MESSAGE.
+    """Refuses a value past MAX_N_DIGITS digits unread; int() refuses one past 4300.
 
     click quotes a refused value in full ("... is not in the range x>=2"),
-    so every refusal goes through _short: it names the range or the parse
-    error, and quotes at most MAX_QUOTED digits of the value.
+    so every refusal goes through _short: it names the cap, the range or the
+    parse error, and quotes at most MAX_QUOTED digits of the value.
     """
 
     def convert(self, value, param, ctx):
-        if isinstance(value, str) and _over_digit_cap(value):
-            self.fail(_DIGIT_CAP_MESSAGE, param, ctx)
+        if isinstance(value, str) and len(value.strip().lstrip("+-")) > MAX_N_DIGITS:
+            self.fail(f"an integer input has at most {MAX_N_DIGITS} digits", param, ctx)
         return super().convert(value, param, ctx)
 
     def fail(self, message, param=None, ctx=None) -> NoReturn:
@@ -164,6 +148,21 @@ class _Int(_DigitCapped, click.types.IntParamType):
 
 class _IntRange(_DigitCapped, click.IntRange):
     """The type of every bounded integer option."""
+
+
+class _IntList(click.ParamType):
+    """Comma-separated integers, each read by item, "" as []; with a size, that many."""
+
+    name = "text"
+
+    def __init__(self, item: click.ParamType, size: int | None = None) -> None:
+        self.item, self.size = item, size
+
+    def convert(self, value, param, ctx) -> list[int]:
+        parts = value.split(",") if value else []
+        if self.size is not None and len(parts) != self.size:
+            self.fail(f"expected {self.size} integers, got {_quote(value)}", param, ctx)
+        return [self.item.convert(part, param, ctx) for part in parts]
 
 
 _decimals_option = click.option("--decimals", default=4, show_default=True,
@@ -412,19 +411,16 @@ def _table_text(r: dict) -> list[str]:
 @_command(cli, _table_text, _table_csv)
 @click.option("--preset", type=click.Choice(["paper"]), default=None,
               help="Use the eight published self-intersections.")
-@click.option("--ns", default=None, help="Comma-separated self-intersections.")
+@click.option("--ns", default=None, type=_IntList(_IntRange(min=2)),
+              help="Comma-separated self-intersections.")
 @_decimals_option
 @_full_precision_option
-def table(preset: str | None, ns: str | None, decimals: int, full_precision: bool) -> dict:
+def table(preset: str | None, ns: list[int] | None, decimals: int, full_precision: bool) -> dict:
     """Comparison table: prior bounds versus the new bound."""
-    if (preset is None) == (ns is None):
-        raise click.UsageError("provide exactly one of --preset paper and --ns")
-    try:
-        values = (list(comparison.PAPER_TABLE_NS) if preset
-                  else [_int(v) for v in ns.split(",")])
-        rows = comparison.comparison_table(values)
-    except ValueError as exc:
-        raise click.UsageError(_short(f"bad --ns list: {exc}"))
+    if (preset is None) == (ns is None) or ns == []:
+        raise click.UsageError("provide exactly one of --preset paper and a non-empty --ns")
+    values = list(comparison.PAPER_TABLE_NS) if preset else ns
+    rows = comparison.comparison_table(values)
     trim = not full_precision
     return {
         "inputs": {"ns": values, "decimals": decimals},
@@ -501,16 +497,9 @@ def bielliptic_group() -> None:
     """Intersection lattice of the seven bielliptic surface types."""
 
 
-def _parse_class(text: str) -> bielliptic.DivisorClass:
-    try:
-        a, b = (_int(part) for part in text.split(","))
-    except ValueError:
-        raise click.UsageError(f"divisor class must be 'a,b', got {_quote(text)}")
-    return bielliptic.DivisorClass(a, b)
-
-
 _type_option = click.option("--type", "type_index", required=True,
                             type=_IntRange(1, 7))
+_CLASS = _IntList(_Int(), size=2)
 
 
 def _types_text(r: dict) -> list[str]:
@@ -540,11 +529,11 @@ def types() -> dict:
 
 @_command(bielliptic_group, lambda r: [r["exact_values"]["intersection"]])
 @_type_option
-@click.option("--c1", required=True)
-@click.option("--c2", required=True)
-def intersect(type_index: int, c1: str, c2: str) -> dict:
+@click.option("--c1", required=True, type=_CLASS)
+@click.option("--c2", required=True, type=_CLASS)
+def intersect(type_index: int, c1: list[int], c2: list[int]) -> dict:
     """Intersection number of two divisor classes."""
-    d1, d2 = _parse_class(c1), _parse_class(c2)
+    d1, d2 = bielliptic.DivisorClass(*c1), bielliptic.DivisorClass(*c2)
     return {
         "inputs": {"type": type_index, "c1": str(d1), "c2": str(d2)},
         "exact_values": {"intersection": str(bielliptic.intersect(d1, d2))},
@@ -554,11 +543,11 @@ def intersect(type_index: int, c1: str, c2: str) -> dict:
 @_command(bielliptic_group, lambda r: [f"L.E = {r['exact_values']['deg_E']}",
                                         f"L.F = {r['exact_values']['deg_F']}"])
 @_type_option
-@click.option("--class", "divisor", required=True, help="Divisor class a,b.")
-def fiber_degrees(type_index: int, divisor: str) -> dict:
+@click.option("--class", "divisor", required=True, type=_CLASS, help="Divisor class a,b.")
+def fiber_degrees(type_index: int, divisor: list[int]) -> dict:
     """Degrees L.E and L.F of a divisor class against the two fibrations."""
     kind = bielliptic.surface_kind(type_index)
-    cls = _parse_class(divisor)
+    cls = bielliptic.DivisorClass(*divisor)
     deg_e, deg_f = bielliptic.fiber_degrees(kind, cls)
     return {
         "inputs": {"type": type_index, "class": str(cls)},
@@ -568,21 +557,18 @@ def fiber_degrees(type_index: int, divisor: str) -> dict:
 
 @_command(bielliptic_group, lambda r: ["true" if r["holds"] else "false"])
 @click.option("--c2", "c2_value", required=True, type=_Int(), help="Self-intersection C^2.")
-@click.option("--mults", default="", help="Comma-separated multiplicities >= 2.")
+@click.option("--mults", default="", type=_IntList(_Int()),
+              help="Comma-separated multiplicities >= 2.")
 @click.option("--components", "r", default=None, type=_Int(),
               help="Component count for the reduced-curve form.")
-def star_check(c2_value: int, mults: str, r: int | None) -> dict:
+def star_check(c2_value: int, mults: list[int], r: int | None) -> dict:
     """Check C^2 against 2r + sum m_i(m_i - 1)  (r = 1: irreducible form)."""
-    try:
-        mult_list = [_int(part) for part in mults.split(",")] if mults else []
-    except ValueError:
-        raise click.UsageError(f"bad --mults list: {_quote(mults)}")
     if r is None:
-        passed = bielliptic.star_check_irreducible(c2_value, mult_list)
+        passed = bielliptic.star_check_irreducible(c2_value, mults)
     else:
-        passed = bielliptic.star_check_reducible(c2_value, r, mult_list)
+        passed = bielliptic.star_check_reducible(c2_value, r, mults)
     return {
-        "inputs": {"c2": c2_value, "mults": mult_list, "components": r},
+        "inputs": {"c2": c2_value, "mults": mults, "components": r},
         "status": "ok" if passed else "violation",
         "holds": passed,
     }
@@ -591,15 +577,17 @@ def star_check(c2_value: int, mults: str, r: int | None) -> dict:
 @_command(bielliptic_group,
           lambda r: [f"{r['exact_values']['ratio']} = {r['decimal_renderings']['ratio']}"])
 @_type_option
-@click.option("--ample", required=True, help="Ample class a,b.")
-@click.option("--curve", required=True, help="Curve class a,b.")
+@click.option("--ample", required=True, type=_CLASS, help="Ample class a,b.")
+@click.option("--curve", required=True, type=_CLASS, help="Curve class a,b.")
 @click.option("--m", default=1, show_default=True, type=_IntRange(min=1))
 @_decimals_option
-def ratio(type_index: int, ample: str, curve: str, m: int, decimals: int) -> dict:
+def ratio(type_index: int, ample: list[int], curve: list[int], m: int, decimals: int) -> dict:
     """L.C / m as an exact rational."""
-    value = bielliptic.seshadri_ratio(_parse_class(ample), _parse_class(curve), m)
+    value = bielliptic.seshadri_ratio(bielliptic.DivisorClass(*ample),
+                                      bielliptic.DivisorClass(*curve), m)
     return {
-        "inputs": {"type": type_index, "ample": ample, "curve": curve, "m": m},
+        "inputs": {"type": type_index, "ample": _join(ample, ","), "curve": _join(curve, ","),
+                   "m": m},
         "exact_values": {"ratio": _rat_str(value)},
         "decimal_renderings": {"ratio": format_decimal(value, decimals)},
     }

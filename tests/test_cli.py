@@ -93,6 +93,8 @@ class TestBound:
     ["bielliptic", "ratio", "--type", "1", "--ample", "2,3", "--curve", "1,1",
      "--decimals", "-1"],
     ["bielliptic", "star-check", "--c2", "10", "--mults", "2,3,"],
+    ["table", "--ns", "2,3,"],
+    ["bielliptic", "ratio", "--type", "1", "--ample", "1,2,3", "--curve", "1,1"],
     # past the caps, a rendered integer would exceed Python's int-to-str limit
     ["bound", "--n", "2", "--decimals", "4300"],
     ["table", "--preset", "paper", "--decimals", "5000"],
@@ -136,6 +138,26 @@ def test_bad_numeric_input_is_a_usage_error(args):
     assert len(result.output) < 200  # the message states the cap, not the number
     if any(len(number) > MAX_N_DIGITS for arg in args for number in re.findall(r"\d+", arg)):
         assert f"at most {MAX_N_DIGITS} digits" in result.output
+
+
+#: (option, a command lacking only it, a malformed value of it)
+LIST_OPTIONS = [
+    ("--ns", ["table"], "2,x"),
+    ("--mults", ["bielliptic", "star-check", "--c2", "10"], "2,x"),
+    ("--c1", ["bielliptic", "intersect", "--type", "1", "--c2", "1,1"], "1;0"),
+    ("--c2", ["bielliptic", "intersect", "--type", "1", "--c1", "1,1"], "1;0"),
+    ("--class", ["bielliptic", "fiber-degrees", "--type", "1"], "1;0"),
+    ("--ample", ["bielliptic", "ratio", "--type", "1", "--curve", "1,1"], "1;0"),
+    ("--curve", ["bielliptic", "ratio", "--type", "1", "--ample", "2,3"], "1;0"),
+]
+
+
+@pytest.mark.parametrize("option, args, value", LIST_OPTIONS, ids=[o[0] for o in LIST_OPTIONS])
+def test_a_malformed_list_or_class_is_a_usage_error_that_names_its_option(option, args, value):
+    result = run(*args, option, value)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"Invalid value for '{option}'" in result.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -282,6 +304,17 @@ class TestTable:
         assert run("table", "--ns", "2,x").exit_code == 2
         assert run("table", "--ns", "1").exit_code == 2
         assert run("table", "--preset", "paper", "--ns", "5").exit_code == 2
+        assert run("table", "--ns", "").exit_code == 2
+
+    def test_an_ns_entry_below_2_is_refused_before_the_table_is_built(self, monkeypatch):
+        def no_table(_ns):
+            raise AssertionError("comparison_table called")
+
+        monkeypatch.setattr(comparison, "comparison_table", no_table)
+        result = run("table", "--ns", "2,1")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "1 is not in the range x>=2" in result.stderr
 
 
 class TestVerify:
@@ -346,6 +379,17 @@ class TestBielliptic:
                      "--curve", "1,1", "--m", "2")
         assert result.output.strip() == "5/2 = 2.5"
 
+    def test_ratio_echoes_each_class_as_parsed(self):
+        result = run("bielliptic", "ratio", "--type", "1", "--ample", "+2,03", "--curve", "1,1",
+                     "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["inputs"]["ample"] == "2,3"
+
+    def test_star_check_empty_mults_is_no_singular_point(self):
+        result = run("bielliptic", "star-check", "--c2", "10", "--mults", "", "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["inputs"]["mults"] == []
+
     def test_ratio_rejects_non_ample(self):
         assert run("bielliptic", "ratio", "--type", "1", "--ample", "0,5",
                    "--curve", "1,1", "--m", "1").exit_code == 2
@@ -378,7 +422,7 @@ LIBRARY_CALLS = [
     (bounds, "d_min", ["omega", "--n", "5", "--m", "2"], ""),
     (bounds, "candidate_values", ["candidates", "--n", "5"], ""),
     (bounds, "census", ["census", "--from", "2", "--to", "10"], ""),
-    (comparison, "comparison_table", ["table", "--ns", "2,5"], "bad --ns list: "),
+    (comparison, "comparison_table", ["table", "--ns", "2,5"], ""),
     (verify_module, "run", ["verify"], ""),
     (bielliptic, "intersect", ["bielliptic", "intersect", "--type", "1", "--c1", "1,1",
                                "--c2", "1,1"], ""),

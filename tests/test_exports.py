@@ -13,7 +13,9 @@ none is a dataclass, whose generated methods are compiled at import, and
 the package or the benchmark reads every field of each.
 Importing the CLI does not import csv, which only CSV output needs.
 The CLI turns a library ValueError into a usage error in one place, the
-writer of cli._command, so no command grows its own copy of that rule.
+writer of cli._command, so no command grows its own copy of that rule, and
+that writer's try is the CLI's only one: click types read every option
+value, so no command parses or catches anything.
 """
 
 import ast
@@ -210,4 +212,11 @@ def test_cli_turns_a_library_value_error_into_a_usage_error_only_in_its_writer()
               and node.type is not None and ast.unparse(node.type) == "ValueError"
               and any(ast.unparse(stmt) == "raise click.UsageError(_short(str(exc)))"
                       for stmt in node.body)]
+    assert owners == ["_command"]
+
+
+def test_the_cli_has_one_try_the_writer_s():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    owners = [getattr(top, "name", None) for top in tree.body
+              for node in ast.walk(top) if isinstance(node, ast.Try)]
     assert owners == ["_command"]
