@@ -36,7 +36,6 @@ from typing import NoReturn
 import click
 
 from . import bielliptic, bounds, comparison
-from . import verify as verify_checks
 from .exactmath import RadicalBound, _decimal, format_decimal
 
 EXIT_OK = 0
@@ -125,29 +124,33 @@ def _quote(text: str) -> str:
     return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
 
 
-class _DigitCapped:
-    """Refuses a value past MAX_N_DIGITS digits unread; int() refuses one past 4300.
+class _Short:
+    """click quotes a refused value in full ("... is not in the range x>=2"),
+    so every refusal goes through _short."""
 
-    click quotes a refused value in full ("... is not in the range x>=2"),
-    so every refusal goes through _short: it names the cap, the range or the
-    parse error, and quotes at most MAX_QUOTED digits of the value.
-    """
+    def fail(self, message, param=None, ctx=None) -> NoReturn:
+        super().fail(_short(message), param, ctx)
+
+
+class _Choice(_Short, click.Choice):
+    """The type of every choice option."""
+
+
+class _Int(_Short, click.types.IntParamType):
+    """The type of every unbounded integer option.  It refuses a value past
+    MAX_N_DIGITS digits unread; int() refuses one past 4300."""
 
     def convert(self, value, param, ctx):
         if isinstance(value, str) and len(value.strip().lstrip("+-")) > MAX_N_DIGITS:
             self.fail(f"an integer input has at most {MAX_N_DIGITS} digits", param, ctx)
         return super().convert(value, param, ctx)
 
-    def fail(self, message, param=None, ctx=None) -> NoReturn:
-        super().fail(_short(message), param, ctx)
 
+class _IntRange(_Short, click.IntRange):
+    """The type of every bounded integer option; it reads its value as _Int does."""
 
-class _Int(_DigitCapped, click.types.IntParamType):
-    """The type of every unbounded integer option."""
-
-
-class _IntRange(_DigitCapped, click.IntRange):
-    """The type of every bounded integer option."""
+    def convert(self, value, param, ctx):
+        return super().convert(_Int().convert(value, param, ctx), param, ctx)
 
 
 class _IntList(click.ParamType):
@@ -192,7 +195,7 @@ def _command(group: click.Group, text: Callable,
     def register(compute: Callable[..., dict]) -> click.Command:
         command = group.command()(compute)
         command.params.append(click.Option(["--format", "fmt"], default="text",
-                                           type=click.Choice(FORMATS if csv_table else NO_CSV)))
+                                           type=_Choice(FORMATS if csv_table else NO_CSV)))
         label = command.name if group is cli else f"{group.name} {command.name}"
 
         def write(fmt: str, **options) -> NoReturn:
@@ -409,7 +412,7 @@ def _table_text(r: dict) -> list[str]:
 
 
 @_command(cli, _table_text, _table_csv)
-@click.option("--preset", type=click.Choice(["paper"]), default=None,
+@click.option("--preset", type=_Choice(["paper"]), default=None,
               help="Use the eight published self-intersections.")
 @click.option("--ns", default=None, type=_IntList(_IntRange(min=2)),
               help="Comma-separated self-intersections.")
@@ -463,27 +466,17 @@ def verify(agreement_to: int, scan_cap: int) -> dict:
     exit code; investigations are reported and never fail (see
     seshadri.verify).
     """
-    result = verify_checks.run(agreement_to, scan_cap)
+    from .verify import run  # only this command needs it; every other start skips its import
+
+    checks = run(agreement_to, scan_cap)
     anchored = {c.name: {"pass": c.passed, "detail": c.detail}
-                for c in result.checks if c.passed is not None}
-    ceiling = result.ceiling
+                for c in checks if c.passed is not None}
     return {
         "inputs": {"agreement_to": agreement_to, "scan_cap": scan_cap},
         "status": "ok" if all(c["pass"] for c in anchored.values()) else "discrepancy",
         "paper_expectations": anchored,
-        "investigations": {c.name: c.detail for c in result.checks if c.passed is None},
-        "certificates": {
-            "ceiling_threshold": {
-                "threshold": ceiling.threshold,
-                "last_failure": ceiling.last_failure,
-                "scanned_to": ceiling.scanned_to,
-                "analytic_per_m": ceiling.analytic.per_m,
-            },
-            "analytic_threshold": {
-                m: {"threshold": c.threshold, "poly": list(c.poly)}
-                for m, c in ceiling.analytic.certificates.items()
-            },
-        },
+        "investigations": {c.name: c.detail for c in checks if c.passed is None},
+        "certificates": {key: block for c in checks for key, block in c.certificates.items()},
     }
 
 

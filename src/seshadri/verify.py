@@ -1,7 +1,9 @@
 """Every finite check of the paper, re-run in exact arithmetic.
 
 run() returns one Check per anchored expectation and per investigation,
-in the order `seshadri verify` prints them.  Anchored expectations are
+in the order `seshadri verify` prints them, each with the certificate
+blocks that back it (the ceiling and analytic thresholds carry one each;
+`seshadri verify` prints their union).  Anchored expectations are
 figures the source states exactly (the 1072 inequality threshold, the
 even-N ceiling threshold 4982, the census counts, the comparison table,
 chain dominance, theorem-level agreement); they pass or fail.
@@ -18,25 +20,20 @@ from typing import NamedTuple
 
 from . import bounds, comparison
 
-__all__ = ["Check", "Verification", "agreement_sweep", "f7_survey", "run"]
+__all__ = ["Check", "agreement_sweep", "f7_survey", "run"]
 
 #: the even-N census counts over [2, 10000] stated in the source
 EXPECTED_CENSUS = {2: 1, 3: 59, 4: 4656, 5: 274, 6: 9, 7: 1}
 
 
 class Check(NamedTuple):
-    """One check: passed is True/False when anchored, None for an investigation."""
+    """One check: passed is True/False when anchored, None for an investigation;
+    certificates holds its JSON certificate blocks by key."""
 
     name: str
     passed: bool | None
     detail: str
-
-
-class Verification(NamedTuple):
-    """The checks plus the even-N ceiling threshold; ceiling.analytic holds the certificates."""
-
-    checks: list[Check]
-    ceiling: bounds.CeilingThreshold
+    certificates: dict
 
 
 def agreement_sweep(stop: int) -> tuple[list[int], list[int]]:
@@ -75,7 +72,7 @@ def f7_survey(scan_cap: int) -> tuple[int, list[int]]:
     return with_violations, uncertified
 
 
-def run(agreement_to: int, scan_cap: int) -> Verification:
+def run(agreement_to: int, scan_cap: int) -> list[Check]:
     """Re-run every check; agreement_to ends the agreement sweep and
     scan_cap bounds the per-multiplicity comparison."""
     t = bounds.sqrt58_threshold()
@@ -88,33 +85,39 @@ def run(agreement_to: int, scan_cap: int) -> Verification:
     all_int_census = bounds.census(2, 10_000, even_only=False)
     all_int_ceiling = bounds.ceiling_threshold(even_only=False)
     analytic = all_int_ceiling.analytic
-    checks = [
-        Check("sqrt58_threshold", t == 1072, f"computed {t}, expected 1072"),
+    return [
+        Check("sqrt58_threshold", t == 1072, f"computed {t}, expected 1072", {}),
         Check("ceiling_threshold_even", ceiling.threshold == 4982,
               f"computed {ceiling.threshold} (last failure N={ceiling.last_failure}, "
-              f"scan to {ceiling.scanned_to} + analytic tail), expected 4982"),
+              f"scan to {ceiling.scanned_to} + analytic tail), expected 4982",
+              {"ceiling_threshold": {"threshold": ceiling.threshold,
+                                     "last_failure": ceiling.last_failure,
+                                     "scanned_to": ceiling.scanned_to,
+                                     "analytic_per_m": ceiling.analytic.per_m}}),
         Check("census_even_counts", cens.counts == EXPECTED_CENSUS,
-              f"computed {cens.counts}, expected {EXPECTED_CENSUS}"),
+              f"computed {cens.counts}, expected {EXPECTED_CENSUS}", {}),
         Check("table_regeneration", all(d.documented for d in diffs),
               "all cells match the printed table" if not diffs else
               "; ".join(f"({d.n},{d.column}): computed {d.computed}, printed {d.printed}"
-                        f"{' [documented erratum]' if d.documented else ''}" for d in diffs)),
+                        f"{' [documented erratum]' if d.documented else ''}" for d in diffs),
+              {}),
         Check("theorem_agreement", not bad and not unc,
               f"swept N in [2, {agreement_to}]: {len(bad)} disagreements {bad[:5]}, "
-              f"{len(unc)} uncertified {unc[:5]}"),
+              f"{len(unc)} uncertified {unc[:5]}", {}),
         Check("dominance_chain", not dom_bad,
-              f"swept N in [2, 10000]: {len(dom_bad)} violations {dom_bad[:5]}"),
+              f"swept N in [2, 10000]: {len(dom_bad)} violations {dom_bad[:5]}", {}),
         Check("analytic_threshold", None,
               f"all-integer {analytic.threshold} (per-m {analytic.per_m}), "
               f"even-N {ceiling.analytic.threshold} (per-m {ceiling.analytic.per_m}); "
-              f"stated figure 8776"),
+              f"stated figure 8776",
+              {"analytic_threshold": {m: {"threshold": c.threshold, "poly": list(c.poly)}
+                                      for m, c in ceiling.analytic.certificates.items()}}),
         Check("per_m_comparison_f7", None,
               f"N in [2, 1070]: {f7_viol} values with certified violation lists, "
               f"uncertified at {f7_unc} (threshold above sqrt(N) there); "
-              f"theorem-level minimum unaffected (see theorem_agreement)"),
+              f"theorem-level minimum unaffected (see theorem_agreement)", {}),
         Check("all_integer_variants", None,
               f"census over all N in [2, 10000]: {all_int_census.counts}; "
               f"ceiling threshold over all integers: {all_int_ceiling.threshold} "
-              f"(last failure N={all_int_ceiling.last_failure})"),
+              f"(last failure N={all_int_ceiling.last_failure})", {}),
     ]
-    return Verification(checks, ceiling)

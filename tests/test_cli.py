@@ -127,6 +127,8 @@ class TestBound:
     ["bound", "--n", "9" * (MAX_N_DIGITS - 1) + "x"],
     ["candidates", "--n", "9" * MAX_N_DIGITS],
     ["table", "--ns", "-" + "9" * MAX_N_DIGITS],
+    ["table", "--preset", "9" * MAX_N_DIGITS],
+    ["bound", "--n", "2", "--format", "9" * MAX_N_DIGITS],
     # at N = 4 no (d, m) pair lies below sqrt(N): the refusal is on max_m itself
     ["candidates", "--n", "4", "--max-m", str(bounds.MAX_CANDIDATES + 1)],
 ])
@@ -158,6 +160,15 @@ def test_a_malformed_list_or_class_is_a_usage_error_that_names_its_option(option
     assert result.exit_code == 2
     assert result.stdout == ""
     assert f"Invalid value for '{option}'" in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["bound", "--n", "x"], ["bound", "--n", "2", "--decimals", "x"], ["table", "--ns", "2,x"],
+], ids=["--n", "--decimals", "--ns"])
+def test_a_bounded_integer_option_calls_a_non_integer_not_a_valid_integer(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stderr.endswith("'x' is not a valid integer.\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -332,6 +343,15 @@ class TestVerify:
         assert payload["paper_expectations"]["sqrt58_threshold"]["pass"] is False
         assert payload["paper_expectations"]["census_even_counts"]["pass"] is True
 
+    def test_certificates_are_the_union_of_the_checks_blocks(self):
+        checks = verify_module.run(2, 8)
+        keys = [key for check in checks for key in check.certificates]
+        assert sorted(keys) == ["analytic_threshold", "ceiling_threshold"]  # one owner each
+        union = {key: block for check in checks for key, block in check.certificates.items()}
+        result = run("verify", "--agreement-to", "2", "--scan-cap", "8", "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["certificates"] == json.loads(json.dumps(union))
+
 
 class TestBielliptic:
     def test_types_matches_published_rows(self):
@@ -469,6 +489,49 @@ def test_every_command_ends_with_its_format_option():
                      "bielliptic types", "bielliptic intersect", "bielliptic fiber-degrees",
                      "bielliptic star-check", "bielliptic ratio"]
     }
+
+
+#: hostile option values: numbers at and past the digit cap, signs, blanks, other bases,
+#: separators, non-ASCII digits, floats, malformed classes and lists, and a few valid
+#: values, so that every command also runs
+_HOSTILE = [
+    "9" * MAX_N_DIGITS, "-" + "9" * MAX_N_DIGITS, "1" + "0" * MAX_N_DIGITS, "+7", "-3", "",
+    " ", " 5 ", "0x10", "1_000", "\u0661\u0662", "\uff11\uff12", "2.5", "1e3", "nan", "x",
+    "0", "1", "2", "3", "8", "10", "paper", ",", "1,", ",1", "1,,2", "1;0", "2,3", "1,2,3",
+]
+_HOSTILE_VALUES = st.sampled_from(_HOSTILE) | st.lists(st.sampled_from(_HOSTILE), max_size=3).map(
+    ",".join)
+_FUZZED = [(name, command) for name, command in _commands(cli)
+           if name not in {"verify", "bielliptic types"}]
+#: most bytes of a usage error (usage line, hint and message)
+USAGE_ERROR_BYTES = 300
+
+
+@st.composite
+def _invocations(draw):
+    """A fuzzed command's name and arguments: each option present or not (a required one
+    always), a hostile value for each valued one, and one of its formats."""
+    name, command = draw(st.sampled_from(_FUZZED))
+    args = name.split()
+    *options, fmt = command.params
+    for option in options:
+        if option.required or draw(st.booleans()):
+            args += [option.opts[0]] if option.is_flag else [option.opts[0],
+                                                             draw(_HOSTILE_VALUES)]
+    return name, [*args, "--format", draw(st.sampled_from(fmt.type.choices))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=1000)
+@given(_invocations())
+def test_hostile_input_is_an_exit_0_1_or_2_with_a_short_usage_error(invocation):
+    name, args = invocation
+    result = run(*args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert result.exit_code in (0, 1, 2)
+    assert result.exit_code != 1 or name in {"bound", "bielliptic star-check"}
+    if result.exit_code == 2:
+        assert result.stdout == ""
+        assert len(result.stderr.encode()) < USAGE_ERROR_BYTES, result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -161,8 +161,7 @@ RECORDS = [
     ("SqrtLinearThreshold", lambda: bounds.analytic_threshold().certificates[2], "threshold"),
     ("AnalyticThreshold", lambda: bounds.analytic_threshold(), "threshold"),
     ("CeilingThreshold", lambda: bounds.ceiling_threshold(), "threshold"),
-    ("Check", lambda: verify.run(2, 8).checks[0], "passed"),
-    ("Verification", lambda: verify.run(2, 8), "checks"),
+    ("Check", lambda: verify.run(2, 8)[0], "passed"),
     ("TableRow", lambda: comparison.comparison_table([2])[0], "new_bound"),
     ("CellDiscrepancy", lambda: comparison.table_vs_printed()[0], "computed"),
     ("RadicalBound", lambda: comparison.prior_bound("hr_093", 5), "coef"),
@@ -197,12 +196,16 @@ def test_no_record_is_a_dataclass():
                          f"of every CLI start each; make these NamedTuples: {found}")
 
 
-def test_cli_import_leaves_csv_unloaded():
-    code = "import sys; sys.path.insert(0, 'src'); import seshadri.cli; print('csv' in sys.modules)"
+@pytest.mark.parametrize("module, where", [
+    ("csv", "the CSV branch of the writer in cli._command"),
+    ("seshadri.verify", "the verify command"),
+], ids=["csv", "seshadri.verify"])
+def test_cli_import_leaves_unneeded_modules_unloaded(module, where):
+    code = ("import sys; sys.path.insert(0, 'src'); import seshadri.cli; "
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-I", "-c", code], cwd=PACKAGE.parent.parent,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False", ("import csv inside the CSV branch of the writer in "
-                                     "cli._command, not at module level")
+    assert out.strip() == "False", f"import {module} inside {where}, not at module level"
 
 
 def test_cli_turns_a_library_value_error_into_a_usage_error_only_in_its_writer():
