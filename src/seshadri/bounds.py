@@ -12,9 +12,9 @@ This module computes, entirely in exact integer arithmetic:
     m_max(N, d);
   * the finite minimum  min{ d_min(N,m)/m : m in 2..7 }  together with its
     attaining multiplicities: per N through d_min (lower_bound_small), and
-    in bulk through one integer kernel (_small_min: one isqrt per m, the
-    minimum as a numerator over 420 and the argmins as a bitmask); census,
-    per_n and ceiling_threshold read one table of that kernel's results
+    over a window through one kernel (_small_columns: per m a lazy column of
+    numerators over 420, read run by run with no isqrt per N); census, per_n
+    and ceiling_threshold read one table of its minima and argmin bitmasks
     below the analytic threshold, built once per process;
   * the same minimum certified over ALL m >= 2, via a quadratic
     tail-domination certificate that replaces the infinite case check by
@@ -46,8 +46,9 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat, tee
 from math import gcd, isqrt, lcm
+from operator import eq, floordiv, lshift, sub
 from typing import NamedTuple
 
 from .exactmath import ceil_sqrt, sqrt_linear_cmp
@@ -110,26 +111,24 @@ class SmallBound(NamedTuple):
     argmins: frozenset[int]
 
 
-#: (m, m^2 - m + 2, SMALL_MS_LCM // m) for m in SMALL_MS: d_min(n, m) is the ceiling
-#: square root of n*(m^2 - m + 2), and d_min(n, m)/m is d_min(n, m)*(420//m) over 420
-_SMALL_TERMS = tuple((m, m * m - m + 2, SMALL_MS_LCM // m) for m in SMALL_MS)
+def _small_columns(start: int, stop: int) -> tuple[Iterator[int], ...]:
+    """Per m in SMALL_MS, d_min(n, m)*(SMALL_MS_LCM // m) for n = start..stop, lazily.
 
-
-def _small_min(n: int) -> tuple[int, int]:
-    """The six-term minimum as (numerator over SMALL_MS_LCM, argmin bitmask).
-
-    Bit m of the mask is set when m attains the minimum.  n >= 1 is the
-    caller's to ensure: then n*(m^2 - m + 2) >= 1, and its ceiling square
-    root is isqrt(n*(m^2 - m + 2) - 1) + 1.
+    d_min(n, m) is the ceiling square root of n*k, k = m^2 - m + 2, so it is d exactly
+    when (d-1)^2 // k < n <= d^2 // k: a column repeats d over that run, with two isqrt
+    per column and one division per d, none per n, holding only the current run.
+    start >= 1 is the caller's to ensure; stop < start gives empty columns.  The
+    six-term numerator over SMALL_MS_LCM is map(min, *columns).
     """
-    best, mask = None, 0
-    for m, k, scale in _SMALL_TERMS:
-        v = (isqrt(n * k - 1) + 1) * scale
-        if best is None or v < best:
-            best, mask = v, 1 << m
-        elif v == best:
-            mask |= 1 << m
-    return best, mask
+    columns = []
+    for m in SMALL_MS:
+        k, scale = m * m - m + 2, SMALL_MS_LCM // m
+        first, last = isqrt(start * k - 1) + 1, isqrt(max(stop * k - 1, 0)) + 1
+        ends, starts = tee(map(floordiv, map(pow, range(first, last), repeat(2)), repeat(k)))
+        runs = map(sub, chain(ends, (stop,)), chain((start - 1,), starts))
+        columns.append(chain.from_iterable(
+            map(repeat, range(first * scale, (last + 1) * scale, scale), runs)))
+    return tuple(columns)
 
 
 def lower_bound_small(n: int) -> SmallBound:
@@ -138,7 +137,7 @@ def lower_bound_small(n: int) -> SmallBound:
     The ratios are compared as numerators over the common denominator
     SMALL_MS_LCM; only the returned minimum becomes a Fraction.  This is
     the per-N definition, through d_min; the census and verify's agreement
-    sweep use the integer kernel _small_min, which the tests hold equal to it.
+    sweep use the kernel _small_columns, which the tests hold equal to it.
     """
     _require("self-intersection", n, 2)
     scaled = {m: d_min(n, m) * (SMALL_MS_LCM // m) for m in SMALL_MS}
@@ -149,17 +148,20 @@ def lower_bound_small(n: int) -> SmallBound:
 
 @cache
 def _small_table() -> tuple[array, array]:
-    """_small_min of every n below the even analytic threshold, built once per process.
+    """The kernel's minima and argmin bitmasks below the even analytic threshold, once per process.
 
     Entry n of the first array is the numerator over SMALL_MS_LCM, entry n of
-    the second the argmin bitmask; both are 0 for n < 2.  The even threshold
-    (8776) is the larger of the two parities, so both read this one table.
+    the second the bitmask (bit m set when column m equals the minimum); both
+    are 0 for n < 2.  Built 1024 n at a time, so no column is held whole.  The
+    even threshold (8776) is the larger of the two parities, so both read it.
     """
+    columns = _small_columns(2, analytic_threshold(even_only=True).threshold - 1)
     nums, masks = array("L", [0, 0]), array("B", [0, 0])
-    for n in range(2, analytic_threshold(even_only=True).threshold):
-        num, mask = _small_min(n)
-        nums.append(num)
-        masks.append(mask)
+    while (block := [list(islice(column, 1024)) for column in columns])[0]:
+        block_nums = list(map(min, *block))
+        nums.extend(block_nums)
+        masks.extend(map(sum, zip(*(map(lshift, map(eq, column, block_nums), repeat(m))
+                                    for m, column in zip(SMALL_MS, block)))))
     return nums, masks
 
 

@@ -28,6 +28,7 @@ import io
 import json
 import re
 import sys
+from ast import literal_eval
 from collections.abc import Callable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _ascii
@@ -125,10 +126,12 @@ def _quote(text: str) -> str:
 
 
 class _Short:
-    """click quotes a refused value in full ("... is not in the range x>=2"),
-    so every refusal goes through _short."""
+    """click quotes a refused value in full, so every refusal cuts each string
+    literal in it as _quote does, and then each long number as _short does."""
 
     def fail(self, message, param=None, ctx=None) -> NoReturn:
+        message = re.sub(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"",
+                         lambda literal: _quote(literal_eval(literal[0])), message)
         super().fail(_short(message), param, ctx)
 
 

@@ -355,12 +355,16 @@ class TestThresholds:
         # not hold
         analytic = analytic_threshold(even_only=even_only)
         last = analytic.threshold - 1 - even_only
-        kernel = bounds._small_min
+        kernel, five = bounds._small_columns, bounds.SMALL_MS.index(5)
 
-        def failing_at_last(n):
-            return (bounds.SMALL_MS_LCM, 1 << 5) if n == last else kernel(n)
+        def failing_at_last(start, stop):
+            # column m = 5 falls to 1 at n = last, so m = 5 alone is minimal there
+            columns = list(kernel(start, stop))
+            columns[five] = (bounds.SMALL_MS_LCM if n == last else v
+                             for n, v in enumerate(columns[five], start))
+            return tuple(columns)
 
-        monkeypatch.setattr(bounds, "_small_min", failing_at_last)
+        monkeypatch.setattr(bounds, "_small_columns", failing_at_last)
         report = census(2, 9000, even_only=even_only)
         assert max(report.per_n) == last == 8774
         ceiling = ceiling_threshold(even_only=even_only)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from seshadri import bielliptic, bounds, comparison
 from seshadri import cli as cli_module
 from seshadri import verify as verify_module
-from seshadri.cli import MAX_CENSUS_LISTING, MAX_DECIMALS, MAX_N_DIGITS, cli
+from seshadri.cli import MAX_CENSUS_LISTING, MAX_DECIMALS, MAX_N_DIGITS, MAX_QUOTED, cli
 
 JSON_SCHEMA_KEYS = {
     "command", "inputs", "status", "exact_values", "decimal_renderings",
@@ -491,11 +491,12 @@ def test_every_command_ends_with_its_format_option():
     }
 
 
-#: hostile option values: numbers at and past the digit cap, signs, blanks, other bases,
-#: separators, non-ASCII digits, floats, malformed classes and lists, and a few valid
-#: values, so that every command also runs
+#: hostile option values: numbers at and past the digit cap, a long non-number, signs,
+#: blanks, other bases, separators, non-ASCII digits, floats, malformed classes and
+#: lists, and a few valid values, so that every command also runs
 _HOSTILE = [
-    "9" * MAX_N_DIGITS, "-" + "9" * MAX_N_DIGITS, "1" + "0" * MAX_N_DIGITS, "+7", "-3", "",
+    "9" * MAX_N_DIGITS, "-" + "9" * MAX_N_DIGITS, "1" + "0" * MAX_N_DIGITS,
+    "x" * (MAX_N_DIGITS - 1), "+7", "-3", "",
     " ", " 5 ", "0x10", "1_000", "\u0661\u0662", "\uff11\uff12", "2.5", "1e3", "nan", "x",
     "0", "1", "2", "3", "8", "10", "paper", ",", "1,", ",1", "1,,2", "1;0", "2,3", "1,2,3",
 ]
@@ -519,6 +520,20 @@ def _invocations(draw):
             args += [option.opts[0]] if option.is_flag else [option.opts[0],
                                                              draw(_HOSTILE_VALUES)]
     return name, [*args, "--format", draw(st.sampled_from(fmt.type.choices))]
+
+
+@pytest.mark.parametrize("args", [
+    ["bound", "--n", "x" * (MAX_N_DIGITS - 1)],
+    ["table", "--preset", "x" * (MAX_N_DIGITS - 1)],
+    ["bound", "--format", "x" * (MAX_N_DIGITS - 1)],
+    ["table", "--ns", "2," + "x" * (MAX_N_DIGITS - 1)],
+], ids=["--n", "--preset", "--format", "--ns"])
+def test_a_long_non_number_is_quoted_cut_in_a_short_usage_error(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.encode()) < USAGE_ERROR_BYTES, result.stderr
+    assert f"{'x' * MAX_QUOTED!r}... ({MAX_N_DIGITS - 1} characters)" in result.stderr
 
 
 @settings(derandomize=True, max_examples=300, deadline=1000)

@@ -4,11 +4,13 @@ certified_min and dominance_check order ratios d/m and squares of
 radicals by integer cross-multiplication.  The references below are the
 earlier loops written with Fraction objects, kept here to require equal
 results: value, argmins, scanned_to and tail witness.  lower_bound_small
-(d_min numerators over 420) and the integer kernel bounds._small_min (one
-isqrt per m, an argmin bitmask) are both held equal to the Fraction
-minimum of d_min(n, m)/m; census, per_n and ceiling_threshold read a
-table of the kernel's results, and their references below call
-lower_bound_small, which shares no arithmetic with the kernel.
+(d_min numerators over 420) and the kernel bounds._small_columns (per m a
+lazy column over a window of N, read off the runs on which d_min is
+constant, with no square root per N) are both held equal to the Fraction
+minimum of d_min(n, m)/m, the kernel on windows and at the ends of its
+runs; census, per_n and ceiling_threshold read a table of the kernel's
+minima and argmins, and their references below call lower_bound_small,
+which shares no arithmetic with the kernel.
 certified_min and check_f7 take every witness polynomial and cutoff
 from one integer core, bounds._tail_cutoff; the reference scan takes its
 cutoffs from tail_cutoff_reference, so it shares none of it, and
@@ -49,9 +51,13 @@ use it from here.
 """
 
 import random
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt
+from operator import add
 
 import pytest
 from click.testing import CliRunner
@@ -104,11 +110,18 @@ def lower_bound_small_reference(n: int) -> SmallBound:
     return SmallBound(n, value, frozenset(m for m, v in ratios.items() if v == value))
 
 
-def small_min_as_bound(n: int) -> SmallBound:
-    """The kernel's (numerator over SMALL_MS_LCM, argmin bitmask) as a SmallBound."""
-    num, mask = bounds._small_min(n)
-    return SmallBound(n, Fraction(num, SMALL_MS_LCM),
-                      frozenset(m for m in SMALL_MS if mask >> m & 1))
+def kernel_bounds(start: int, stop: int) -> list[SmallBound]:
+    """The kernel's columns over [start, stop] as one SmallBound per n: the
+    minimum as a Fraction over SMALL_MS_LCM, the argmins the columns equal to it."""
+    return [SmallBound(n, Fraction(min(scaled), SMALL_MS_LCM),
+                       frozenset(m for m, v in zip(SMALL_MS, scaled) if v == min(scaled)))
+            for n, scaled in enumerate(zip(*bounds._small_columns(start, stop)), start)]
+
+
+def kernel_at(n: int) -> SmallBound:
+    """The kernel's one-N window at n, as a SmallBound."""
+    [bound] = kernel_bounds(n, n)
+    return bound
 
 
 def certified_min_reference(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
@@ -294,20 +307,86 @@ def _scan(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
 @settings(derandomize=True, max_examples=500)
 @given(st.integers(min_value=2, max_value=10**40))
 def test_lower_bound_small_matches_reference(n):
-    assert lower_bound_small(n) == small_min_as_bound(n) == lower_bound_small_reference(n)
+    assert lower_bound_small(n) == kernel_at(n) == lower_bound_small_reference(n)
 
 
 def test_lower_bound_small_matches_reference_on_a_range():
-    for n in range(2, 3001):
-        assert lower_bound_small(n) == small_min_as_bound(n) == lower_bound_small_reference(n)
+    window = kernel_bounds(2, 3000)
+    assert [b.n for b in window] == list(range(2, 3001))
+    for bound in window:
+        n = bound.n
+        assert lower_bound_small(n) == bound == kernel_at(n) == \
+            lower_bound_small_reference(n)
 
 
 def test_small_min_matches_reference_near_1e40_and_at_squares():
-    rng = random.Random(20200817)
-    near_1e40 = [rng.randint(10**40 - 10**30, 10**40 + 10**30) for _ in range(50)]
-    squares = [k * k + e for k in [*range(2, 301), 10**20 + 1] for e in (-1, 0, 1)]
-    for n in near_1e40 + squares:
-        assert lower_bound_small(n) == small_min_as_bound(n) == lower_bound_small_reference(n), n
+    # 500-N kernel windows at 10^40 and 10^30 + 7, and windows s^2 - 1 .. s^2 + 1
+    windows = [(10**40, 10**40 + 499), (10**30 + 7, 10**30 + 506)]
+    windows += [(s * s - 1, s * s + 1) for s in [*range(2, 301), 10**20 + 1]]
+    for start, stop in windows:
+        window = kernel_bounds(start, stop)
+        assert [b.n for b in window] == list(range(start, stop + 1))
+        for bound in window:
+            assert lower_bound_small(bound.n) == bound == \
+                lower_bound_small_reference(bound.n), bound.n
+
+
+def test_kernel_holds_at_the_ends_of_its_runs():
+    # d_min(n, m) steps from d to d + 1 between n = d^2 // k and d^2 // k + 1;
+    # every column of a window over those two n, and of a window starting at
+    # the second, holds d_min(n, m)*(SMALL_MS_LCM // m)
+    for i, m in enumerate(SMALL_MS):
+        k = m * m - m + 2
+        for d in [*range(1, 400), 10**20, 10**20 + 1, 7 * 10**25 + 3]:
+            last = d * d // k
+            if last < 1:
+                continue
+            for start in (last, last + 1):
+                column = bounds._small_columns(start, last + 1)[i]
+                assert list(column) == [d_min(n, m) * (SMALL_MS_LCM // m)
+                                        for n in range(start, last + 2)], (m, d, start)
+
+
+@pytest.mark.parametrize("start, stop", [(2, 2), (2, 3), (2, 1000), (7, 500), (5, 4), (2, 1),
+                                         (2, 0), (3, -5), (10**30, 10**30 + 100),
+                                         (10**40, 10**40 + 499)])
+def test_each_kernel_column_yields_one_value_per_n(start, stop):
+    for column in bounds._small_columns(start, stop):
+        assert sum(1 for _ in column) == max(0, stop - start + 1)
+
+
+def test_the_kernel_is_lazy():
+    # the first value of a window reaching 10^30 comes back at once, holding
+    # no list whose length grows with the window
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        first = [next(column) for column in bounds._small_columns(2, 10**30)]
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == [d_min(2, m) * (SMALL_MS_LCM // m) for m in SMALL_MS]
+    assert elapsed < 0.5
+    assert peak < 2**20
+
+
+def test_the_kernel_takes_two_isqrt_per_column_and_no_ceil_sqrt(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return isqrt(x)
+
+    def refused(*args):
+        raise AssertionError("the kernel called d_min or ceil_sqrt")
+
+    expected = [lower_bound_small_reference(n) for n in range(2, 5001)]
+    monkeypatch.setattr(bounds, "isqrt", counted)
+    monkeypatch.setattr(bounds, "d_min", refused)
+    monkeypatch.setattr(bounds, "ceil_sqrt", refused)
+    assert kernel_bounds(2, 5000) == expected
+    assert 0 < len(calls) <= 2 * len(SMALL_MS)
 
 
 def test_small_table_matches_reference():
@@ -517,28 +596,30 @@ def test_census_splits_across_the_threshold_add_up(start, stop, even_only):
         assert [b for piece in pieces for b in piece.listing()] == list(whole.listing())
 
 
-def _count_small_min(monkeypatch) -> list[int]:
-    """Patch bounds._small_min to record each n it evaluates, in order."""
-    called, kernel = [], bounds._small_min
+def _count_kernel_windows(monkeypatch) -> list[tuple[int, int]]:
+    """Patch bounds._small_columns to record each window (start, stop) it evaluates, in order."""
+    called, kernel = [], bounds._small_columns
 
-    def counted(n):
-        called.append(n)
-        return kernel(n)
+    def counted(start, stop):
+        called.append((start, stop))
+        return kernel(start, stop)
 
-    monkeypatch.setattr(bounds, "_small_min", counted)
+    monkeypatch.setattr(bounds, "_small_columns", counted)
     return called
 
 
 @pytest.mark.parametrize("even_only", [True, False])
 def test_census_never_brute_forces_past_its_rechecked_analytic_threshold(
         monkeypatch, fresh_small_table, even_only):
-    called = _count_small_min(monkeypatch)
+    called = _count_kernel_windows(monkeypatch)
     threshold = census(2, 2, even_only=even_only).analytic.threshold
-    # one table for both parities, each n below the even analytic threshold
-    # once; so the all-integer census evaluates its own threshold 8775, and
-    # that is its only evaluation at or past it
-    assert called == list(range(2, bounds.analytic_threshold(even_only=True).threshold))
-    assert [n for n in called if n >= threshold] == ([] if even_only else [8775])
+    # one table for both parities, one window over each n below the even
+    # analytic threshold; so the all-integer census evaluates its own
+    # threshold 8775, and that is its only evaluation at or past it
+    assert called == [(2, bounds.analytic_threshold(even_only=True).threshold - 1)] == \
+        [(2, 8775)]
+    assert [n for n in range(2, called[0][1] + 1) if n >= threshold] == \
+        ([] if even_only else [8775])
     for start, stop in CENSUS_RANGES + [(2, 10**30), (10**30, 10**30 + 10**6)]:
         called.clear()  # the table is built once; later counts and listings call nothing
         report = census(start, stop, even_only=even_only)
@@ -579,30 +660,30 @@ def test_analytic_thresholds_are_derived_once_per_parity(monkeypatch, fresh_smal
 
 
 def test_verify_evaluates_each_n_below_the_threshold_once(monkeypatch, fresh_small_table):
-    # the shared table once per n in [2, 8775], then once per N of the
-    # agreement sweep (agreement_to = 2); a second run in the process makes
-    # only the sweep's calls
-    called = _count_small_min(monkeypatch)
+    # the shared table's one window over [2, 8775], then the agreement
+    # sweep's one window over [2, agreement_to] (agreement_to = 2); a second
+    # run in the process makes only the sweep's window
+    called = _count_kernel_windows(monkeypatch)
     verify.run(2, 8)
-    assert called == [*range(2, 8776), 2]
+    assert called == [(2, 8775), (2, 2)]
     called.clear()
     verify.run(2, 8)
-    assert called == [2]
+    assert called == [(2, 2)]
 
 
 def test_agreement_sweep_compares_the_kernel_and_reads_no_table(monkeypatch):
     # a kernel off by 1/420 at N = 3 must show as a disagreement: neither
     # certified_min nor a table may stand in for the kernel
-    kernel = bounds._small_min
+    kernel = bounds._small_columns
 
-    def off_at_3(n):
-        num, mask = kernel(n)
-        return num + (n == 3), mask
+    def off_at_3(start, stop):
+        return tuple(map(add, column, (n == 3 for n in count(start)))
+                     for column in kernel(start, stop))
 
     def no_table():
         raise AssertionError("agreement_sweep read the shared table")
 
-    monkeypatch.setattr(bounds, "_small_min", off_at_3)
+    monkeypatch.setattr(bounds, "_small_columns", off_at_3)
     monkeypatch.setattr(bounds, "_small_table", no_table)
     assert verify.agreement_sweep(50) == ([3], [])
 
