@@ -10,7 +10,8 @@ JSON output.  click types read every option value.  _command registers the
 command, appends --format (csv only where it has a CSV renderer) and is the
 one writer of every report, with the schema keys and the command's name,
 and of every library refusal, a ValueError, as a usage error.  The
-renderers only read the report, so formats cannot disagree.
+renderers only read the report, so formats cannot disagree.  Every usage
+error, click's own too, leaves through the root context, which cuts it.
 
 Every JSON report carries the keys {command, inputs, status,
 exact_values, decimal_renderings, certificates, paper_expectations}.
@@ -28,7 +29,6 @@ import io
 import json
 import re
 import sys
-from ast import literal_eval
 from collections.abc import Callable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _ascii
@@ -53,7 +53,7 @@ MAX_CENSUS_LISTING = 10**5
 MAX_DECIMALS = 2000
 MAX_N_DIGITS = 2000
 
-#: most digits of a number, and most characters of a class or list, that a usage error quotes
+#: most digits of a number, and most printed characters of other values, that a usage error shows
 MAX_QUOTED = 20
 
 FORMATS = ("text", "csv", "json")
@@ -108,38 +108,36 @@ def _json(value, indent: str = "") -> str:
     return json.dumps(value)
 
 
+#: a str as repr writes it (its quote, its text), and whole printed characters of such a
+#: text; re compiles each on the first usage error, not at every start
+_LITERAL = r"(?s)(['\"])((?:(?!\1)[^\\]|\\.)*)\1"
+_PRINTED = r"(?:\\(?:x[0-9a-f]{2}|u[0-9a-f]{4}|U[0-9a-f]{8}|[^xuU])|[^\\])*"
 _LONG_NUMBER = re.compile(rf"\d{{{MAX_QUOTED + 1},}}")
 
 
 def _short(message: str) -> str:
-    """message with every run of more than MAX_QUOTED digits cut to its first
-    MAX_QUOTED digits and its length."""
-    return _LONG_NUMBER.sub(lambda run: f"{run[0][:MAX_QUOTED]}... ({len(run[0])} digits)",
-                            message)
+    """message with click's extra arguments (quoted first), each literal and each digit run
+    past MAX_QUOTED printed characters cut to its first ones and its length.  It evaluates
+    nothing, and a second pass, which a subcommand's error gets, changes nothing."""
+    extra = re.fullmatch(r"(?s)(Got unexpected extra arguments?) \((.*)\)", message)
+    if extra and len(repr(extra[2])) - 2 > MAX_QUOTED:
+        message = f"{extra[1]} {extra[2]!r}"
+    message = re.sub(_LITERAL, lambda lit: lit[0] if len(lit[2]) <= MAX_QUOTED else
+                     f"{lit[1]}{re.match(_PRINTED, lit[2][:MAX_QUOTED])[0]}{lit[1]}"
+                     f"... ({len(lit[2])} characters)", message)
+    return _LONG_NUMBER.sub(lambda run: f"{run[0][:MAX_QUOTED]}... ({len(run[0])} digits)", message)
 
 
-def _quote(text: str) -> str:
-    """repr(text), cut to its first MAX_QUOTED characters and its length past that."""
-    if len(text) <= MAX_QUOTED:
-        return repr(text)
-    return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
+class _Context(click.Context):
+    """The root context: every usage error leaves the CLI through its __exit__."""
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, click.ClickException):
+            exc.message = _short(exc.message)
+        return super().__exit__(exc_type, exc, tb)
 
 
-class _Short:
-    """click quotes a refused value in full, so every refusal cuts each string
-    literal in it as _quote does, and then each long number as _short does."""
-
-    def fail(self, message, param=None, ctx=None) -> NoReturn:
-        message = re.sub(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"",
-                         lambda literal: _quote(literal_eval(literal[0])), message)
-        super().fail(_short(message), param, ctx)
-
-
-class _Choice(_Short, click.Choice):
-    """The type of every choice option."""
-
-
-class _Int(_Short, click.types.IntParamType):
+class _Int(click.types.IntParamType):
     """The type of every unbounded integer option.  It refuses a value past
     MAX_N_DIGITS digits unread; int() refuses one past 4300."""
 
@@ -149,7 +147,7 @@ class _Int(_Short, click.types.IntParamType):
         return super().convert(value, param, ctx)
 
 
-class _IntRange(_Short, click.IntRange):
+class _IntRange(click.IntRange):
     """The type of every bounded integer option; it reads its value as _Int does."""
 
     def convert(self, value, param, ctx):
@@ -167,7 +165,7 @@ class _IntList(click.ParamType):
     def convert(self, value, param, ctx) -> list[int]:
         parts = value.split(",") if value else []
         if self.size is not None and len(parts) != self.size:
-            self.fail(f"expected {self.size} integers, got {_quote(value)}", param, ctx)
+            self.fail(f"expected {self.size} integers, got {value!r}", param, ctx)
         return [self.item.convert(part, param, ctx) for part in parts]
 
 
@@ -184,6 +182,9 @@ def cli() -> None:
     """Exact Seshadri-constant lower bounds on abelian and bielliptic surfaces."""
 
 
+cli.context_class = _Context
+
+
 def _command(group: click.Group, text: Callable,
              csv_table: Callable | None = None) -> Callable[[Callable[..., dict]], click.Command]:
     """Register the decorated function, from its options to its report, on group.
@@ -191,30 +192,28 @@ def _command(group: click.Group, text: Callable,
     click names the command after the function ("_" as "-"), and its last
     option is --format, with csv exactly when csv_table is given.  Its report's
     "command" is its name, after "bielliptic " in that group.  A ValueError of
-    the library is a usage error, cut by _short.  Else it writes the report in
+    the library is a usage error.  Else it writes the report in
     the chosen format, text(report) giving the text lines and csv_table(report)
     the CSV header and rows, and exits 0 if the status is "ok", else 1.
     """
     def register(compute: Callable[..., dict]) -> click.Command:
         command = group.command()(compute)
         command.params.append(click.Option(["--format", "fmt"], default="text",
-                                           type=_Choice(FORMATS if csv_table else NO_CSV)))
+                                           type=click.Choice(FORMATS if csv_table else NO_CSV)))
         label = command.name if group is cli else f"{group.name} {command.name}"
 
         def write(fmt: str, **options) -> NoReturn:
             try:
                 report = {**SCHEMA_DEFAULTS, "command": label, **compute(**options)}
             except ValueError as exc:
-                raise click.UsageError(_short(str(exc)))
+                raise click.UsageError(str(exc))
             if fmt == "json":
                 click.echo(_json(report))
             elif fmt == "csv":
                 import csv  # only CSV output needs it; every other start skips its import
                 header, rows = csv_table(report)
                 buf = io.StringIO()
-                writer = csv.writer(buf, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
+                csv.writer(buf, lineterminator="\n").writerows([header, *rows])
                 click.echo(buf.getvalue(), nl=False)
             else:
                 click.echo("\n".join(text(report)))
@@ -415,7 +414,7 @@ def _table_text(r: dict) -> list[str]:
 
 
 @_command(cli, _table_text, _table_csv)
-@click.option("--preset", type=_Choice(["paper"]), default=None,
+@click.option("--preset", type=click.Choice(["paper"]), default=None,
               help="Use the eight published self-intersections.")
 @click.option("--ns", default=None, type=_IntList(_IntRange(min=2)),
               help="Comma-separated self-intersections.")

@@ -493,12 +493,14 @@ def test_every_command_ends_with_its_format_option():
 
 #: hostile option values: numbers at and past the digit cap, a long non-number, signs,
 #: blanks, other bases, separators, non-ASCII digits, floats, malformed classes and
-#: lists, and a few valid values, so that every command also runs
+#: lists, long runs of a lone surrogate, a tag character and NUL, which repr escapes,
+#: and a few valid values, so that every command also runs
 _HOSTILE = [
     "9" * MAX_N_DIGITS, "-" + "9" * MAX_N_DIGITS, "1" + "0" * MAX_N_DIGITS,
     "x" * (MAX_N_DIGITS - 1), "+7", "-3", "",
     " ", " 5 ", "0x10", "1_000", "\u0661\u0662", "\uff11\uff12", "2.5", "1e3", "nan", "x",
     "0", "1", "2", "3", "8", "10", "paper", ",", "1,", ",1", "1,,2", "1;0", "2,3", "1,2,3",
+    "\udcff" * MAX_N_DIGITS, "\U000e0001" * MAX_N_DIGITS, "\x00" * MAX_N_DIGITS,
 ]
 _HOSTILE_VALUES = st.sampled_from(_HOSTILE) | st.lists(st.sampled_from(_HOSTILE), max_size=3).map(
     ",".join)
@@ -522,6 +524,15 @@ def _invocations(draw):
     return name, [*args, "--format", draw(st.sampled_from(fmt.type.choices))]
 
 
+def _assert_short_usage_error(args):
+    result = run(*args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.encode()) < USAGE_ERROR_BYTES, result.stderr
+    return result.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["bound", "--n", "x" * (MAX_N_DIGITS - 1)],
     ["table", "--preset", "x" * (MAX_N_DIGITS - 1)],
@@ -529,11 +540,73 @@ def _invocations(draw):
     ["table", "--ns", "2," + "x" * (MAX_N_DIGITS - 1)],
 ], ids=["--n", "--preset", "--format", "--ns"])
 def test_a_long_non_number_is_quoted_cut_in_a_short_usage_error(args):
-    result = run(*args)
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert len(result.stderr.encode()) < USAGE_ERROR_BYTES, result.stderr
-    assert f"{'x' * MAX_QUOTED!r}... ({MAX_N_DIGITS - 1} characters)" in result.stderr
+    stderr = _assert_short_usage_error(args)
+    assert f"{'x' * MAX_QUOTED!r}... ({MAX_N_DIGITS - 1} characters)" in stderr
+
+
+_LONG = "x" * MAX_N_DIGITS
+#: an argv that repeats a 2000-character token in its usage error, and the error's last line
+_PARSER_ERRORS = {
+    "extra argument": (["bound", "--n", "2", _LONG],
+                       f"Got unexpected extra argument {'x' * MAX_QUOTED!r}... (2000 characters)"),
+    "extra arguments": (["bound", "--n", "2", *"x" * MAX_N_DIGITS],
+                        "Got unexpected extra arguments 'x x x x x x x x x x '... (3999 characters)"),
+    "unknown option": (["bound", "--" + _LONG],
+                       f"No such option {'--' + 'x' * (MAX_QUOTED - 2)!r}... (2002 characters)."),
+    "unknown root option": (["--" + _LONG],
+                            f"No such option {'--' + 'x' * (MAX_QUOTED - 2)!r}... (2002 characters)."),
+    "unknown command": ([_LONG], f"No such command {'x' * MAX_QUOTED!r}... (2000 characters)."),
+    "unknown bielliptic command": (["bielliptic", _LONG],
+                                   f"No such command {'x' * MAX_QUOTED!r}... (2000 characters)."),
+    # a token that is no str literal, though it holds quotes and an unknown escape
+    "crafted extra argument": (["bound", "--n", "2", "a'\\N" + "b" * 30 + "'"],
+                               "Got unexpected extra argument \"a'\\\\Nbbbbbbbbbbbbbbb\"... (36 characters)"),
+}
+_UNPRINTABLE_VALUES = {
+    "--format": ["bound", "--n", "2", "--format"],
+    "--n": ["bound", "--n"],
+    "--c1": ["bielliptic", "intersect", "--type", "1", "--c2", "1,1", "--c1"],
+}
+
+
+@pytest.mark.parametrize("args, message", _PARSER_ERRORS.values(), ids=_PARSER_ERRORS)
+def test_a_parser_error_is_cut_in_a_short_usage_error(args, message):
+    stderr = _assert_short_usage_error(args)
+    assert stderr.endswith(f"Error: {message}\n"), stderr
+    assert cli_module._short(message) == message  # a second pass at the root leaves it
+
+
+@pytest.mark.parametrize("char, printed", [("\udcff", r"\udcff"), ("\U000e0001", r"\U000e0001"),
+                                           ("\x00", r"\x00")], ids=["surrogate", "tag", "nul"])
+@pytest.mark.parametrize("option", _UNPRINTABLE_VALUES)
+def test_an_unprintable_value_is_cut_by_printed_characters(option, char, printed):
+    stderr = _assert_short_usage_error([*_UNPRINTABLE_VALUES[option], char * MAX_N_DIGITS])
+    kept = printed * (MAX_QUOTED // len(printed))
+    assert f"'{kept}'... ({len(printed) * MAX_N_DIGITS} characters)" in stderr, stderr
+
+
+@pytest.mark.parametrize("group", [[], ["bielliptic"]], ids=["root", "bielliptic"])
+def test_a_bare_group_prints_its_help_uncut(group):
+    # click raises the help of a bare group as a usage error, so it passes the root hook too
+    assert run(*group).output == run(*group, "--help").output
+
+
+#: click's and the writer's messages that repeat argv, each from one or more tokens
+_ECHOING_MESSAGES = [
+    lambda args: f"Got unexpected extra argument{'s' * (len(args) > 1)} ({' '.join(args)})",
+    lambda args: f"{args[0]!r} is not one of 'text', 'csv', 'json'.",
+    lambda args: f"No such command {args[0]!r}.",
+    lambda args: f"expected 2 integers, got {','.join(args)!r}",
+]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.sampled_from(_ECHOING_MESSAGES),
+       st.lists(st.sampled_from(_HOSTILE) | st.text(), min_size=1, max_size=3))
+def test_the_cut_is_short_and_a_second_pass_changes_nothing(message, args):
+    cut = cli_module._short(message(args))
+    assert cli_module._short(cut) == cut
+    assert len(cut.encode("utf-8", "backslashreplace")) < USAGE_ERROR_BYTES // 2, cut
 
 
 @settings(derandomize=True, max_examples=300, deadline=1000)

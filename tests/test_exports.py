@@ -15,7 +15,9 @@ Importing the CLI does not import csv, which only CSV output needs.
 The CLI turns a library ValueError into a usage error in one place, the
 writer of cli._command, so no command grows its own copy of that rule, and
 that writer's try is the CLI's only one: click types read every option
-value, so no command parses or catches anything.
+value, so no command parses or catches anything.  One hook, the __exit__
+of the root context, cuts every usage error, so no type or command cuts
+its own.
 """
 
 import ast
@@ -213,9 +215,23 @@ def test_cli_turns_a_library_value_error_into_a_usage_error_only_in_its_writer()
     owners = [top.name for top in tree.body if isinstance(top, ast.FunctionDef)
               for node in ast.walk(top) if isinstance(node, ast.ExceptHandler)
               and node.type is not None and ast.unparse(node.type) == "ValueError"
-              and any(ast.unparse(stmt) == "raise click.UsageError(_short(str(exc)))"
+              and any(ast.unparse(stmt) == "raise click.UsageError(str(exc))"
                       for stmt in node.body)]
     assert owners == ["_command"]
+
+
+def test_one_root_hook_cuts_every_usage_error():
+    from seshadri.cli import cli
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    methods = [(f"{top.name}.{node.name}", node) for top in tree.body
+               if isinstance(top, ast.ClassDef) for node in top.body
+               if isinstance(node, ast.FunctionDef)]
+    assert [name for name, _ in methods if name.endswith(".fail")] == []
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "_short"]
+    callers = [name for name, method in methods for node in ast.walk(method) if node in uses]
+    assert len(uses) == 1
+    assert callers == [f"{cli.context_class.__name__}.__exit__"]
 
 
 def test_the_cli_has_one_try_the_writer_s():
