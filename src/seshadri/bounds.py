@@ -13,9 +13,9 @@ This module computes, entirely in exact integer arithmetic:
   * the finite minimum  min{ d_min(N,m)/m : m in 2..7 }  together with its
     attaining multiplicities: per N through d_min (lower_bound_small), and
     over a window through one kernel (_small_columns: per m a lazy column of
-    numerators over 420, read run by run with no isqrt per N); census, per_n
-    and ceiling_threshold read one table of its minima and argmin bitmasks
-    below the analytic threshold, built once per process;
+    numerators over 420, read run by run with no isqrt per N); census, its
+    listing and ceiling_threshold read one sparse table, built once per
+    process, of the n below the analytic threshold whose argmins are not {4};
   * the same minimum certified over ALL m >= 2, via a quadratic
     tail-domination certificate that replaces the infinite case check by
     a finite scan: an integer core (_certified_scan: the running minimum
@@ -41,12 +41,11 @@ supports the unrestricted integer range.
 
 from __future__ import annotations
 
-from array import array
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, islice, repeat, tee
+from itertools import chain, count, islice, repeat, tee
 from math import gcd, isqrt, lcm
 from operator import eq, floordiv, lshift, sub
 from typing import NamedTuple
@@ -146,23 +145,33 @@ def lower_bound_small(n: int) -> SmallBound:
     return SmallBound(n, Fraction(best, SMALL_MS_LCM), argmins)
 
 
-@cache
-def _small_table() -> tuple[array, array]:
-    """The kernel's minima and argmin bitmasks below the even analytic threshold, once per process.
+#: the argmins of every n >= 2 that _small_table leaves out
+ONLY_4 = frozenset({4})
 
-    Entry n of the first array is the numerator over SMALL_MS_LCM, entry n of
-    the second the bitmask (bit m set when column m equals the minimum); both
-    are 0 for n < 2.  Built 1024 n at a time, so no column is held whole.  The
-    even threshold (8776) is the larger of the two parities, so both read it.
+
+@cache
+def _small_table() -> dict[int, frozenset[int]]:
+    """The kernel's argmins of the n below the even analytic threshold, once per process.
+
+    Only the n whose argmins are not {4} are keys, 1,327 of the n in
+    [2, 8775]; every other n >= 2 has the argmins ONLY_4, below the
+    threshold by the kernel and from it on by the threshold's certificates.
+    Keys ascend, and equal sets are one object.  Built 1024 n at a time, so
+    no column is held whole.  The even threshold (8776) is the larger of the
+    two parities, so both read it.
     """
     columns = _small_columns(2, analytic_threshold(even_only=True).threshold - 1)
-    nums, masks = array("L", [0, 0]), array("B", [0, 0])
+    table: dict[int, frozenset[int]] = {}
+    ns = count(2)
+    # the set of each bitmask, bit m set when m is an argmin
+    sets = [frozenset(m for m in SMALL_MS if mask >> m & 1) for mask in range(2 << SMALL_MS[-1])]
     while (block := [list(islice(column, 1024)) for column in columns])[0]:
-        block_nums = list(map(min, *block))
-        nums.extend(block_nums)
-        masks.extend(map(sum, zip(*(map(lshift, map(eq, column, block_nums), repeat(m))
-                                    for m, column in zip(SMALL_MS, block)))))
-    return nums, masks
+        minima = list(map(min, *block))
+        masks = map(sum, zip(*(map(lshift, map(eq, column, minima), repeat(m))
+                               for m, column in zip(SMALL_MS, block))))
+        # masks first, so that the end of a block takes no n from ns
+        table.update((n, sets[mask]) for mask, n in zip(masks, ns) if mask != 1 << 4)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +428,11 @@ class CensusReport(NamedTuple):
     convention that reproduces the published occurrence counts (n=4 under
     m=2, n=2 -- where 3 and 6 tie -- under m=3).
 
-    per_n lists the n below analytic.threshold; it is computed on each
-    read, in O(range).  Past the threshold f(n,m) >= g(n,m) >= g(n,4) + 1/4
-    > f(n,4) for m != 4, so the rest is counted under m = 4.  The parity of
-    the examined n is analytic.even_only.
+    Past analytic.threshold f(n,m) >= g(n,m) >= g(n,4) + 1/4 > f(n,4) for
+    m != 4, so there every n has the argmins ONLY_4; below it, every n
+    absent from the shared table has them too.  listing and per_n read that
+    table and compute each value on each read, at one ceil_sqrt per n.  The
+    parity of the examined n is analytic.even_only.
     """
 
     start: int
@@ -434,20 +444,17 @@ class CensusReport(NamedTuple):
     @property
     def per_n(self) -> dict[int, SmallBound]:
         """Exact bounds of the examined n below the threshold, built on each read in O(range)."""
-        step = 2 if self.analytic.even_only else 1
-        stop = min(self.stop, self.analytic.threshold - 1)
-        nums, masks = _small_table()
-        return {n: SmallBound(n, Fraction(nums[n], SMALL_MS_LCM),
-                              frozenset(m for m in SMALL_MS if masks[n] >> m & 1))
-                for n in range(self.start + self.start % step, stop + 1, step)}
+        below = census_size(self.start, min(self.stop, self.analytic.threshold - 1),
+                            even_only=self.analytic.even_only)
+        return {bound.n: bound for bound in islice(self.listing(), below)}
 
     def listing(self) -> Iterator[SmallBound]:
-        """Every examined n in order: per_n, then the tail at one ceil_sqrt per n."""
-        yield from self.per_n.values()
+        """Every examined n in order, valued d_min(n, m)/m at its smallest argmin m."""
         step = 2 if self.analytic.even_only else 1
-        first = max(self.start, self.analytic.threshold)
-        for n in range(first + first % step, self.stop + 1, step):
-            yield SmallBound(n, Fraction(d_min(n, 4), 4), frozenset({4}))
+        table = _small_table()
+        for n in range(self.start + self.start % step, self.stop + 1, step):
+            m = min(argmins := table.get(n, ONLY_4))
+            yield SmallBound(n, Fraction(d_min(n, m), m), argmins)
 
 
 def census_size(start: int, stop: int, *, even_only: bool) -> int:
@@ -456,20 +463,15 @@ def census_size(start: int, stop: int, *, even_only: bool) -> int:
 
 
 @cache
-def _argmin_prefix_counts(even_only: bool) -> dict[int, array]:
-    """Per m, entry k counts the n < k of the parity with smallest argmin m.
+def _exceptions(even_only: bool) -> dict[int, list[int]]:
+    """Per m != 4, the n of the parity whose smallest argmin is m, ascending.
 
-    It covers every n below the analytic threshold.  Built once per process
-    and parity from the shared table, so that a census counts any range in
-    O(1).  The lowest set bit of a mask is the smallest argmin; the mask 0
-    of n < 2 reads as -1, which no m counts.
+    Read once per process and parity off the shared table; every listed n
+    lies below the analytic threshold.
     """
     step = 2 if even_only else 1
-    masks = _small_table()[1][:analytic_threshold(even_only=even_only).threshold]
-    smallest = [(mask & -mask).bit_length() - 1 if n % step == 0 else 0
-                for n, mask in enumerate(masks)]
-    return {m: array("H", accumulate((s == m for s in smallest), initial=0))
-            for m in SMALL_MS}
+    smallest = {n: min(argmins) for n, argmins in _small_table().items() if n % step == 0}
+    return {m: [n for n, s in smallest.items() if s == m] for m in SMALL_MS if m != 4}
 
 
 def census(start: int, stop: int, *, even_only: bool = True) -> CensusReport:
@@ -477,20 +479,18 @@ def census(start: int, stop: int, *, even_only: bool = True) -> CensusReport:
 
     even_only restricts to even n (the self-intersections that occur on
     abelian and bielliptic surfaces, and the domain of the published
-    counts).  The n below the analytic threshold are counted from prefix
-    sums of their smallest argmins, the rest under m = 4, so a census costs
-    O(1) wherever its range lies.
+    counts).  Each m != 4 counts its exceptions in the range by bisection,
+    and m = 4 takes the rest, so a census costs O(1) wherever its range
+    lies.  Classes with no n are left out.
     """
     if not 2 <= start <= stop:
         raise ValueError(f"census needs 2 <= start <= stop, got [{start}, {stop}]")
-    analytic = analytic_threshold(even_only=even_only)
-    lo, hi = min(start, analytic.threshold), min(stop + 1, analytic.threshold)
-    tail = census_size(max(start, analytic.threshold), stop, even_only=even_only)
-    counts = Counter({m: prefix[hi] - prefix[lo]
-                      for m, prefix in _argmin_prefix_counts(even_only).items()})
-    counts += Counter({4: tail})
-    return CensusReport(start, stop, dict(sorted(counts.items())),
-                        census_size(start, stop, even_only=even_only), analytic)
+    n_examined = census_size(start, stop, even_only=even_only)
+    counts = {m: bisect_right(ns, stop) - bisect_left(ns, start)
+              for m, ns in _exceptions(even_only).items()}
+    counts[4] = n_examined - sum(counts.values())
+    return CensusReport(start, stop, {m: c for m, c in sorted(counts.items()) if c},
+                        n_examined, analytic_threshold(even_only=even_only))
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +578,8 @@ def analytic_threshold(*, even_only: bool = False) -> AnalyticThreshold:
 class CeilingThreshold(NamedTuple):
     """Sharp first n from which min{d_min(n,m)/m : m in 2..7} = d_min(n,4)/4.
 
-    Certification: the shared table's exact ceilings up to the analytic
-    threshold, analytic tail beyond it.  last_failure is the largest
+    Certification: the shared table's exact argmins below the analytic
+    threshold, analytic tail from it on.  last_failure is the largest
     examined n below it where the equality fails (None if it never fails).
     The parity of the examined n is analytic.even_only.
     """
@@ -593,17 +593,17 @@ class CeilingThreshold(NamedTuple):
 def ceiling_threshold(*, even_only: bool = True) -> CeilingThreshold:
     """Exact threshold for the ceiled minimum settling at m = 4.
 
-    Every n of the parity below the analytic threshold is decided by bit 4
-    of its argmin mask in the shared table; none is recomputed.  Over even n
-    (self-intersections realized on abelian and bielliptic surfaces) the
-    sharp value is 4982; over all integers it is 5286 (largest failure at
-    n = 5285).
+    The equality fails exactly at the n whose argmins lack 4.  Below the
+    analytic threshold those are keys of the shared table, none recomputed,
+    and the last of the parity is read off its descending keys; from the
+    threshold on there are none.  Over even n (self-intersections realized on
+    abelian and bielliptic surfaces) the sharp value is 4982; over all
+    integers it is 5286 (largest failure at n = 5285).
     """
     analytic = analytic_threshold(even_only=even_only)
     step = 2 if even_only else 1
-    masks = _small_table()[1]
-    last_failure = max((n for n in range(2, analytic.threshold, step) if not masks[n] >> 4 & 1),
-                       default=None)
+    last_failure = next((n for n, argmins in reversed(_small_table().items())
+                         if n % step == 0 and 4 not in argmins), None)
     threshold = 2 if last_failure is None else last_failure + step
     return CeilingThreshold(threshold, last_failure, analytic.threshold - 1, analytic)
 

@@ -42,8 +42,11 @@ from .exactmath import RadicalBound, _decimal, format_decimal
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 
-#: most N that census --per-n lists; each one past the analytic threshold costs a ceil_sqrt
+#: most N that census --per-n lists; each one costs a ceil_sqrt
 MAX_CENSUS_LISTING = 10**5
+
+#: most N that table --ns takes; each one costs a dominance check and a rendered row
+MAX_TABLE_NS = 1000
 
 #: largest --decimals, and most digits of every integer input.  A radicand,
 #: certificate coefficient or intersection number then has about 2*MAX_N_DIGITS
@@ -425,6 +428,8 @@ def table(preset: str | None, ns: list[int] | None, decimals: int, full_precisio
     if (preset is None) == (ns is None) or ns == []:
         raise click.UsageError("provide exactly one of --preset paper and a non-empty --ns")
     values = list(comparison.PAPER_TABLE_NS) if preset else ns
+    if len(values) > MAX_TABLE_NS:
+        raise click.UsageError(f"--ns lists at most {MAX_TABLE_NS} N, got {len(values)}")
     rows = comparison.comparison_table(values)
     trim = not full_precision
     return {

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from seshadri import bielliptic, bounds, comparison
 from seshadri import cli as cli_module
 from seshadri import verify as verify_module
-from seshadri.cli import MAX_CENSUS_LISTING, MAX_DECIMALS, MAX_N_DIGITS, MAX_QUOTED, cli
+from seshadri.cli import (MAX_CENSUS_LISTING, MAX_DECIMALS, MAX_N_DIGITS, MAX_QUOTED,
+                          MAX_TABLE_NS, cli)
 
 JSON_SCHEMA_KEYS = {
     "command", "inputs", "status", "exact_values", "decimal_renderings",
@@ -326,6 +327,22 @@ class TestTable:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "1 is not in the range x>=2" in result.stderr
+
+    def test_ns_cap_is_inclusive(self):
+        ns = range(2, MAX_TABLE_NS + 2)
+        result = run("table", "--ns", ",".join(map(str, ns)), "--format", "csv")
+        assert result.exit_code == 0
+        assert [row.split(",")[0] for row in result.output.splitlines()[1:]] == list(map(str, ns))
+
+    def test_ns_over_the_cap_is_refused_before_the_table_is_built(self, monkeypatch):
+        def no_table(_ns):
+            raise AssertionError("comparison_table called")
+
+        monkeypatch.setattr(comparison, "comparison_table", no_table)
+        result = run("table", "--ns", ",".join(["2"] * (MAX_TABLE_NS + 1)))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"--ns lists at most {MAX_TABLE_NS} N, got {MAX_TABLE_NS + 1}" in result.stderr
 
 
 class TestVerify:

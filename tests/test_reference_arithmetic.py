@@ -8,9 +8,10 @@ results: value, argmins, scanned_to and tail witness.  lower_bound_small
 lazy column over a window of N, read off the runs on which d_min is
 constant, with no square root per N) are both held equal to the Fraction
 minimum of d_min(n, m)/m, the kernel on windows and at the ends of its
-runs; census, per_n and ceiling_threshold read a table of the kernel's
-minima and argmins, and their references below call lower_bound_small,
-which shares no arithmetic with the kernel.
+runs; census, per_n and ceiling_threshold read a sparse table of the
+kernel's argmins, holding only the n whose argmins are not {4}, and their
+references below call lower_bound_small, which shares no arithmetic with
+the kernel.
 certified_min and check_f7 take every witness polynomial and cutoff
 from one integer core, bounds._tail_cutoff; the reference scan takes its
 cutoffs from tail_cutoff_reference, so it shares none of it, and
@@ -24,9 +25,9 @@ _tail_cutoff at every new minimum and compared it with m + 1, and the
 core is held equal to it.
 ceiling_threshold takes only the parity and reads the table; its
 reference is the earlier direct scan of lower_bound_small.  census
-tabulates only below the analytic threshold and counts the rest under
-m = 4; its reference is the earlier census, lower_bound_small at every n
-of the range.  A box oracle computes
+bisects per m != 4 the tabulated n below the analytic threshold and
+counts the rest under m = 4; its reference is the earlier census,
+lower_bound_small at every n of the range.  A box oracle computes
 the minimum over Omega(N) by walking degrees upward, with no ceil_sqrt.  m_max,
 _tail_cutoff and sqrt_linear_threshold are closed forms; their references
 are the earlier searches: a bisection on the defining inequality, a step
@@ -390,13 +391,29 @@ def test_the_kernel_takes_two_isqrt_per_column_and_no_ceil_sqrt(monkeypatch):
 
 
 def test_small_table_matches_reference():
-    nums, masks = bounds._small_table()
-    assert len(nums) == len(masks) == bounds.analytic_threshold(even_only=True).threshold == 8776
-    assert (nums[0], nums[1], masks[0], masks[1]) == (0, 0, 0, 0)
+    table = bounds._small_table()
+    assert bounds.analytic_threshold(even_only=True).threshold == 8776
     for n in range(2, 8776):
-        ref = lower_bound_small_reference(n)
-        assert nums[n] * ref.value.denominator == ref.value.numerator * SMALL_MS_LCM, n
-        assert masks[n] == sum(1 << m for m in ref.argmins), n
+        assert table.get(n, frozenset({4})) == lower_bound_small_reference(n).argmins, n
+    assert frozenset({4}) not in table.values()
+    assert all(2 <= n <= 8775 for n in table)
+    assert len(table) == 1327
+    assert len(set(table.values())) == len({id(argmins) for argmins in table.values()}) == 9
+
+
+@pytest.mark.parametrize("even_only, off_4", [
+    (True, {m: c for m, c in verify.EXPECTED_CENSUS.items() if m != 4}),
+    (False, {2: 1, 3: 111, 5: 541, 6: 21, 7: 6}),
+])
+def test_exception_lists_hold_the_census_counts_off_m_4(even_only, off_4):
+    # even: the published counts; all integers: test_all_integer_counts's frozen ones
+    exceptions = bounds._exceptions(even_only)
+    assert {m: len(ns) for m, ns in exceptions.items()} == off_4
+    threshold = bounds.analytic_threshold(even_only=even_only).threshold
+    step = 2 if even_only else 1
+    for m, ns in exceptions.items():
+        assert ns == sorted(ns)
+        assert all(n < threshold and n % step == 0 for n in ns), m
 
 
 def test_certified_min_matches_reference():
@@ -563,6 +580,13 @@ CENSUS_RANGES = [(2, 10_000), (5000, 8775), (5000, 8776), (5000, 8777), (8000, 9
                  (8775, 9500), (8776, 9500), (8777, 9500), (3, 9001), (4001, 8775),
                  (8771, 8781), (8773, 8779), (9001, 12_000), (10**6 + 1, 10**6 + 500)]
 CENSUS_RANGES += [(n, n) for n in range(8774, 8779)]
+#: ranges that start or stop on the first or last n, in either parity, whose
+#: smallest argmin is m != 4, where the census bisects: m = 2 at 4; m = 3 at
+#: 2, 1012 and 1081; m = 5 at 13, 20, 4980 and 5285; m = 6 at 9, 30, 294 and
+#: 413; m = 7 at 5, 42 and 93; and the largest table key, 8601
+CENSUS_RANGES += [(2, 2), (4, 4), (5, 9), (9, 13), (13, 20), (20, 30), (30, 42), (42, 93),
+                  (93, 294), (294, 413), (1012, 1081), (1081, 4980), (4980, 5285),
+                  (5285, 5286), (8601, 8601)]
 
 
 @pytest.mark.parametrize("even_only", [True, False])
