@@ -14,8 +14,9 @@ This module computes, entirely in exact integer arithmetic:
     attaining multiplicities: per N through d_min (lower_bound_small), and
     over a window through one kernel (_small_columns: per m a lazy column of
     numerators over 420, read run by run with no isqrt per N); census, its
-    listing and ceiling_threshold read one sparse table, built once per
-    process, of the n below the analytic threshold whose argmins are not {4};
+    listing and ceiling_threshold read one sparse table of the n below the
+    analytic threshold whose argmins are not {4}, built once per process in
+    one pass over the kernel's rows;
   * the same minimum certified over ALL m >= 2, via a quadratic
     tail-domination certificate that replaces the infinite case check by
     a finite scan: an integer core (_certified_scan: the running minimum
@@ -45,9 +46,9 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import chain, count, islice, repeat, tee
+from itertools import chain, repeat, tee
 from math import gcd, isqrt, lcm
-from operator import eq, floordiv, lshift, sub
+from operator import floordiv, sub
 from typing import NamedTuple
 
 from .exactmath import ceil_sqrt, sqrt_linear_cmp
@@ -156,21 +157,19 @@ def _small_table() -> dict[int, frozenset[int]]:
     Only the n whose argmins are not {4} are keys, 1,327 of the n in
     [2, 8775]; every other n >= 2 has the argmins ONLY_4, below the
     threshold by the kernel and from it on by the threshold's certificates.
-    Keys ascend, and equal sets are one object.  Built 1024 n at a time, so
-    no column is held whole.  The even threshold (8776) is the larger of the
-    two parities, so both read it.
+    Keys ascend, and equal sets are one object.  One pass over the rows of
+    one kernel window: a row whose m = 4 entry is its only minimum costs one
+    comparison, and only the other rows build a set.  The even threshold
+    (8776) is the larger of the two parities, so both read it.
     """
-    columns = _small_columns(2, analytic_threshold(even_only=True).threshold - 1)
     table: dict[int, frozenset[int]] = {}
-    ns = count(2)
-    # the set of each bitmask, bit m set when m is an argmin
-    sets = [frozenset(m for m in SMALL_MS if mask >> m & 1) for mask in range(2 << SMALL_MS[-1])]
-    while (block := [list(islice(column, 1024)) for column in columns])[0]:
-        minima = list(map(min, *block))
-        masks = map(sum, zip(*(map(lshift, map(eq, column, minima), repeat(m))
-                               for m, column in zip(SMALL_MS, block))))
-        # masks first, so that the end of a block takes no n from ns
-        table.update((n, sets[mask]) for mask, n in zip(masks, ns) if mask != 1 << 4)
+    interned: dict[frozenset[int], frozenset[int]] = {}
+    rows = zip(*_small_columns(2, analytic_threshold(even_only=True).threshold - 1))
+    for n, row in enumerate(rows, 2):
+        best = min(row)
+        if row[2] != best or row.count(best) > 1:  # row[2] is the m = 4 entry
+            argmins = frozenset(m for m, v in zip(SMALL_MS, row) if v == best)
+            table[n] = interned.setdefault(argmins, argmins)
     return table
 
 
@@ -430,9 +429,9 @@ class CensusReport(NamedTuple):
 
     Past analytic.threshold f(n,m) >= g(n,m) >= g(n,4) + 1/4 > f(n,4) for
     m != 4, so there every n has the argmins ONLY_4; below it, every n
-    absent from the shared table has them too.  listing and per_n read that
-    table and compute each value on each read, at one ceil_sqrt per n.  The
-    parity of the examined n is analytic.even_only.
+    absent from the shared table has them too.  listing reads that table and
+    computes each value on each read, at one ceil_sqrt per n.  The parity of
+    the examined n is analytic.even_only.
     """
 
     start: int
@@ -441,13 +440,6 @@ class CensusReport(NamedTuple):
     n_examined: int
     analytic: AnalyticThreshold
 
-    @property
-    def per_n(self) -> dict[int, SmallBound]:
-        """Exact bounds of the examined n below the threshold, built on each read in O(range)."""
-        below = census_size(self.start, min(self.stop, self.analytic.threshold - 1),
-                            even_only=self.analytic.even_only)
-        return {bound.n: bound for bound in islice(self.listing(), below)}
-
     def listing(self) -> Iterator[SmallBound]:
         """Every examined n in order, valued d_min(n, m)/m at its smallest argmin m."""
         step = 2 if self.analytic.even_only else 1
@@ -455,11 +447,6 @@ class CensusReport(NamedTuple):
         for n in range(self.start + self.start % step, self.stop + 1, step):
             m = min(argmins := table.get(n, ONLY_4))
             yield SmallBound(n, Fraction(d_min(n, m), m), argmins)
-
-
-def census_size(start: int, stop: int, *, even_only: bool) -> int:
-    """How many n of the census parity lie in [start, stop], in O(1)."""
-    return max(0, stop // 2 - (start - 1) // 2 if even_only else stop - start + 1)
 
 
 @cache
@@ -485,7 +472,7 @@ def census(start: int, stop: int, *, even_only: bool = True) -> CensusReport:
     """
     if not 2 <= start <= stop:
         raise ValueError(f"census needs 2 <= start <= stop, got [{start}, {stop}]")
-    n_examined = census_size(start, stop, even_only=even_only)
+    n_examined = stop // 2 - (start - 1) // 2 if even_only else stop - start + 1
     counts = {m: bisect_right(ns, stop) - bisect_left(ns, start)
               for m, ns in _exceptions(even_only).items()}
     counts[4] = n_examined - sum(counts.values())

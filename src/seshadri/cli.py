@@ -56,6 +56,11 @@ MAX_TABLE_NS = 1000
 MAX_DECIMALS = 2000
 MAX_N_DIGITS = 2000
 
+#: most decimals that candidates renders in all, its value count times --decimals.
+#: table needs no check of its own: MAX_TABLE_NS rows of 3 cells at MAX_DECIMALS
+#: are 6*10^6 decimals
+MAX_RENDERED_DECIMALS = 10**7
+
 #: most digits of a number, and most printed characters of other values, that a usage error shows
 MAX_QUOTED = 20
 
@@ -352,6 +357,10 @@ def _candidates_text(r: dict) -> list[str]:
 def candidates(n: int, max_m: int, decimals: int) -> dict:
     """Candidate values below sqrt(N): admissible ratios and fiber integers."""
     values = bounds.candidate_values(n, max_m)
+    if len(values) * decimals > MAX_RENDERED_DECIMALS:
+        raise click.UsageError(
+            f"candidates renders at most {MAX_RENDERED_DECIMALS} decimals, and "
+            f"{len(values)} values at --decimals {decimals} are {len(values) * decimals}")
     return {
         "inputs": {"n": n, "max_m": max_m},
         "exact_values": {"candidates": [{"value": f"{p}/{q}", "kind": kind}

@@ -11,6 +11,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import takewhile
 from math import isqrt
 
 from click.testing import CliRunner
@@ -211,10 +212,12 @@ def test_08_property_suites():
         edges = [2 + (i * 1999) // parts for i in range(parts)] + [2001]
         pieces = [census(edges[i], edges[i + 1] - 1, even_only=True)
                   for i in range(parts)]
-        per_n = {n: b for piece in pieces for n, b in piece.per_n.items()}
+        per_n = [b for piece in pieces for b in piece.listing()
+                 if b.n < piece.analytic.threshold]
         counts = sum((Counter(piece.counts) for piece in pieces), Counter())
         assert sum(piece.n_examined for piece in pieces) == whole.n_examined
-        assert per_n == whole.per_n and counts == Counter(whole.counts)
+        assert per_n == [b for b in whole.listing() if b.n < whole.analytic.threshold]
+        assert counts == Counter(whole.counts)
 
     report(8, "property suites",
            f"{cases}+ randomized cases per suite, seed {SEED}; "
@@ -250,7 +253,9 @@ def test_10_census_analytic_tail():
     elapsed = time.perf_counter() - start
     assert rep.n_examined == 5 * 10**11
     assert rep.counts == {2: 1, 3: 59, 4: 5 * 10**11 - 344, 5: 274, 6: 9, 7: 1}
-    assert max(rep.per_n) < rep.analytic.threshold == 8776  # the rest is the analytic tail
+    # the listing's prefix below the threshold; the rest is the analytic tail
+    below = [b.n for b in takewhile(lambda b: b.n < rep.analytic.threshold, rep.listing())]
+    assert max(below) < rep.analytic.threshold == 8776
     assert elapsed < 1.0
     report(10, "analytic-tail census", f"even N in [2, 10^12] in {elapsed:.3f}s; "
-           f"{len(rep.per_n)} N brute-forced, the rest counted under m=4")
+           f"{len(below)} N brute-forced, the rest counted under m=4")

@@ -285,8 +285,9 @@ class TestCensus:
 
     def test_per_n_consistency(self):
         report = census(600, 700, even_only=False)
-        for n, bound in report.per_n.items():
-            assert bound == lower_bound_small(n)
+        for bound in report.listing():
+            assert bound.n < report.analytic.threshold
+            assert bound == lower_bound_small(bound.n)
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
@@ -351,8 +352,8 @@ class TestThresholds:
     def test_ceiling_falls_back_to_the_analytic_threshold(
             self, monkeypatch, fresh_small_table, even_only):
         # a failure at the last tabulated n of the parity (8774 for both)
-        # puts the answer at the analytic threshold itself, which per_n does
-        # not hold
+        # puts the answer at the analytic threshold itself, which the
+        # listing's prefix below the threshold does not hold
         analytic = analytic_threshold(even_only=even_only)
         last = analytic.threshold - 1 - even_only
         kernel, five = bounds._small_columns, bounds.SMALL_MS.index(5)
@@ -366,7 +367,8 @@ class TestThresholds:
 
         monkeypatch.setattr(bounds, "_small_columns", failing_at_last)
         report = census(2, 9000, even_only=even_only)
-        assert max(report.per_n) == last == 8774
+        below = [b.n for b in report.listing() if b.n < report.analytic.threshold]
+        assert max(below) == last == 8774
         ceiling = ceiling_threshold(even_only=even_only)
         assert ceiling.last_failure == last
         assert ceiling.threshold == analytic.threshold

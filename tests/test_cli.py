@@ -18,7 +18,7 @@ from seshadri import bielliptic, bounds, comparison
 from seshadri import cli as cli_module
 from seshadri import verify as verify_module
 from seshadri.cli import (MAX_CENSUS_LISTING, MAX_DECIMALS, MAX_N_DIGITS, MAX_QUOTED,
-                          MAX_TABLE_NS, cli)
+                          MAX_RENDERED_DECIMALS, MAX_TABLE_NS, cli)
 
 JSON_SCHEMA_KEYS = {
     "command", "inputs", "status", "exact_values", "decimal_renderings",
@@ -223,6 +223,36 @@ class TestCandidates:
         values = payload["exact_values"]["candidates"]
         fibers = [v["value"] for v in values if v["kind"] == "integer_fiber"]
         assert fibers == ["1/1", "2/1", "3/1"]
+
+    #: N with 5000 and with 5001 candidates at the default --max-m: at --decimals
+    #: MAX_DECIMALS, the budget itself and one value past it
+    AT_BUDGET, PAST_BUDGET = 5953601, 5954577
+
+    def test_rendered_decimals_budget_is_inclusive(self):
+        assert len(bounds.candidate_values(self.AT_BUDGET, 7)) * MAX_DECIMALS == \
+            MAX_RENDERED_DECIMALS
+        result = run("candidates", "--n", str(self.AT_BUDGET), "--decimals", str(MAX_DECIMALS),
+                     "--format", "csv")
+        assert result.exit_code == 0
+        assert len(result.output.splitlines()) == 1 + 5000
+
+    def test_over_the_rendered_decimals_budget_is_refused_before_rendering(self, monkeypatch):
+        def no_decimal(*_args):
+            raise AssertionError("a decimal rendered")
+
+        monkeypatch.setattr(cli_module, "_decimal", no_decimal)
+        for n, count in ((self.PAST_BUDGET, 5001), (1_600_000_000, 81965)):
+            result = run("candidates", "--n", str(n), "--decimals", str(MAX_DECIMALS))
+            assert result.exit_code == 2, n
+            assert result.stdout == ""
+            assert (f"candidates renders at most {MAX_RENDERED_DECIMALS} decimals, and {count} "
+                    f"values at --decimals {MAX_DECIMALS} are {count * MAX_DECIMALS}"
+                    in result.stderr), n
+
+    def test_table_cannot_reach_the_rendered_decimals_budget(self):
+        # so table needs no budget check of its own
+        assert MAX_TABLE_NS * len(comparison.TABLE_COLUMNS) * MAX_DECIMALS == 6 * 10**6
+        assert MAX_TABLE_NS * len(comparison.TABLE_COLUMNS) * MAX_DECIMALS < MAX_RENDERED_DECIMALS
 
 
 class TestCensus:

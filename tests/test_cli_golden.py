@@ -66,6 +66,7 @@ USAGE_ERROR_CASES = [
     "candidates --n 10 --max-m 1",
     "candidates --n 100000000000000000000",
     "candidates --n 2 --max-m 1000000000",
+    "candidates --n 1600000000 --decimals 2000",
     "bound --n 2 --decimals 4300",
     "table --preset paper --decimals 5000",
     "census --from 10 --to 2",

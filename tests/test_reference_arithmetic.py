@@ -8,10 +8,10 @@ results: value, argmins, scanned_to and tail witness.  lower_bound_small
 lazy column over a window of N, read off the runs on which d_min is
 constant, with no square root per N) are both held equal to the Fraction
 minimum of d_min(n, m)/m, the kernel on windows and at the ends of its
-runs; census, per_n and ceiling_threshold read a sparse table of the
-kernel's argmins, holding only the n whose argmins are not {4}, and their
-references below call lower_bound_small, which shares no arithmetic with
-the kernel.
+runs; census, its listing and ceiling_threshold read a sparse table of
+the kernel's argmins, built in one pass over its rows and holding only
+the n whose argmins are not {4}, and their references below call
+lower_bound_small, which shares no arithmetic with the kernel.
 certified_min and check_f7 take every witness polynomial and cutoff
 from one integer core, bounds._tail_cutoff; the reference scan takes its
 cutoffs from tail_cutoff_reference, so it shares none of it, and
@@ -41,8 +41,11 @@ candidate_values orders and deduplicates its values on one integer key
 and lists them as lowest-terms pairs (p, q), building no Fraction;
 candidate_values_reference is the earlier listing, a set of Fractions
 sorted on (value, kind), and each Fraction's numerator and denominator
-are held equal to the package's pair.  format_decimal and its integer core
-exactmath._decimal test the trim by cross-multiplication;
+are held equal to the package's pair.  It stays the authority;
+candidate_values_integer_reference, which reduces each pair by its gcd and
+orders the values on their numerators over lcm(1..max_m), is held equal
+to it and stands in for it on the long range of N.  format_decimal and
+its integer core exactmath._decimal test the trim by cross-multiplication;
 format_decimal_reference builds Fraction(t, 10^k) and compares.
 dominance_check reads the prior bounds' squares from PRIOR_BOUNDS;
 dominance_check_reference reads them from prior_bound.
@@ -56,8 +59,8 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import count
-from math import gcd, isqrt
+from itertools import count, takewhile
+from math import gcd, isqrt, lcm
 from operator import add
 
 import pytest
@@ -273,6 +276,26 @@ def candidate_values_reference(n: int, max_m: int) -> list[tuple[Fraction, str]]
     return merged
 
 
+def candidate_values_integer_reference(n: int, max_m: int) -> list[tuple[int, int, str]]:
+    """candidate_values_reference as lowest-terms (p, q, kind), with no Fraction.
+
+    Each d/m is reduced by its gcd, so equal values are one pair, and the
+    values are ordered on their exact numerators p*(L//q) over
+    L = lcm(1..max_m), then on kind.
+    """
+    scale = lcm(*range(1, max_m + 1))
+    omega = set()
+    for m in range(2, max_m + 1):
+        for d in range(d_min(n, m), isqrt(m * m * n - 1) + 1):
+            assert d * d < m * m * n  # d/m < sqrt(n)
+            g = gcd(d, m)
+            omega.add((d // g, m // g))
+    merged = [(p * (scale // q), OMEGA_KIND, p, q) for p, q in omega]
+    merged.extend((k * scale, FIBER_KIND, k, 1) for k in range(1, isqrt(n) + 1))
+    merged.sort()
+    return [(p, q, kind) for _, kind, p, q in merged]
+
+
 def format_decimal_reference(value: Fraction, decimals: int = 4, trim: bool = True) -> str:
     value = Fraction(value)
     scale = 10**decimals
@@ -399,6 +422,21 @@ def test_small_table_matches_reference():
     assert all(2 <= n <= 8775 for n in table)
     assert len(table) == 1327
     assert len(set(table.values())) == len({id(argmins) for argmins in table.values()}) == 9
+
+
+def test_small_table_build_peaks_under_150_kib(fresh_small_table):
+    # one pass over the kernel's rows holds a row at a time, and sets only
+    # for the 1,327 exceptions (about 87 KiB at its peak); a build that holds
+    # blocks of the columns, as 1024 rows did at about 277 KiB, exceeds it
+    bounds.analytic_threshold(even_only=True)
+    tracemalloc.start()
+    try:
+        table = bounds._small_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 1327
+    assert peak < 150 * 1024
 
 
 @pytest.mark.parametrize("even_only, off_4", [
@@ -648,7 +686,7 @@ def test_census_never_brute_forces_past_its_rechecked_analytic_threshold(
         called.clear()  # the table is built once; later counts and listings call nothing
         report = census(start, stop, even_only=even_only)
         analytic = report.analytic
-        report.per_n
+        list(takewhile(lambda b: b.n < analytic.threshold, report.listing()))
         assert called == [], (start, stop)
     assert analytic.even_only is even_only
     assert analytic.threshold == max(analytic.per_m.values())
@@ -678,7 +716,8 @@ def test_analytic_thresholds_are_derived_once_per_parity(monkeypatch, fresh_smal
     assert called == per_m * 2
     called.clear()
     for even_only in (True, False):
-        census(3, 10**9, even_only=even_only).per_n
+        report = census(3, 10**9, even_only=even_only)
+        list(takewhile(lambda b: b.n < report.analytic.threshold, report.listing()))
         ceiling_threshold(even_only=even_only)
     assert called == []
 
@@ -863,24 +902,29 @@ def _reference_triples(n: int, max_m: int) -> list[tuple[int, int, str]]:
 
 @pytest.mark.parametrize("max_m", range(2, 13))
 def test_candidate_values_match_reference_on_a_range(max_m):
+    for n in range(2, 301):
+        assert candidate_values_integer_reference(n, max_m) == _reference_triples(n, max_m), n
     for n in range(2, 3001):
         values = candidate_values(n, max_m)
         assert all(gcd(p, q) == 1 and 1 <= q <= max_m for p, q, _ in values), n
-        assert values == _reference_triples(n, max_m), n
+        assert values == candidate_values_integer_reference(n, max_m), n
 
 
 def test_candidate_values_match_reference_on_random_n_and_near_squares():
     rng = random.Random(20200817)
-    for n in [rng.randint(2, 10**5) for _ in range(500)]:
-        assert candidate_values(n, 7) == _reference_triples(n, 7), n
-    for k in range(2, 300):
-        for n in (k * k - 1, k * k, k * k + 1):
-            assert candidate_values(n, 7) == _reference_triples(n, 7), n
+    ns = [rng.randint(2, 10**5) for _ in range(500)]
+    ns += [n for k in range(2, 300) for n in (k * k - 1, k * k, k * k + 1)]
+    for n in ns:
+        expected = _reference_triples(n, 7)
+        assert candidate_values(n, 7) == expected, n
+        assert candidate_values_integer_reference(n, 7) == expected, n
 
 
 @pytest.mark.parametrize("n,max_m", [(2, 2000), (3, 5000)])
 def test_candidate_values_match_reference_at_a_large_key_scale(n, max_m):
-    assert candidate_values(n, max_m) == _reference_triples(n, max_m)
+    expected = _reference_triples(n, max_m)
+    assert candidate_values(n, max_m) == expected
+    assert candidate_values_integer_reference(n, max_m) == expected
 
 
 def test_candidate_values_build_no_fraction(monkeypatch):
