@@ -19,11 +19,14 @@ This module computes, entirely in exact integer arithmetic:
     one pass over the kernel's rows;
   * the same minimum certified over ALL m >= 2, via a quadratic
     tail-domination certificate that replaces the infinite case check by
-    a finite scan: an integer core (_certified_scan: the running minimum
-    as an unreduced pair, the argmins as a list, and whether its witness
-    holds from the next m on, decided by a few integer products per m),
-    which verify's agreement sweep reads, wrapped by certified_min, which
-    computes the cutoff once and builds the certificate objects;
+    a finite scan: an integer core over a window of n (_certified_scans:
+    per n the running minimum as an unreduced pair, the argmins as a list,
+    and whether its witness holds from the next m on, decided by a few
+    integer products per m; each degree from d_min the first time the
+    window reaches its m, and walked up from its last value after that,
+    with no square root), which verify's agreement sweep reads over
+    [2, stop], and certified_min over one n, computing the cutoff once and
+    building the certificate objects;
   * the per-multiplicity comparison f(N,m) >= f(N,7) for m >= 8, with a
     complete, certified list of violations where they exist;
   * one integer core for every witness polynomial and cutoff
@@ -264,65 +267,84 @@ class BoundCertificate(NamedTuple):
         return self.tail_witness is not None
 
 
-def _certified_scan(n: int, scan_cap: int) -> tuple[int, int, list[int], int, bool]:
-    """certified_min's scan in integers: (best_d, best_m, argmins, scanned_to, certified).
+def _certified_scans(start: int, stop: int,
+                     scan_cap: int) -> Iterator[tuple[int, int, list[int], int, bool]]:
+    """certified_min's scan in integers, per n = start..stop: (best_d, best_m,
+    argmins, scanned_to, certified).
 
     The running minimum best_d/best_m is compared with each d_min(n,m)/m
     by cross-multiplication; it starts at 1/0, which that comparison
-    places above every ratio, and is returned unreduced (best_m is the
+    places above every ratio, and is yielded unreduced (best_m is the
     first argmin).  argmins lists the scanned minimizers in ascending
     order.  certified says that the witness of the minimum holds from
-    scanned_to + 1 on; it is False when none does by scan_cap.  n >= 2 and
-    scan_cap >= MIN_SCAN_CAP are the caller's to ensure.
+    scanned_to + 1 on; it is False when none does by scan_cap.  start >= 2
+    and scan_cap >= MIN_SCAN_CAP are the caller's to ensure.
+
+    The degrees d_min(n, m) come from d_min the first time the window
+    reaches an m, so a one-n window calls d_min for every m it scans.
+    After that the last degree found for m is walked up while d*d < n*k,
+    k = m^2 - m + 2, with no square root: d_min(n, m) does not decrease in
+    n and the window ascends, so the walk starts at or below d_min(n, m).
+    Over the window it takes about sqrt(k)*(sqrt(stop) - sqrt(start))
+    steps per m, on average fewer than m/2 per n.
 
     At each new minimum d/m the witness polynomial (a, b, c) of
     _tail_cutoff is set up without reducing d/m.  There is none when
-    d^2 > n*m^2.  When m divides d it is the strict form at p = d/m,
-    (n - p^2, 2p - n, 2n - 1).  With a = 0 (n = p^2) it is linear with
-    c > 0 and holds from m = 2 on iff b >= 0; with a negative discriminant
-    it holds from m = 2 on; in both cases the scan stops at once.
-    Otherwise it is the non-strict form scaled by g^2 = gcd(d, m)^2,
-    (n*m^2 - d^2, -n*m^2, 2*n*m^2), which has the sign, the vertex and the
-    roots of the reduced one; here a > 0, as d/m = sqrt(n) needs m | d.
+    d^2 > n*m^2; every earlier minimum then lies above sqrt(n) too, so
+    (a, b) is still (0, -1), which stands for none, as 2*a*j + b < 0
+    below.  A minimum with a witness lies at or below sqrt(n), so every
+    later minimum lies below it and has one of its own.  When m divides d
+    it is the strict form at p = d/m, (n - p^2, 2p - n, 2n - 1), scaled by
+    m^2: (n*m^2 - d^2, 2*d*m - n*m^2, 2*n*m^2 - m^2).  With a = 0
+    (n = p^2) it is linear with c > 0, and the test below stops the scan
+    at once iff b >= 0, and never otherwise.  With a negative discriminant
+    it holds from m = 2 on; (a, b) = (0, 0), the constant c > 0, stands
+    for it, and the test stops the scan at once.  Otherwise it is the
+    non-strict form scaled by g^2 = gcd(d, m)^2, (n*m^2 - d^2, -n*m^2,
+    2*n*m^2); here a > 0, as d/m = sqrt(n) needs m | d.  A scaled form has
+    the sign, the vertex and the roots of the reduced one, and its integer
+    values are positive exactly where the reduced one's are.
 
-    With a > 0 the scan stops at m iff, with k = m + 1, 2*a*k + b >= 0
-    and poly(k) holds (> 0 strict, >= 0 non-strict).  That is exactly
-    _tail_cutoff(...)[2] <= m + 1: the cutoff is the first integer
-    >= max(2, ceil(vertex)) at which poly holds, k >= 3 lies past the
-    vertex -b/(2a) iff 2*a*k + b >= 0, and poly does not decrease past its
-    vertex.  _tail_cutoff's cutoff 2 for a non-strict discriminant <= 0
+    The scan stops at m iff, with j = m + 1, 2*a*j + b >= 0 and poly(j)
+    holds (> 0 strict, >= 0 non-strict: poly(j) >= strict).  With a > 0
+    that is exactly _tail_cutoff(...)[2] <= m + 1: the cutoff is the first
+    integer >= max(2, ceil(vertex)) at which poly holds, j >= 3 lies past
+    the vertex -b/(2a) iff 2*a*j + b >= 0, and poly does not decrease past
+    its vertex.  _tail_cutoff's cutoff 2 for a non-strict discriminant <= 0
     needs no case of its own: that discriminant is n*m^2*(n*m^2 - 8a), so
-    poly >= 0 everywhere and the vertex is at most 4, while k >= 4, since
+    poly >= 0 everywhere and the vertex is at most 4, while j >= 4, since
     d_min(n, 2)^2 >= 4n puts every non-strict minimum at m >= 3.  So the
     cutoff itself is computed only by certified_min, once, where a
     certificate is built.
     """
-    best_d, best_m = 1, 0
-    argmins: list[int] = []
-    a = 0  # no witness to test
-    for m in range(2, scan_cap + 1):
-        d = d_min(n, m)
-        if d * best_m < best_d * m:
-            best_d, best_m, argmins = d, m, [m]
-            nmm = n * m * m
-            a = 0
-            if d * d <= nmm:
-                if d % m:
-                    a, b, c, strict = nmm - d * d, -nmm, 2 * nmm, False
-                else:
-                    p = d // m
-                    a, b, c, strict = n - p * p, 2 * p - n, 2 * n - 1, True
-                    if (b >= 0) if a == 0 else (b * b < 4 * a * c):
-                        return best_d, best_m, argmins, m, True
-        elif d * best_m == best_d * m:
-            argmins.append(m)
-        if a:
-            k = m + 1
-            if 2 * a * k + b >= 0:
-                v = (a * k + b) * k + c
-                if v > 0 or (v == 0 and not strict):
-                    return best_d, best_m, argmins, m, True
-    return best_d, best_m, argmins, scan_cap, False
+    # degrees[m]: the last d_min(n, m) found, for m <= known; ms: one range for every n
+    degrees, known, ms = [0, 0], 1, range(2, scan_cap + 1)
+    for n in range(start, stop + 1):
+        best_d, best_m, argmins, a, b = 1, 0, [], 0, -1  # (a, b) = (0, -1): no witness
+        for m in ms:
+            if m <= known:
+                d, k = degrees[m], m * m - m + 2
+                while d * d < n * k:
+                    d += 1
+                degrees[m] = d
+            else:
+                degrees.append(d := d_min(n, m))
+                known = m
+            if d * best_m < best_d * m:
+                best_d, best_m, argmins = d, m, [m]
+                nmm = n * m * m
+                if d * d <= nmm:  # else d/m > sqrt(n), as is every earlier minimum
+                    a, strict = nmm - d * d, d % m == 0
+                    b, c = (2 * d * m - nmm, 2 * nmm - m * m) if strict else (-nmm, 2 * nmm)
+                    if strict and b * b < 4 * a * c:
+                        a, b = 0, 0
+            elif d * best_m == best_d * m:
+                argmins.append(m)
+            if 2 * a * (j := m + 1) + b >= 0 and (a * j + b) * j + c >= strict:
+                yield best_d, best_m, argmins, m, True
+                break
+        else:
+            yield best_d, best_m, argmins, scan_cap, False
 
 
 def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
@@ -335,15 +357,17 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
     every n with some ratio below sqrt(n) the scan reaches one, after which
     the quadratic certificate exists.
 
-    The scan is the integer core _certified_scan, which only decides
-    whether the witness holds from scanned_to + 1 on.  The Fraction, the
-    frozenset of argmins and the BoundCertificate are built here, once,
-    from its result; a certified result takes its witness from one
-    _tail_cutoff of the reduced minimum, and an uncertified one from none.
+    The scan is a one-n window of the integer core _certified_scans, which
+    takes every degree from d_min and only decides whether the witness
+    holds from scanned_to + 1 on.  The Fraction, the frozenset of argmins
+    and the BoundCertificate are built here, once, from its result; a
+    certified result takes its witness from one _tail_cutoff of the
+    reduced minimum, and an uncertified one from none.
     """
     _require("self-intersection", n, 2)
     _require("scan_cap", scan_cap, MIN_SCAN_CAP)
-    best_d, best_m, argmins, scanned_to, certified = _certified_scan(n, scan_cap)
+    # unpacking runs the one-n window to its end, so closing it throws nothing into it
+    [(best_d, best_m, argmins, scanned_to, certified)] = _certified_scans(n, n, scan_cap)
     value = Fraction(best_d, best_m)
     witness = None
     if certified:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bounds import SMALL_MS, SmallBound, d_min, lower_bound_small
+from .bounds import SMALL_MS, SmallBound, _require, d_min, lower_bound_small
 from .exactmath import RadicalBound, format_decimal
 
 #: name -> (p/q, c): the earlier bound (p/q)*sqrt(c*N), in the order bound prints them
@@ -50,8 +50,7 @@ TABLE_COLUMNS = ("abelian_7_8", "hr_093", "new_bound")
 
 def prior_bound(name: str, n: int) -> RadicalBound:
     """The named earlier bound at self-intersection n, as an exact radical."""
-    if n < 1:
-        raise ValueError(f"self-intersection must be >= 1, got {n}")
+    _require("self-intersection", n, 1)
     if name not in PRIOR_BOUNDS:
         raise ValueError(f"unknown prior bound {name!r}; expected one of {tuple(PRIOR_BOUNDS)}")
     coef, c = PRIOR_BOUNDS[name]
@@ -104,15 +103,13 @@ def dominance_check(n: int) -> bool:
     the final link is strict: 8649*9 > 7*10000.
     All are evaluated per n.
     """
-    if n < 2:
-        raise ValueError(f"self-intersection must be >= 2, got {n}")
+    _require("self-intersection", n, 2)
     ab_num, ab_den = _prior_square("abelian_7_8", n)
     hr_num, hr_den = _prior_square("hr_093", n)
     ssz_num, ssz_den = _prior_square("ssz_7_9", n)
     for m in SMALL_MS:
         radicand = n * (m * (m - 1) + 2)  # g(n,m)^2 = radicand / m^2
-        d = d_min(n, m)
-        if d * d < radicand:  # f >= g
+        if d_min(n, m) ** 2 < radicand:  # f >= g
             return False
         if radicand * ab_den < ab_num * m * m:  # g >= sqrt(14N)/4
             return False

@@ -41,17 +41,20 @@ def agreement_sweep(stop: int) -> tuple[list[int], list[int]]:
     six-term minimum, and N where it is uncertified.
 
     The certified minimum comes from certified_min's integer core
-    bounds._certified_scan at certified_min's default scan cap, one ceil_sqrt
-    per (N, m) scanned, as an unreduced pair best_d/best_m with a flag that
+    bounds._certified_scans, one window over [2, stop] at certified_min's
+    default scan cap, as an unreduced pair best_d/best_m with a flag that
     says whether it is certified; no witness or certificate object is built.
+    The window takes d_min only the first time it reaches an m, and walks
+    each degree up from its last value after that, with no square root.
     The six-term minimum comes from the kernel bounds._small_columns, with no
     square root per N, as a numerator over SMALL_MS_LCM.  The two are
     compared by cross-multiplication.  The sweep reads no table and the scan
     does not use the kernel, so the two sides share no computation.
     """
     disagreements, uncertified = [], []
-    for n, small in zip(range(2, stop + 1), map(min, *bounds._small_columns(2, stop))):
-        best_d, best_m, _, _, certified = bounds._certified_scan(n, bounds.DEFAULT_SCAN_CAP)
+    smalls = map(min, *bounds._small_columns(2, stop))
+    scans = bounds._certified_scans(2, stop, bounds.DEFAULT_SCAN_CAP)
+    for n, small, (best_d, best_m, _, _, certified) in zip(range(2, stop + 1), smalls, scans):
         if not certified:
             uncertified.append(n)
         elif best_d * bounds.SMALL_MS_LCM != small * best_m:

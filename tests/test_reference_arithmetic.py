@@ -16,13 +16,16 @@ certified_min and check_f7 take every witness polynomial and cutoff
 from one integer core, bounds._tail_cutoff; the reference scan takes its
 cutoffs from tail_cutoff_reference, so it shares none of it, and
 check_f7's violation lists are held equal to a brute scan far past the
-cutoff.  certified_min wraps the integer scan bounds._certified_scan,
-which verify's agreement sweep reads directly; both are held equal to
-the reference scan.  The core stops where the witness of its minimum
-holds at m + 1, tested in a few integer products;
-certified_scan_reference is the earlier core, which took a cutoff from
-_tail_cutoff at every new minimum and compared it with m + 1, and the
-core is held equal to it.
+cutoff.  certified_min reads a one-N window of the integer scan
+bounds._certified_scans, and verify's agreement sweep reads one window
+over [2, stop]; both are held equal to the reference scan.  A window
+takes d_min the first time it reaches an m and walks each degree up
+from its last value after that, so only windows over several N exercise
+the walk; they are held equal to the reference one N at a time.  The
+core stops where the witness of its minimum holds at m + 1, tested in a
+few integer products; certified_scan_reference is the earlier core,
+which took a cutoff from _tail_cutoff at every new minimum and compared
+it with m + 1, and the core is held equal to it.
 ceiling_threshold takes only the parity and reads the table; its
 reference is the earlier direct scan of lower_bound_small.  census
 bisects per m != 4 the tabulated n below the analytic threshold and
@@ -90,7 +93,7 @@ from seshadri.bounds import (
     sqrt_linear_threshold,
 )
 from seshadri.cli import cli
-from seshadri.exactmath import RadicalBound, _decimal, format_decimal, sqrt_linear_cmp
+from seshadri.exactmath import RadicalBound, _decimal, ceil_sqrt, format_decimal, sqrt_linear_cmp
 
 
 def rat_cmp_sqrt(r: Fraction, n: int) -> int:
@@ -315,9 +318,9 @@ def _certificate(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
 
 
 def _scan(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
-    """The integer core bounds._certified_scan in _certificate's shape, with
-    the witness from _tail_cutoff of the reduced minimum when certified."""
-    best_d, best_m, argmins, scanned_to, certified = bounds._certified_scan(n, scan_cap)
+    """A one-N window of the integer core bounds._certified_scans in _certificate's
+    shape, with the witness from _tail_cutoff of the reduced minimum when certified."""
+    [(best_d, best_m, argmins, scanned_to, certified)] = bounds._certified_scans(n, n, scan_cap)
     assert argmins == sorted(set(argmins)) and argmins[0] == best_m
     value = Fraction(best_d, best_m)
     assert type(certified) is bool
@@ -413,6 +416,34 @@ def test_the_kernel_takes_two_isqrt_per_column_and_no_ceil_sqrt(monkeypatch):
     assert 0 < len(calls) <= 2 * len(SMALL_MS)
 
 
+def test_agreement_sweep_takes_d_min_once_per_m_and_no_other_square_root(monkeypatch):
+    # the scan side takes d_min the first time it reaches an m (m = 2..5 at
+    # N = 2, m = 6..11 at N = 3) and walks every later degree with no square
+    # root; the kernel side takes two isqrt per column and no ceil_sqrt: no
+    # square root per (N, m) over [2, 10^5]
+    d_min_calls, ceil_sqrt_calls, isqrt_calls = [], [], []
+
+    def counted_d_min(n, m):
+        d_min_calls.append((n, m))
+        return d_min(n, m)
+
+    def counted_ceil_sqrt(x):
+        ceil_sqrt_calls.append(x)
+        return ceil_sqrt(x)
+
+    def counted_isqrt(x):
+        isqrt_calls.append(x)
+        return isqrt(x)
+
+    monkeypatch.setattr(bounds, "d_min", counted_d_min)
+    monkeypatch.setattr(bounds, "ceil_sqrt", counted_ceil_sqrt)
+    monkeypatch.setattr(bounds, "isqrt", counted_isqrt)
+    assert verify.agreement_sweep(10**5) == ([], [])
+    assert d_min_calls == [(2, m) for m in range(2, 6)] + [(3, m) for m in range(6, 12)]
+    assert ceil_sqrt_calls == [n * (m * m - m + 2) for n, m in d_min_calls]
+    assert 0 < len(isqrt_calls) <= 2 * len(SMALL_MS)
+
+
 def test_small_table_matches_reference():
     table = bounds._small_table()
     assert bounds.analytic_threshold(even_only=True).threshold == 8776
@@ -496,17 +527,40 @@ SCAN_NS = [*range(2, 3001),
            (10**20 + 1) ** 2]
 
 
-@pytest.mark.parametrize("scan_cap", [8, 9, 11, 12, DEFAULT_SCAN_CAP])
-def test_scan_core_matches_the_cutoff_per_improvement_reference(scan_cap):
-    # n = 3 certifies at m = 11, so caps 8, 9 leave it uncertified and 11, 12 do not
-    for n in SCAN_NS:
-        best_d, best_m, argmins, scanned_to, certified = bounds._certified_scan(n, scan_cap)
+def _assert_scans_match_reference(start: int, stop: int, scan_cap: int) -> None:
+    """The window [start, stop] of the core, N by N, against the reference scan."""
+    scans = list(bounds._certified_scans(start, stop, scan_cap))
+    assert len(scans) == max(0, stop - start + 1), (start, stop, scan_cap)
+    for n, (best_d, best_m, argmins, scanned_to, certified) in enumerate(scans, start):
         ref_d, ref_m, ref_argmins, ref_scanned_to, tail = certified_scan_reference(n, scan_cap)
         assert (best_d, best_m, argmins, scanned_to) == (ref_d, ref_m, ref_argmins,
-                                                         ref_scanned_to), (n, scan_cap)
-        assert certified is (tail is not None), (n, scan_cap)
-    assert bounds._certified_scan(3, 11)[3:] == (11, True)
-    assert bounds._certified_scan(3, 9)[3:] == (9, False)
+                                                         ref_scanned_to), (n, start, scan_cap)
+        assert certified is (tail is not None), (n, start, scan_cap)
+
+
+@pytest.mark.parametrize("scan_cap", [8, 9, 11, 12, DEFAULT_SCAN_CAP])
+def test_scan_core_matches_the_cutoff_per_improvement_reference(scan_cap):
+    # one-N windows, each taking every degree from d_min; n = 3 certifies at
+    # m = 11, so caps 8, 9 leave it uncertified and 11, 12 do not
+    for n in SCAN_NS:
+        _assert_scans_match_reference(n, n, scan_cap)
+    assert next(bounds._certified_scans(3, 3, 11))[3:] == (11, True)
+    assert next(bounds._certified_scans(3, 3, 9))[3:] == (9, False)
+
+
+#: windows over several N, which walk their degrees: a range; 50 N from 10^30 - 1;
+#: across k^2 - 1 .. k^2 + 1 for k up to 300 and across (10^15 + 1)^2; and 200 N
+#: from a seeded random N in [10^39, 10^40], the first random N of SCAN_NS
+SCAN_WINDOWS = [(2, 3000), (10**30 - 1, 10**30 + 48),
+                *((max(2, k * k - 1), k * k + 1) for k in range(1, 301)),
+                ((10**15 + 1) ** 2 - 1, (10**15 + 1) ** 2 + 1),
+                *((s, s + 199) for s in [random.Random(20200817).randint(10**39, 10**40)])]
+
+
+@pytest.mark.parametrize("scan_cap", [8, 9, 11, 12, DEFAULT_SCAN_CAP])
+def test_scan_windows_match_the_cutoff_per_improvement_reference(scan_cap):
+    for start, stop in SCAN_WINDOWS:
+        _assert_scans_match_reference(start, stop, scan_cap)
 
 
 def _count_tail_cutoff(monkeypatch) -> list[tuple[int, int, int]]:
@@ -754,14 +808,15 @@ def test_agreement_sweep_compares_the_kernel_and_reads_no_table(monkeypatch):
 def test_agreement_sweep_compares_the_scan_core(monkeypatch):
     # a core off by one degree at N = 3, or uncertified at N = 5, must show:
     # the sweep reads the core at certified_min's default cap
-    core, caps = bounds._certified_scan, set()
+    core, caps = bounds._certified_scans, set()
 
-    def mutated(n, scan_cap):
+    def mutated(start, stop, scan_cap):
         caps.add(scan_cap)
-        best_d, best_m, argmins, scanned_to, certified = core(n, scan_cap)
-        return best_d + (n == 3), best_m, argmins, scanned_to, False if n == 5 else certified
+        for n, (best_d, best_m, argmins, scanned_to, certified) in enumerate(
+                core(start, stop, scan_cap), start):
+            yield best_d + (n == 3), best_m, argmins, scanned_to, False if n == 5 else certified
 
-    monkeypatch.setattr(bounds, "_certified_scan", mutated)
+    monkeypatch.setattr(bounds, "_certified_scans", mutated)
     assert verify.agreement_sweep(50) == ([3], [5])
     assert caps == {DEFAULT_SCAN_CAP}
 
