@@ -29,13 +29,15 @@ This module computes, entirely in exact integer arithmetic:
     building the certificate objects;
   * the per-multiplicity comparison f(N,m) >= f(N,7) for m >= 8, with a
     complete, certified list of violations where they exist;
-  * one integer core for every witness polynomial and cutoff
-    (_tail_cutoff), which certified_min and check_f7 both call;
+  * one integer core for every tail witness (_tail_cutoff, which returns
+    the TailWitness it proves, or None), which certified_min and check_f7
+    both call;
   * the exact thresholds from which the minimum settles at m = 4: the
     analytic one, read once per parity off the table SQRT_LINEAR of analytic
     steps, and the sharp ceiling-aware one, with integer-polynomial certificates;
   * a census classifying each N by the smallest minimizing multiplicity;
-  * the merged list of candidate values below sqrt(N), as lowest-terms (p, q).
+  * the merged list of candidate values, the ratios below sqrt(N) and the
+    integers up to it, as lowest-terms (p, q).
 
 Self-intersections of ample line bundles on abelian and on bielliptic
 surfaces are even (L^2 = 2*d1*d2, resp. L^2 = 2*a*b), so the census and
@@ -184,8 +186,9 @@ def _small_table() -> dict[int, frozenset[int]]:
 class TailWitness(NamedTuple):
     """Witness that d_min(n,m)/m >= threshold for every m >= cutoff.
 
-    poly holds (A, B, C) with the guarantee that A*m^2 + B*m + C > 0
-    (strict=True) resp. >= 0 (strict=False) for all m >= cutoff, where
+    _tail_cutoff is the only code that builds one.  poly holds (A, B, C)
+    with the guarantee that A*m^2 + B*m + C > 0 (strict=True) resp. >= 0
+    (strict=False) for all m >= cutoff, where
 
       strict (threshold = p with q = 1):
           A, B, C = n - p^2, 2p - n, 2n - 1
@@ -207,21 +210,18 @@ class TailWitness(NamedTuple):
     strict: bool
 
 
-#: _tail_cutoff's (poly, strict, cutoff)
-_Tail = tuple[tuple[int, int, int], bool, int]
+def _tail_cutoff(n: int, threshold: Fraction) -> TailWitness | None:
+    """The TailWitness that d_min(n,m)/m >= threshold from its cutoff on, or None.
 
-
-def _tail_cutoff(n: int, p: int, q: int) -> _Tail | None:
-    """(poly, strict, cutoff) of the TailWitness at threshold p/q, or None.
-
-    p/q must be in lowest terms with p >= 0; the arithmetic is all integer.
-    The cutoff is the first m >= max(2, ceil(vertex)) at which poly holds;
-    past the vertex -B/(2A) the upward parabola does not decrease.  poly may
-    hold below the cutoff: at n = 249, p/q = 15 the cutoff is 5, although
-    24m^2 - 219m + 497 > 0 for all m >= 2.  None means that no quadratic
-    certificate exists, which happens exactly when p/q > sqrt(n), or when
-    p/q = sqrt(n) >= 3.
+    threshold = p/q >= 0 is a Fraction, so in lowest terms; the arithmetic is
+    all integer.  The cutoff is the first m >= max(2, ceil(vertex)) at which
+    poly holds; past the vertex -B/(2A) the upward parabola does not
+    decrease.  poly may hold below the cutoff: at n = 249, threshold 15 the
+    cutoff is 5, although 24m^2 - 219m + 497 > 0 for all m >= 2.  None means
+    that no quadratic certificate exists, which happens exactly when
+    threshold > sqrt(n), or when threshold = sqrt(n) >= 3.
     """
+    p, q = threshold.numerator, threshold.denominator
     nq2 = n * q * q
     if p * p > nq2:
         return None  # threshold above sqrt(n): the parabola opens downward
@@ -236,15 +236,15 @@ def _tail_cutoff(n: int, p: int, q: int) -> _Tail | None:
     poly = (a, b, c)
     if a == 0:
         # n = p^2: linear with c = 2n - 1 > 0, so it holds from m = 2 iff b >= 0
-        return (poly, strict, 2) if b >= 0 else None
+        return TailWitness(threshold, 2, poly, strict) if b >= 0 else None
     disc = b * b - 4 * a * c
     if disc < 0 or (disc == 0 and not strict):
-        return poly, strict, 2
+        return TailWitness(threshold, 2, poly, strict)
     # floor((-b + isqrt(disc)) / 2a) is the floor of the larger root r; poly
     # fails on [ceil(vertex), r) and holds past r
     m = max(2, -(b // (2 * a)), (-b + isqrt(disc)) // (2 * a))
-    v = (a * m + b) * m + c
-    return poly, strict, m if (v > 0 if strict else v >= 0) else m + 1
+    m += (a * m + b) * m + c < strict  # poly holds at m iff poly(m) >= strict
+    return TailWitness(threshold, m, poly, strict)
 
 
 class BoundCertificate(NamedTuple):
@@ -307,15 +307,15 @@ def _certified_scans(start: int, stop: int,
 
     The scan stops at m iff, with j = m + 1, 2*a*j + b >= 0 and poly(j)
     holds (> 0 strict, >= 0 non-strict: poly(j) >= strict).  With a > 0
-    that is exactly _tail_cutoff(...)[2] <= m + 1: the cutoff is the first
+    that is exactly _tail_cutoff(...).cutoff <= m + 1: the cutoff is the first
     integer >= max(2, ceil(vertex)) at which poly holds, j >= 3 lies past
     the vertex -b/(2a) iff 2*a*j + b >= 0, and poly does not decrease past
     its vertex.  _tail_cutoff's cutoff 2 for a non-strict discriminant <= 0
     needs no case of its own: that discriminant is n*m^2*(n*m^2 - 8a), so
     poly >= 0 everywhere and the vertex is at most 4, while j >= 4, since
     d_min(n, 2)^2 >= 4n puts every non-strict minimum at m >= 3.  So the
-    cutoff itself is computed only by certified_min, once, where a
-    certificate is built.
+    cutoff itself is computed only where certified_min builds a
+    certificate, once, in the TailWitness of _tail_cutoff.
     """
     # degrees[m]: the last d_min(n, m) found, for m <= known; ms: one range for every n
     degrees, known, ms = [0, 0], 1, range(2, scan_cap + 1)
@@ -361,19 +361,16 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
     takes every degree from d_min and only decides whether the witness
     holds from scanned_to + 1 on.  The Fraction, the frozenset of argmins
     and the BoundCertificate are built here, once, from its result; a
-    certified result takes its witness from one _tail_cutoff of the
-    reduced minimum, and an uncertified one from none.
+    certified result takes the TailWitness that one _tail_cutoff of the
+    reduced minimum returns, and an uncertified one calls none.
     """
     _require("self-intersection", n, 2)
     _require("scan_cap", scan_cap, MIN_SCAN_CAP)
     # unpacking runs the one-n window to its end, so closing it throws nothing into it
     [(best_d, best_m, argmins, scanned_to, certified)] = _certified_scans(n, n, scan_cap)
     value = Fraction(best_d, best_m)
-    witness = None
-    if certified:
-        poly, strict, cutoff = _tail_cutoff(n, value.numerator, value.denominator)
-        assert cutoff <= scanned_to + 1
-        witness = TailWitness(value, cutoff, poly, strict)
+    witness = _tail_cutoff(n, value) if certified else None
+    assert not certified or witness.cutoff <= scanned_to + 1
     return BoundCertificate(n, value, frozenset(argmins), scanned_to, witness)
 
 
@@ -425,11 +422,11 @@ def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     threshold = Fraction(d7, 7)
     if sqrt_linear_cmp(*SQRT_LINEAR["f7"], n):
         return F7Report(n, threshold, "holds_analytic", (), None)
-    tail = _tail_cutoff(n, threshold.numerator, threshold.denominator)
-    if tail is None or tail[2] - 1 > scan_cap:
+    tail = _tail_cutoff(n, threshold)
+    if tail is None or tail.cutoff - 1 > scan_cap:
         # a list of violations up to the cap would be an arbitrary prefix
         return F7Report(n, threshold, "uncertified", (), None)
-    scan_to = max(7, tail[2] - 1)
+    scan_to = max(7, tail.cutoff - 1)
     violations = tuple(
         (m, Fraction(dm, m))
         for m in range(8, scan_to + 1)
@@ -631,13 +628,14 @@ MAX_CANDIDATES = 10**5
 
 
 def candidate_values(n: int, max_m: int) -> list[tuple[int, int, str]]:
-    """Sorted candidate Seshadri values below sqrt(n), as (p, q, kind) in lowest terms.
+    """Sorted candidate Seshadri values, ratios below sqrt(n) and integers up to it.
 
-    Merges (a) every ratio d/m with m in [2, max_m], (d, m) in Omega(n)
-    and d/m < sqrt(n) exactly, tagged "omega", and (b) the integers
-    1..floor(sqrt(n)) realized by elliptic curves resp. fibers, tagged
-    "integer_fiber".  Values shared by several (d, m) pairs are listed
-    once per kind; ties across kinds order "integer_fiber" first.
+    As (p, q, kind) in lowest terms, merges (a) every ratio d/m with m in
+    [2, max_m], (d, m) in Omega(n) and d/m < sqrt(n) exactly, tagged
+    "omega", and (b) the integers 1..floor(sqrt(n)) realized by elliptic
+    curves resp. fibers, tagged "integer_fiber".  Values shared by several
+    (d, m) pairs are listed once per kind; ties across kinds order
+    "integer_fiber" first.
 
     Values are ordered and deduplicated on one integer key, floor(v * S)
     with S = max_m^2: d*S // m for d/m and k*S for the integer k.  The key

@@ -355,7 +355,7 @@ def _candidates_text(r: dict) -> list[str]:
 @click.option("--max-m", default=7, show_default=True, type=_IntRange(min=2))
 @_decimals_option
 def candidates(n: int, max_m: int, decimals: int) -> dict:
-    """Candidate values below sqrt(N): admissible ratios and fiber integers."""
+    """Candidate values: admissible ratios below sqrt(N), fiber integers up to it."""
     values = bounds.candidate_values(n, max_m)
     if len(values) * decimals > MAX_RENDERED_DECIMALS:
         raise click.UsageError(

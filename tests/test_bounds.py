@@ -9,6 +9,7 @@ import pytest
 from seshadri import bounds
 from seshadri.bounds import (
     MAX_CANDIDATES,
+    TailWitness,
     analytic_threshold,
     candidate_values,
     ceiling_threshold,
@@ -198,14 +199,15 @@ class TestCertifiedMin:
     def test_tail_cutoff_starts_at_the_vertex(self):
         # 24m^2 - 219m + 497 is positive at every m >= 2, but its vertex
         # 219/48 rounds up to 5, and the cutoff starts there
-        assert bounds._tail_cutoff(249, 15, 1) == ((24, -219, 497), True, 5)
+        assert bounds._tail_cutoff(249, Fraction(15)) == TailWitness(
+            Fraction(15), 5, (24, -219, 497), True)
         assert all(24 * m * m - 219 * m + 497 > 0 for m in range(2, 5))
         assert certified_min(249).scanned_to == 4  # 3 with a cutoff below 5
 
     def test_tail_cutoff_impossible_above_sqrt(self):
         # threshold above sqrt(n): parabola opens downward, no certificate
-        assert bounds._tail_cutoff(2, 3, 2) is None
-        assert bounds._tail_cutoff(9, 3, 1) is None  # = sqrt(9), p >= 3
+        assert bounds._tail_cutoff(2, Fraction(3, 2)) is None
+        assert bounds._tail_cutoff(9, Fraction(3)) is None  # = sqrt(9), p >= 3
 
 
 class TestCheckF7:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -729,3 +730,22 @@ def test_json_goldens_are_found():
 def test_json_writer_reencodes_every_json_golden(path):
     text = path.read_text(encoding="utf-8").split("\n", 1)[1]  # after the "exit K" line
     assert cli_module._json(json.loads(text)) + "\n" == text
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("args, code", [(["bound", "--n", "2"], 0), (["bound"], 2)],
+                         ids=["bound_n_2", "bound_without_n"])
+def test_the_console_entry_point_prints_and_exits_as_the_cli(args, code):
+    # seshadri = "seshadri.cli:main" (pyproject.toml), in a fresh process
+    run_main = ("import sys; sys.path.insert(0, 'src'); from seshadri.cli import main; "
+                f"sys.argv = ['seshadri', *{args!r}]; main()")
+    done = subprocess.run([sys.executable, "-I", "-c", run_main],
+                          cwd=Path(__file__).parent.parent, capture_output=True, text=True)
+    assert done.returncode == code
+    if code == 0:
+        golden = (GOLDEN_DIR / "bound_n_2.out").read_text(encoding="utf-8")
+        assert "exit 0\n" + done.stdout == golden
+    else:
+        assert done.stdout == "" and "Usage: seshadri bound" in done.stderr

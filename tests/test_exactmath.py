@@ -181,6 +181,14 @@ class TestDecimalRendering:
         assert render() == text
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("render", [
+        lambda: format_decimal(Fraction(4, 3), -1),
+        lambda: RadicalBound(Fraction(1, 4), 28).decimal(-1),
+    ], ids=["rational", "radical"])
+    def test_negative_decimals_are_refused(self, render):
+        with pytest.raises(ValueError, match=r"^decimals must be >= 0$"):
+            render()
+
     def test_rendering_is_pure_and_idempotent(self):
         rng = random.Random(SEED)
         for _ in range(300):

@@ -18,6 +18,8 @@ that writer's try is the CLI's only one: click types read every option
 value, so no command parses or catches anything.  One hook, the __exit__
 of the root context, cuts every usage error, so no type or command cuts
 its own.
+Only bounds._tail_cutoff builds a TailWitness, so a tail witness has one
+shape and one place that proves it.
 """
 
 import ast
@@ -232,6 +234,19 @@ def test_one_root_hook_cuts_every_usage_error():
     callers = [name for name, method in methods for node in ast.walk(method) if node in uses]
     assert len(uses) == 1
     assert callers == [f"{cli.context_class.__name__}.__exit__"]
+
+
+def test_only_tail_cutoff_builds_a_tail_witness():
+    builders, tuple_aliases = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            builders += [f"{path.stem}.{getattr(top, 'name', None)}" for node in ast.walk(top)
+                         if isinstance(node, ast.Call) and ast.unparse(node.func) == "TailWitness"]
+        tuple_aliases += [f"{path.stem}.{node.id}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Name) and node.id == "_Tail"]
+    assert set(builders) == {"bounds._tail_cutoff"}
+    assert tuple_aliases == []
 
 
 def test_the_cli_has_one_try_the_writer_s():

@@ -24,8 +24,8 @@ from its last value after that, so only windows over several N exercise
 the walk; they are held equal to the reference one N at a time.  The
 core stops where the witness of its minimum holds at m + 1, tested in a
 few integer products; certified_scan_reference is the earlier core,
-which took a cutoff from _tail_cutoff at every new minimum and compared
-it with m + 1, and the core is held equal to it.
+which took a TailWitness from _tail_cutoff at every new minimum and
+compared its cutoff with m + 1, and the core is held equal to it.
 ceiling_threshold takes only the parity and reads the table; its
 reference is the earlier direct scan of lower_bound_small.  census
 bisects per m != 4 the tabulated n below the analytic threshold and
@@ -151,7 +151,7 @@ def certified_min_reference(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
 
 def certified_scan_reference(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
     """The earlier integer core: (best_d, best_m, argmins, scanned_to, tail),
-    with tail _tail_cutoff's (poly, strict, cutoff) of the reduced minimum,
+    with tail the TailWitness _tail_cutoff returns for the reduced minimum,
     taken at every new minimum, or None when no certificate starts by scan_cap."""
     best_d, best_m = 1, 0
     argmins: list[int] = []
@@ -162,9 +162,8 @@ def certified_scan_reference(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
         d = d_min(n, m)
         if d * best_m < best_d * m:
             best_d, best_m, argmins = d, m, [m]
-            g = gcd(d, m)
-            tail = bounds._tail_cutoff(n, d // g, m // g)
-            cutoff = no_cutoff if tail is None else tail[2]
+            tail = bounds._tail_cutoff(n, Fraction(d, m))
+            cutoff = no_cutoff if tail is None else tail.cutoff
         elif d * best_m == best_d * m:
             argmins.append(m)
         if cutoff <= m + 1:
@@ -319,15 +318,12 @@ def _certificate(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
 
 def _scan(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
     """A one-N window of the integer core bounds._certified_scans in _certificate's
-    shape, with the witness from _tail_cutoff of the reduced minimum when certified."""
+    shape, with the witness _tail_cutoff returns for the reduced minimum when certified."""
     [(best_d, best_m, argmins, scanned_to, certified)] = bounds._certified_scans(n, n, scan_cap)
     assert argmins == sorted(set(argmins)) and argmins[0] == best_m
     value = Fraction(best_d, best_m)
     assert type(certified) is bool
-    witness = None
-    if certified:
-        poly, strict, cutoff = bounds._tail_cutoff(n, value.numerator, value.denominator)
-        witness = TailWitness(value, cutoff, poly, strict)
+    witness = bounds._tail_cutoff(n, value) if certified else None
     return value, frozenset(argmins), scanned_to, witness
 
 
@@ -563,13 +559,13 @@ def test_scan_windows_match_the_cutoff_per_improvement_reference(scan_cap):
         _assert_scans_match_reference(start, stop, scan_cap)
 
 
-def _count_tail_cutoff(monkeypatch) -> list[tuple[int, int, int]]:
+def _count_tail_cutoff(monkeypatch) -> list[tuple[int, Fraction]]:
     """Patch bounds._tail_cutoff to record the arguments of each call."""
     called, cutoff = [], bounds._tail_cutoff
 
-    def counted(n, p, q):
-        called.append((n, p, q))
-        return cutoff(n, p, q)
+    def counted(n, threshold):
+        called.append((n, threshold))
+        return cutoff(n, threshold)
 
     monkeypatch.setattr(bounds, "_tail_cutoff", counted)
     return called
@@ -583,13 +579,13 @@ def test_tail_cutoff_runs_once_per_certificate_and_never_in_the_sweep(monkeypatc
         for n in range(2, 1001):
             called.clear()
             cert = certified_min(n, cap)
-            want = [(n, cert.value.numerator, cert.value.denominator)] if cert.certified else []
+            want = [(n, cert.value)] if cert.certified else []
             assert called == want, (n, cap)
     called.clear()
     assert CliRunner().invoke(cli, ["bound", "--n", "3", "--scan-cap", "8"]).exit_code == 1
     assert called == []  # uncertified
     assert CliRunner().invoke(cli, ["bound", "--n", "3"]).exit_code == 0
-    assert called == [(3, 5, 3)]
+    assert called == [(3, Fraction(5, 3))]
 
 
 def test_certified_min_builds_one_witness(monkeypatch):
@@ -875,22 +871,14 @@ def test_m_max_matches_bisection_reference_below_1e40():
         assert m_max(n, d) == m_max_reference(n, d), (n, d)
 
 
-def _tail_as_reference(n: int, threshold: Fraction):
-    """bounds._tail_cutoff at threshold, and tail_cutoff_reference in that
-    (poly, strict, cutoff) shape."""
-    w = tail_cutoff_reference(n, threshold)
-    return (bounds._tail_cutoff(n, threshold.numerator, threshold.denominator),
-            None if w is None else (w.poly, w.strict, w.cutoff))
-
-
 def test_tail_cutoff_matches_search_reference():
     # the running-minimum thresholds d/m near d_min(n, m)/m, and integers
     for n in range(2, 401):
         thresholds = {Fraction(d_min(n, m) + k, m) for m in range(2, 30) for k in range(-2, 3)}
         thresholds.update(Fraction(p) for p in range(1, 30))
         for threshold in thresholds:
-            got, want = _tail_as_reference(n, threshold)
-            assert got == want, (n, threshold)
+            assert bounds._tail_cutoff(n, threshold) == tail_cutoff_reference(n, threshold), \
+                (n, threshold)
 
 
 def test_tail_cutoff_matches_search_reference_below_1e40():
@@ -900,8 +888,8 @@ def test_tail_cutoff_matches_search_reference_below_1e40():
         root = isqrt(n)
         for threshold in (Fraction(d_min(n, m) + rng.randint(-2, 2), m),
                           Fraction(root), Fraction(root - 1)):
-            got, want = _tail_as_reference(n, threshold)
-            assert got == want, (n, threshold)
+            assert bounds._tail_cutoff(n, threshold) == tail_cutoff_reference(n, threshold), \
+                (n, threshold)
 
 
 def test_check_f7_lists_every_violation_by_a_brute_scan():
