@@ -285,7 +285,7 @@ def _cert_json(cert: bounds.BoundCertificate) -> dict:
 @_decimals_option
 @_full_precision_option
 def bound(n: int, scan_cap: int, decimals: int, full_precision: bool) -> dict:
-    """Certified lower bound for epsilon(L, x) at self-intersection N.
+    """Certified lower bound for epsilon(L, x) with L^2 = N.
 
     The status is "discrepancy" when the certified minimum over all m
     differs from the six-term minimum printed as the bound.
@@ -355,7 +355,7 @@ def _candidates_text(r: dict) -> list[str]:
 @click.option("--max-m", default=7, show_default=True, type=_IntRange(min=2))
 @_decimals_option
 def candidates(n: int, max_m: int, decimals: int) -> dict:
-    """Candidate values: admissible ratios below sqrt(N), fiber integers up to it."""
+    """Admissible ratios below sqrt(N) and fiber integers up to it."""
     values = bounds.candidate_values(n, max_m)
     if len(values) * decimals > MAX_RENDERED_DECIMALS:
         raise click.UsageError(
@@ -476,7 +476,7 @@ def _verify_text(r: dict) -> list[str]:
               type=_IntRange(min=bounds.MIN_SCAN_CAP),
               help="Scan cap for the per-multiplicity comparison sweep.")
 def verify(agreement_to: int, scan_cap: int) -> dict:
-    """Re-run every finite computation and compare against expectations.
+    """Re-run each finite computation and compare with expectations.
 
     Expectations that the source states exactly must match and drive the
     exit code; investigations are reported and never fail (see
@@ -554,7 +554,7 @@ def intersect(type_index: int, c1: list[int], c2: list[int]) -> dict:
 @_type_option
 @click.option("--class", "divisor", required=True, type=_CLASS, help="Divisor class a,b.")
 def fiber_degrees(type_index: int, divisor: list[int]) -> dict:
-    """Degrees L.E and L.F of a divisor class against the two fibrations."""
+    """Degrees L.E and L.F of a divisor class on the two fibers."""
     kind = bielliptic.surface_kind(type_index)
     cls = bielliptic.DivisorClass(*divisor)
     deg_e, deg_f = bielliptic.fiber_degrees(kind, cls)
@@ -571,7 +571,7 @@ def fiber_degrees(type_index: int, divisor: list[int]) -> dict:
 @click.option("--components", "r", default=None, type=_Int(),
               help="Component count for the reduced-curve form.")
 def star_check(c2_value: int, mults: list[int], r: int | None) -> dict:
-    """Check C^2 against 2r + sum m_i(m_i - 1)  (r = 1: irreducible form)."""
+    """Check C^2 >= 2r + sum m_i(m_i - 1) (r = 1: irreducible)."""
     if r is None:
         passed = bielliptic.star_check_irreducible(c2_value, mults)
     else:

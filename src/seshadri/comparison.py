@@ -10,15 +10,16 @@ the form (irrational constant) * sqrt(N):
 
 prior_bound holds each as a RadicalBound (p/q)*sqrt(k), k = c*N, for
 display.  Comparisons read p/q and c from PRIOR_BOUNDS, the table
-prior_bound reads, and decide in integers, by cross-multiplying squares:
-p^2*k/q^2 against a rational's square or another radical's.  The chain
+prior_bound reads, and decide in integers, by cross-multiplying squares;
+per unit N a prior bound squares to the pair (p^2*c, q^2).  The chain
 
     d_min(N,m)/m >= sqrt(N(2+m(m-1)))/m >= sqrt(14N)/4
                  >= 0.93*sqrt(N) > sqrt(7/9)*sqrt(N)
 
 holds link by link for every m in 2..7 and every N >= 2 (the last link
-strictly for every N >= 1); dominance_check, its one owner, verifies it in
-integer arithmetic for a given N, and comparison_table asks it per row.
+strictly for every N >= 1).  dominance_check, its one owner, verifies it
+in integers: only the first link, f >= g, reads N, and the other three
+are decided on the (p^2*c, q^2) pairs.  comparison_table asks it per row.
 
 The eight-row comparison table is regenerated from the exact values.  Two
 of the sixteen prior-bound cells as printed in the source table disagree
@@ -69,12 +70,6 @@ class TableRow(NamedTuple):
                 format_decimal(self.new_bound.value, decimals, trim))
 
 
-def _prior_square(name: str, n: int) -> tuple[int, int]:
-    """(p^2*c*n, q^2): the square of the named bound (p/q)*sqrt(c*n), read from PRIOR_BOUNDS."""
-    coef, c = PRIOR_BOUNDS[name]
-    return coef.numerator ** 2 * c * n, coef.denominator ** 2
-
-
 def comparison_table(ns: list[int]) -> list[TableRow]:
     """One row per n: the two prior bounds and the new minimum.
 
@@ -94,28 +89,30 @@ def comparison_table(ns: list[int]) -> list[TableRow]:
 def dominance_check(n: int) -> bool:
     """Every link of the chain, exactly, for all m in 2..7.
 
-    Each link compares squares by integer cross-multiplication, with the
-    prior bounds' squares read from PRIOR_BOUNDS, the table prior_bound
-    reads, so the bounds checked are the ones printed:
-    f >= g is the ceiling property (d_min(n,m)^2 >= n*(2+m(m-1)));
-    g >= sqrt(14N)/4 cross-multiplies to (m-4)^2 >= 0;
-    sqrt(14N)/4 >= 0.93*sqrt(N) reduces to 14/16 >= 8649/10000;
+    Each link compares squares by integer cross-multiplication, with each
+    prior bound read once per call from PRIOR_BOUNDS, the table prior_bound
+    reads, so the bounds checked are the ones printed.  Only f >= g, the
+    ceiling property d_min(n,m)^2 >= n*(2+m(m-1)), reads n; the other three
+    are decided on the pairs (p^2*c, q^2), each prior square per unit n:
+    g >= sqrt(14N)/4 is 16*(2+m(m-1)) >= 14*m^2, that is (m-4)^2 >= 0;
+    sqrt(14N)/4 >= 0.93*sqrt(N) is 14*10000 >= 8649*16;
     the final link is strict: 8649*9 > 7*10000.
-    All are evaluated per n.
     """
     _require("self-intersection", n, 2)
-    ab_num, ab_den = _prior_square("abelian_7_8", n)
-    hr_num, hr_den = _prior_square("hr_093", n)
-    ssz_num, ssz_den = _prior_square("ssz_7_9", n)
+    coef, c = PRIOR_BOUNDS["abelian_7_8"]
+    ab_num, ab_den = coef.numerator ** 2 * c, coef.denominator ** 2
+    coef, c = PRIOR_BOUNDS["hr_093"]
+    hr_num, hr_den = coef.numerator ** 2 * c, coef.denominator ** 2
+    coef, c = PRIOR_BOUNDS["ssz_7_9"]
+    ssz_num, ssz_den = coef.numerator ** 2 * c, coef.denominator ** 2
     for m in SMALL_MS:
-        radicand = n * (m * (m - 1) + 2)  # g(n,m)^2 = radicand / m^2
-        if d_min(n, m) ** 2 < radicand:  # f >= g
+        g_num = m * (m - 1) + 2  # g(n,m)^2 = n * g_num / m^2
+        if d_min(n, m) ** 2 < n * g_num:  # f >= g
             return False
-        if radicand * ab_den < ab_num * m * m:  # g >= sqrt(14N)/4
+        if g_num * ab_den < ab_num * m * m:  # g >= sqrt(14N)/4
             return False
-    if ab_num * hr_den < hr_num * ab_den:  # sqrt(14N)/4 >= 0.93 sqrt(N)
-        return False
-    return hr_num * ssz_den > ssz_num * hr_den  # strict final link
+    return (ab_num * hr_den >= hr_num * ab_den  # sqrt(14N)/4 >= 0.93 sqrt(N)
+            and hr_num * ssz_den > ssz_num * hr_den)  # strict final link
 
 
 #: the source table: columns (abelian_7_8, hr_093, new_bound), decimal

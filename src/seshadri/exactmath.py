@@ -76,8 +76,10 @@ def _decimal(p: int, q: int, decimals: int, trim: bool, radicand: int = 1) -> st
     value terminate, so only then does trim shorten the digits, when
     t*q == a*s*S.  The integer part and the decimals are converted apart,
     each below Python's int-to-str limit.  "-" is prefixed only when p < 0
-    and t != 0.
+    and t != 0.  This core is the one owner of the refusal of decimals < 0.
     """
+    if decimals < 0:
+        raise ValueError("decimals must be >= 0")
     a, scale = abs(p), 10**decimals
     s = math.isqrt(radicand) if radicand != 1 else 1
     if s * s == radicand:
@@ -105,10 +107,9 @@ def format_decimal(value: Fraction, decimals: int = 4, trim: bool = True) -> str
     minimally (47/5 -> "9.4", 3 -> "3"); non-terminating values keep all
     digits (4/3 -> "1.3333").  For value = p/q and t, |p|/q rounded, the
     value is exact iff t/10^decimals == |p|/q, tested as t*q == |p|*10^decimals
-    in the integer core _decimal, which RadicalBound.decimal shares.
+    in _decimal, the integer core RadicalBound.decimal shares; it refuses
+    decimals < 0.
     """
-    if decimals < 0:
-        raise ValueError("decimals must be >= 0")
     if type(value) is not Fraction:
         value = Fraction(value)
     return _decimal(value.numerator, value.denominator, decimals, trim)
@@ -139,7 +140,5 @@ class RadicalBound(NamedTuple("RadicalBound", [("coef", Fraction), ("radicand", 
 
     def decimal(self, decimals: int = 4, trim: bool = True) -> str:
         """Rounded rendering (nearest, ties away from zero), exactly computed by
-        the core that renders rationals, exactmath._decimal."""
-        if decimals < 0:
-            raise ValueError("decimals must be >= 0")
+        exactmath._decimal, the core that renders rationals and refuses decimals < 0."""
         return _decimal(self.coef.numerator, self.coef.denominator, decimals, trim, self.radicand)

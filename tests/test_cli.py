@@ -639,6 +639,15 @@ def test_a_bare_group_prints_its_help_uncut(group):
     assert run(*group).output == run(*group, "--help").output
 
 
+@pytest.mark.parametrize("group", [[], ["bielliptic"]], ids=["root", "bielliptic"])
+def test_the_command_listing_cuts_no_help_at_click_s_default_width(group):
+    # 78 columns is click's layout when no terminal is attached
+    output = CliRunner().invoke(cli, [*group, "--help"], terminal_width=78).output
+    rows = output.split("Commands:\n", 1)[1].splitlines()
+    assert len(rows) == (5 if group else 7)
+    assert [row for row in rows if row.endswith("...")] == []
+
+
 #: click's and the writer's messages that repeat argv, each from one or more tokens
 _ECHOING_MESSAGES = [
     lambda args: f"Got unexpected extra argument{'s' * (len(args) > 1)} ({' '.join(args)})",

@@ -19,7 +19,9 @@ value, so no command parses or catches anything.  One hook, the __exit__
 of the root context, cuts every usage error, so no type or command cuts
 its own.
 Only bounds._tail_cutoff builds a TailWitness, so a tail witness has one
-shape and one place that proves it.
+shape and one place that proves it.  Likewise only comparison.prior_bound
+and comparison.dominance_check read PRIOR_BOUNDS by name, and only
+exactmath._decimal refuses a negative digit count.
 """
 
 import ast
@@ -236,17 +238,29 @@ def test_one_root_hook_cuts_every_usage_error():
     assert callers == [f"{cli.context_class.__name__}.__exit__"]
 
 
+def _owners(matches) -> set[str]:
+    """module.name of every top-level definition in the package holding a node that matches."""
+    return {f"{path.stem}.{getattr(top, 'name', None)}" for path in sorted(PACKAGE.glob("*.py"))
+            for top in ast.parse(path.read_text(encoding="utf-8")).body
+            for node in ast.walk(top) if matches(node)}
+
+
 def test_only_tail_cutoff_builds_a_tail_witness():
-    builders, tuple_aliases = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for top in tree.body:
-            builders += [f"{path.stem}.{getattr(top, 'name', None)}" for node in ast.walk(top)
-                         if isinstance(node, ast.Call) and ast.unparse(node.func) == "TailWitness"]
-        tuple_aliases += [f"{path.stem}.{node.id}" for node in ast.walk(tree)
-                          if isinstance(node, ast.Name) and node.id == "_Tail"]
-    assert set(builders) == {"bounds._tail_cutoff"}
-    assert tuple_aliases == []
+    assert _owners(lambda node: isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "TailWitness") == {"bounds._tail_cutoff"}
+    assert _owners(lambda node: isinstance(node, ast.Name) and node.id == "_Tail") == set()
+
+
+def test_only_prior_bound_and_dominance_check_subscript_prior_bounds():
+    assert _owners(lambda node: isinstance(node, ast.Subscript)
+                   and ast.unparse(node.value).split(".")[-1] == "PRIOR_BOUNDS") == {
+        "comparison.prior_bound", "comparison.dominance_check"}
+    assert _owners(lambda node: getattr(node, "name", None) == "_prior_square") == set()
+
+
+def test_only_the_decimal_core_refuses_negative_decimals():
+    assert _owners(lambda node: isinstance(node, ast.Raise)
+                   and "decimals must be >= 0" in ast.unparse(node)) == {"exactmath._decimal"}
 
 
 def test_the_cli_has_one_try_the_writer_s():

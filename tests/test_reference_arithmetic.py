@@ -625,6 +625,17 @@ def test_dominance_check_matches_reference_on_broken_chains(monkeypatch, name, b
         comparison.comparison_table([5])
 
 
+def test_dominance_check_fails_when_the_ceiling_link_breaks(monkeypatch):
+    # one below the ceiling, d_min(n,m)^2 < n*(2+m(m-1)) for every m; the
+    # reference reads bounds.d_min, so it still holds the chain
+    monkeypatch.setattr(comparison, "d_min", lambda n, m: bounds.d_min(n, m) - 1)
+    for n in range(2, 200):
+        assert comparison.dominance_check(n) is False
+        assert dominance_check_reference(n) is True
+    with pytest.raises(AssertionError, match="^dominance chain violated at n=5$"):
+        comparison.comparison_table([5])
+
+
 def analytic_per_m_reference(step: int) -> dict[int, int]:
     """First n of the parity after the last failure of 4*sqrt((m^2-m+2)n) >=
     m*sqrt(14n) + m in [2, 20000]; the truth set is a final segment."""
