@@ -38,7 +38,6 @@ from .bielliptic import (
     fiber_degrees,
     intersect,
     seshadri_ratio,
-    star_check_irreducible,
     star_check_reducible,
     surface_kind,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "seshadri_ratio",
     "sqrt58_threshold",
     "sqrt_linear_cmp",
-    "star_check_irreducible",
     "star_check_reducible",
     "surface_kind",
 ]

@@ -15,16 +15,17 @@ is not decided here; the only positivity gate is is_ample_numeric.  The
 seven rows of surface data are fixed; `seshadri bielliptic types` dumps
 them for audit.
 
-The self-intersection inequalities for curves through a point of
+The self-intersection inequality for curves through a point of
 multiplicity m (singular points m_i >= 2, smooth points omitted):
 
-    irreducible:            C^2 >= 2  + sum m_i (m_i - 1)
     reduced, r components:  C^2 >= 2r + sum m_i (m_i - 1)
 
-hold on abelian surfaces and descend to bielliptic ones via an unramified
-cover plus evenness of the intersection form; star_check_* evaluate them
-as exact predicates.  Multiplicities below 2 are rejected rather than
-dropped, so callers state singular points explicitly.
+holds on abelian surfaces and descends to bielliptic ones via an
+unramified cover plus evenness of the intersection form.  Its irreducible
+form, C^2 >= 2 + sum m_i (m_i - 1), is r = 1; star_check_reducible
+evaluates the one inequality as an exact predicate.  Multiplicities below
+2 are rejected rather than dropped, so callers state singular points
+explicitly.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "intersect",
     "is_ample_numeric",
     "seshadri_ratio",
-    "star_check_irreducible",
     "star_check_reducible",
     "surface_kind",
 ]
@@ -145,25 +145,16 @@ def is_ample_numeric(c: DivisorClass) -> bool:
     return c.a >= 1 and c.b >= 1
 
 
-def star_check_irreducible(c2: int, mults: list[int]) -> bool:
-    """C^2 >= 2 + sum m_i (m_i - 1) for the given singular multiplicities."""
-    return c2 >= 2 + _mult_sum(mults)
-
-
 def star_check_reducible(c2: int, r: int, mults: list[int]) -> bool:
-    """C^2 >= 2r + sum m_i (m_i - 1) for a reduced curve with r components."""
+    """C^2 >= 2r + sum m_i (m_i - 1) for a reduced curve of r components; r = 1: irreducible."""
     if r < 1:
         raise ValueError(f"component count must be >= 1, got {r}")
-    return c2 >= 2 * r + _mult_sum(mults)
-
-
-def _mult_sum(mults: list[int]) -> int:
     for m in mults:
         if m < 2:
             raise ValueError(
                 f"singular multiplicities must be >= 2, got {m}; omit smooth points"
             )
-    return sum(m * (m - 1) for m in mults)
+    return c2 >= 2 * r + sum(m * (m - 1) for m in mults)
 
 
 def seshadri_ratio(ample: DivisorClass, curve: DivisorClass, m: int) -> Fraction:

@@ -92,11 +92,9 @@ def _json(value, indent: str = "") -> str:
     With an indent json runs its pure-Python encoder.  This writer sorts
     dict items on their original keys as json does, escapes every str with
     json's C encode_basestring_ascii, writes str leaves inline, and leaves
-    bools, None, floats, non-str keys (json.dumps({key: 0}) is '{"key": 0}')
-    and the TypeError of anything else to json.dumps.
+    a top-level str, bools, None, floats, non-str keys (json.dumps({key: 0})
+    is '{"key": 0}') and the TypeError of anything else to json.dumps.
     """
-    if isinstance(value, str):
-        return _ascii(value)
     if type(value) is int:
         return int.__repr__(value)
     inner = indent + "  "
@@ -569,13 +567,10 @@ def fiber_degrees(type_index: int, divisor: list[int]) -> dict:
 @click.option("--mults", default="", type=_IntList(_Int()),
               help="Comma-separated multiplicities >= 2.")
 @click.option("--components", "r", default=None, type=_Int(),
-              help="Component count for the reduced-curve form.")
+              help="Component count r of a reduced curve (default: irreducible, r = 1).")
 def star_check(c2_value: int, mults: list[int], r: int | None) -> dict:
     """Check C^2 >= 2r + sum m_i(m_i - 1) (r = 1: irreducible)."""
-    if r is None:
-        passed = bielliptic.star_check_irreducible(c2_value, mults)
-    else:
-        passed = bielliptic.star_check_reducible(c2_value, r, mults)
+    passed = bielliptic.star_check_reducible(c2_value, 1 if r is None else r, mults)
     return {
         "inputs": {"c2": c2_value, "mults": mults, "components": r},
         "status": "ok" if passed else "violation",

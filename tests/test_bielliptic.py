@@ -15,7 +15,6 @@ from seshadri.bielliptic import (
     intersect,
     is_ample_numeric,
     seshadri_ratio,
-    star_check_irreducible,
     star_check_reducible,
     surface_kind,
 )
@@ -139,9 +138,9 @@ class TestEffectivityAndAmpleness:
 
 class TestStarChecks:
     def test_irreducible(self):
-        assert star_check_irreducible(4, [2])      # boundary 4 = 2 + 2
-        assert not star_check_irreducible(3, [2])
-        assert star_check_irreducible(10, [2, 3])  # 10 >= 2 + 2 + 6
+        assert star_check_reducible(4, 1, [2])      # boundary 4 = 2 + 2
+        assert not star_check_reducible(3, 1, [2])
+        assert star_check_reducible(10, 1, [2, 3])  # 10 >= 2 + 2 + 6
 
     def test_reducible(self):
         assert star_check_reducible(4, 2, [])      # boundary 4 = 2*2
@@ -150,7 +149,7 @@ class TestStarChecks:
 
     def test_smooth_multiplicities_rejected(self):
         with pytest.raises(ValueError):
-            star_check_irreducible(10, [2, 1])
+            star_check_reducible(10, 1, [2, 1])
         with pytest.raises(ValueError):
             star_check_reducible(10, 0, [2])
 

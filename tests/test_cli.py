@@ -442,6 +442,25 @@ class TestBielliptic:
         assert run("bielliptic", "star-check", "--c2", "4",
                    "--mults", "1").exit_code == 2
 
+    @pytest.mark.parametrize("mults, boundary", [("", 2), ("2", 4), ("2,3", 10)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_star_check_default_is_one_component(self, mults, boundary, offset):
+        # boundary is 2 + sum m_i(m_i - 1); --components omitted means r = 1
+        args = ["bielliptic", "star-check", "--c2", str(boundary + offset), "--mults", mults,
+                "--format", "json"]
+        default, explicit = run(*args), run(*args, "--components", "1")
+        assert default.exit_code == explicit.exit_code == (1 if offset < 0 else 0)
+        default, explicit = json.loads(default.output), json.loads(explicit.output)
+        assert default["inputs"].pop("components") is None
+        assert explicit["inputs"].pop("components") == 1
+        assert default == explicit
+
+    def test_star_check_refuses_the_component_count_first(self):
+        result = run("bielliptic", "star-check", "--c2", "4", "--components", "0",
+                     "--mults", "1")
+        assert result.exit_code == 2
+        assert "component count must be >= 1, got 0" in result.stderr
+
     def test_ratio(self):
         result = run("bielliptic", "ratio", "--type", "1", "--ample", "2,3",
                      "--curve", "1,1", "--m", "2")
@@ -496,7 +515,7 @@ LIBRARY_CALLS = [
                                "--c2", "1,1"], ""),
     (bielliptic, "fiber_degrees", ["bielliptic", "fiber-degrees", "--type", "1",
                                    "--class", "1,1"], ""),
-    (bielliptic, "star_check_irreducible", ["bielliptic", "star-check", "--c2", "10"], ""),
+    (bielliptic, "star_check_reducible", ["bielliptic", "star-check", "--c2", "10"], ""),
     (bielliptic, "seshadri_ratio", ["bielliptic", "ratio", "--type", "1", "--ample", "2,3",
                                     "--curve", "1,1"], ""),
 ]

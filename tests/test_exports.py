@@ -10,7 +10,9 @@ one of its rows, without failing anything.
 
 The package's records are immutable values with field-wise equality,
 none is a dataclass, whose generated methods are compiled at import, and
-the package or the benchmark reads every field of each.
+the package or the benchmark reads an attribute of each field's name.  The
+check is by name, pooled over every record and every module, so a field
+passes when a field of the same name elsewhere is read.
 Importing the CLI does not import csv, which only CSV output needs.
 The CLI turns a library ValueError into a usage error in one place, the
 writer of cli._command, so no command grows its own copy of that rule, and
@@ -20,8 +22,10 @@ of the root context, cuts every usage error, so no type or command cuts
 its own.
 Only bounds._tail_cutoff builds a TailWitness, so a tail witness has one
 shape and one place that proves it.  Likewise only comparison.prior_bound
-and comparison.dominance_check read PRIOR_BOUNDS by name, and only
-exactmath._decimal refuses a negative digit count.
+and comparison.dominance_check read PRIOR_BOUNDS by name, only
+exactmath._decimal refuses a negative digit count, and only
+bielliptic.star_check_reducible refuses a component count or a
+multiplicity, the one C^2 predicate.
 """
 
 import ast
@@ -261,6 +265,14 @@ def test_only_prior_bound_and_dominance_check_subscript_prior_bounds():
 def test_only_the_decimal_core_refuses_negative_decimals():
     assert _owners(lambda node: isinstance(node, ast.Raise)
                    and "decimals must be >= 0" in ast.unparse(node)) == {"exactmath._decimal"}
+
+
+def test_only_star_check_reducible_refuses_a_curve():
+    for message in ["component count must be >= 1", "singular multiplicities must be >= 2"]:
+        assert _owners(lambda node: isinstance(node, ast.Raise) and message in ast.unparse(node)
+                       ) == {"bielliptic.star_check_reducible"}
+    assert _owners(lambda node: getattr(node, "name", None)
+                   in {"star_check_irreducible", "_mult_sum"}) == set()
 
 
 def test_the_cli_has_one_try_the_writer_s():
