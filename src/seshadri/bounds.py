@@ -21,12 +21,14 @@ This module computes, entirely in exact integer arithmetic:
     tail-domination certificate that replaces the infinite case check by
     a finite scan: an integer core over a window of n (_certified_scans:
     per n the running minimum as an unreduced pair, the argmins as a list,
-    and whether its witness holds from the next m on, decided by a few
-    integer products per m; each degree from d_min the first time the
-    window reaches its m, and walked up from its last value after that,
-    with no square root), which verify's agreement sweep reads over
-    [2, stop], and certified_min over one n, computing the cutoff once and
-    building the certificate objects;
+    and whether its witness holds from the next m on, which for a fixed
+    minimum and m holds exactly from a first n on (_stop_from); each
+    degree from d_min the first time the window reaches its m, and walked
+    up from its last value after that, with no square root; per m the
+    state after m, rebuilt only from the first m whose degree moved),
+    which verify's agreement sweep reads over [2, stop], and certified_min
+    over one n, computing the cutoff once and building the certificate
+    objects;
   * the per-multiplicity comparison f(N,m) >= f(N,7) for m >= 8, with a
     complete, certified list of violations where they exist;
   * one integer core for every tail witness (_tail_cutoff, which returns
@@ -267,6 +269,19 @@ class BoundCertificate(NamedTuple):
         return self.tail_witness is not None
 
 
+def _stop_from(d: int, q: int, j: int) -> int:
+    """The first n >= 1 from which _certified_scans's stop test at m = j - 1 holds
+    for the running minimum d/q; _certified_scans has the derivation."""
+    if d % q:  # non-strict: the vertex and poly(j) conditions; a witness follows
+        dd, qq = d * d, q * q
+        return max(-(-2 * j * dd // (qq * (2 * j - 1))),
+                   -(-j * j * dd // (qq * (j * j - j + 2))))
+    p = d // q  # strict: the witness, then the discriminant or (vertex and poly(j))
+    vertex = -((2 * p - 2 * j * p * p) // (2 * j - 1))
+    poly = (p * j - 1) ** 2 // (j * j - j + 2) + 1
+    return max(p * p, min((8 * p * p - 4 * p + 4) // 7 + 1, max(vertex, poly)))
+
+
 def _certified_scans(start: int, stop: int,
                      scan_cap: int) -> Iterator[tuple[int, int, list[int], int, bool]]:
     """certified_min's scan in integers, per n = start..stop: (best_d, best_m,
@@ -276,9 +291,11 @@ def _certified_scans(start: int, stop: int,
     by cross-multiplication; it starts at 1/0, which that comparison
     places above every ratio, and is yielded unreduced (best_m is the
     first argmin).  argmins lists the scanned minimizers in ascending
-    order.  certified says that the witness of the minimum holds from
-    scanned_to + 1 on; it is False when none does by scan_cap.  start >= 2
-    and scan_cap >= MIN_SCAN_CAP are the caller's to ensure.
+    order; the list may be shared between the tuples of a window, so it is
+    the caller's to copy, not to change.  certified says that the witness
+    of the minimum holds from scanned_to + 1 on; it is False when none
+    does by scan_cap.  start >= 2 and scan_cap >= MIN_SCAN_CAP are the
+    caller's to ensure.
 
     The degrees d_min(n, m) come from d_min the first time the window
     reaches an m, so a one-n window calls d_min for every m it scans.
@@ -288,59 +305,76 @@ def _certified_scans(start: int, stop: int,
     Over the window it takes about sqrt(k)*(sqrt(stop) - sqrt(start))
     steps per m, on average fewer than m/2 per n.
 
-    At each new minimum d/m the witness polynomial (a, b, c) of
-    _tail_cutoff is set up without reducing d/m.  There is none when
-    d^2 > n*m^2; every earlier minimum then lies above sqrt(n) too, so
-    (a, b) is still (0, -1), which stands for none, as 2*a*j + b < 0
-    below.  A minimum with a witness lies at or below sqrt(n), so every
-    later minimum lies below it and has one of its own.  When m divides d
-    it is the strict form at p = d/m, (n - p^2, 2p - n, 2n - 1), scaled by
-    m^2: (n*m^2 - d^2, 2*d*m - n*m^2, 2*n*m^2 - m^2).  With a = 0
-    (n = p^2) it is linear with c > 0, and the test below stops the scan
-    at once iff b >= 0, and never otherwise.  With a negative discriminant
-    it holds from m = 2 on; (a, b) = (0, 0), the constant c > 0, stands
-    for it, and the test stops the scan at once.  Otherwise it is the
-    non-strict form scaled by g^2 = gcd(d, m)^2, (n*m^2 - d^2, -n*m^2,
-    2*n*m^2); here a > 0, as d/m = sqrt(n) needs m | d.  A scaled form has
-    the sign, the vertex and the roots of the reduced one, and its integer
-    values are positive exactly where the reduced one's are.
+    The witness of a minimum d/q at n is the polynomial (a, b, c) of
+    _tail_cutoff scaled by q^2/gcd(d, q)^2, which has the sign, the vertex
+    and the roots of the reduced one, and whose integer values are
+    positive exactly where the reduced one's are.  There is none when
+    d^2 > n*q^2.  When q divides d it is the strict form at p = d/q,
+    q^2*(n - p^2, 2p - n, 2n - 1), which holds from m = 2 on when its
+    discriminant is negative; otherwise it is the non-strict form
+    (n*q^2 - d^2, -n*q^2, 2*n*q^2).  The scan stops at m, with j = m + 1,
+    iff a witness exists and either (strict) its discriminant is negative,
+    or 2*a*j + b >= 0 and poly(j) holds (> 0 strict, >= 0 non-strict).
+    With a > 0 that is exactly _tail_cutoff(...).cutoff <= m + 1: j >= 3
+    lies past the vertex -b/(2a) iff 2*a*j + b >= 0, and poly does not
+    decrease past it; a non-strict discriminant <= 0 (cutoff 2) puts the
+    vertex at most 4, while j >= 4, since d_min(n, 2)^2 >= 4n puts every
+    non-strict minimum at q >= 3.  certified_min's assert checks this at
+    every certificate it builds.
 
-    The scan stops at m iff, with j = m + 1, 2*a*j + b >= 0 and poly(j)
-    holds (> 0 strict, >= 0 non-strict: poly(j) >= strict).  With a > 0
-    that is exactly _tail_cutoff(...).cutoff <= m + 1: the cutoff is the first
-    integer >= max(2, ceil(vertex)) at which poly holds, j >= 3 lies past
-    the vertex -b/(2a) iff 2*a*j + b >= 0, and poly does not decrease past
-    its vertex.  _tail_cutoff's cutoff 2 for a non-strict discriminant <= 0
-    needs no case of its own: that discriminant is n*m^2*(n*m^2 - 8a), so
-    poly >= 0 everywhere and the vertex is at most 4, while j >= 4, since
-    d_min(n, 2)^2 >= 4n puts every non-strict minimum at m >= 3.  So the
-    cutoff itself is computed only where certified_min builds a
-    certificate, once, in the TailWitness of _tail_cutoff.
+    With d, q and j fixed, each condition is an inequality linear in n
+    with a positive coefficient of n, so it holds exactly from a first n
+    on, and so does any and/or of them; _stop_from(d, q, j) is the first n
+    of the whole test:
+      * non-strict: 2*a*j + b >= 0 is n*q^2*(2j - 1) >= 2j*d^2 (vertex),
+        and poly(j) >= 0 is n*q^2*(j^2 - j + 2) >= j^2*d^2 (poly); each
+        implies the witness n*q^2 >= d^2, as 2j > 2j - 1 and
+        j^2 > j^2 - j + 2 for j >= 3;
+      * strict, divided by q^2: the witness is n >= p^2; 2*a*j + b >= 0 is
+        n*(2j - 1) >= 2j*p^2 - 2p (vertex); poly(j) > 0 is
+        n*(j^2 - j + 2) > (p*j - 1)^2 (poly); the discriminant
+        n*(8p^2 - 4p + 4 - 7n) is negative iff 7n > 8p^2 - 4p + 4 (disc).
+    So the first n is max(vertex, poly) non-strict and
+    max(p^2, min(disc, max(vertex, poly))) strict, each term the first n
+    of its condition.
+
+    Per m the scan keeps the state after m, (best_d, best_m, argmins,
+    threshold), which depends on the degrees at 2..m alone.  At each n the
+    scan is fresh from the first m whose degree the walk moved or d_min
+    gave; there it rebuilds the state from the one after m - 1, at every
+    other m it reads the kept one, and it stops at the first m whose
+    threshold n has reached.  A kept state stays valid while no degree at
+    or below m moves.  By induction on n, every m up to where the last n
+    stopped holds its current degree and state, so the next n reads them
+    correctly up to there.  It goes further only past a fresh m: with no
+    degree moved it meets the same thresholds, and the last, smaller n
+    had already reached one of them.  Past a fresh m every state is
+    rebuilt.
     """
-    # degrees[m]: the last d_min(n, m) found, for m <= known; ms: one range for every n
-    degrees, known, ms = [0, 0], 1, range(2, scan_cap + 1)
+    # degrees[m]: the last d_min(n, m) found and states[m]: the state after m, for m <= known
+    degrees, states, known, ms = [0, 0], [None, None], 1, range(2, scan_cap + 1)
     for n in range(start, stop + 1):
-        best_d, best_m, argmins, a, b = 1, 0, [], 0, -1  # (a, b) = (0, -1): no witness
+        best_d, best_m, argmins, fresh = 1, 0, [], False  # 1/0: above every ratio
         for m in ms:
             if m <= known:
                 d, k = degrees[m], m * m - m + 2
                 while d * d < n * k:
                     d += 1
-                degrees[m] = d
+                    degrees[m], fresh = d, True
             else:
                 degrees.append(d := d_min(n, m))
-                known = m
-            if d * best_m < best_d * m:
-                best_d, best_m, argmins = d, m, [m]
-                nmm = n * m * m
-                if d * d <= nmm:  # else d/m > sqrt(n), as is every earlier minimum
-                    a, strict = nmm - d * d, d % m == 0
-                    b, c = (2 * d * m - nmm, 2 * nmm - m * m) if strict else (-nmm, 2 * nmm)
-                    if strict and b * b < 4 * a * c:
-                        a, b = 0, 0
-            elif d * best_m == best_d * m:
-                argmins.append(m)
-            if 2 * a * (j := m + 1) + b >= 0 and (a * j + b) * j + c >= strict:
+                states.append(None)
+                known, fresh = m, True
+            if fresh:
+                if d * best_m < best_d * m:
+                    best_d, best_m, argmins = d, m, [m]
+                elif d * best_m == best_d * m:
+                    argmins = [*argmins, m]
+                t = _stop_from(best_d, best_m, m + 1)
+                states[m] = best_d, best_m, argmins, t
+            else:
+                best_d, best_m, argmins, t = states[m]
+            if n >= t:
                 yield best_d, best_m, argmins, m, True
                 break
         else:

@@ -45,7 +45,10 @@ def agreement_sweep(stop: int) -> tuple[list[int], list[int]]:
     default scan cap, as an unreduced pair best_d/best_m with a flag that
     says whether it is certified; no witness or certificate object is built.
     The window takes d_min only the first time it reaches an m, and walks
-    each degree up from its last value after that, with no square root.
+    each degree up from its last value after that, with no square root; per
+    m it keeps the running minimum after m and the first N from which its
+    witness holds from m + 1 on, and recomputes them only from the first m
+    whose degree moved, so most N cost a walk test and a comparison per m.
     The six-term minimum comes from the kernel bounds._small_columns, with no
     square root per N, as a numerator over SMALL_MS_LCM.  The two are
     compared by cross-multiplication.  The sweep reads no table and the scan

@@ -22,10 +22,16 @@ over [2, stop]; both are held equal to the reference scan.  A window
 takes d_min the first time it reaches an m and walks each degree up
 from its last value after that, so only windows over several N exercise
 the walk; they are held equal to the reference one N at a time.  The
-core stops where the witness of its minimum holds at m + 1, tested in a
-few integer products; certified_scan_reference is the earlier core,
-which took a TailWitness from _tail_cutoff at every new minimum and
-compared its cutoff with m + 1, and the core is held equal to it.
+core stops where the witness of its minimum holds at m + 1.  For a fixed
+minimum and m that test holds exactly from a first N on,
+bounds._stop_from, which a window keeps per m with the minimum and
+recomputes only from the first m whose degree moved.
+stop_test_reference is the earlier test, a few integer products per
+(N, m), and _stop_from is held to be its exact first N; every window is
+held equal to its one-N windows, which keep no state from an earlier N.
+certified_scan_reference is the earlier core, which took a TailWitness
+from _tail_cutoff at every new minimum and compared its cutoff with
+m + 1, and the core is held equal to it.
 ceiling_threshold takes only the parity and reads the table; its
 reference is the earlier direct scan of lower_bound_small.  census
 bisects per m != 4 the tabulated n below the analytic threshold and
@@ -169,6 +175,19 @@ def certified_scan_reference(n: int, scan_cap: int = DEFAULT_SCAN_CAP):
         if cutoff <= m + 1:
             return best_d, best_m, argmins, m, tail
     return best_d, best_m, argmins, scan_cap, None
+
+
+def stop_test_reference(n: int, d: int, q: int, j: int) -> bool:
+    """The earlier stop test of the scan core at m = j - 1 for the running minimum
+    d/q at n: the scaled witness (a, b, c) set up at a new minimum, (0, -1) when there
+    is none, the discriminant shortcut (0, 0), and 2*a*j + b >= 0 and poly(j) >= strict."""
+    a, b, c, strict, nqq = 0, -1, 0, False, n * q * q
+    if d * d <= nqq:
+        a, strict = nqq - d * d, d % q == 0
+        b, c = (2 * d * q - nqq, 2 * nqq - q * q) if strict else (-nqq, 2 * nqq)
+        if strict and b * b < 4 * a * c:
+            a, b = 0, 0
+    return 2 * a * j + b >= 0 and (a * j + b) * j + c >= strict
 
 
 def dominance_check_reference(n: int) -> bool:
@@ -440,6 +459,20 @@ def test_agreement_sweep_takes_d_min_once_per_m_and_no_other_square_root(monkeyp
     assert 0 < len(isqrt_calls) <= 2 * len(SMALL_MS)
 
 
+def test_agreement_sweep_computes_a_stop_threshold_only_where_a_degree_moves(monkeypatch):
+    # the scan side rebuilds the state after m, and its threshold, only from the
+    # first m whose degree moved or came from d_min: 5,393 times over [2, 10^5]
+    called, stop_from = [], bounds._stop_from
+
+    def counted(d, q, j):
+        called.append((d, q, j))
+        return stop_from(d, q, j)
+
+    monkeypatch.setattr(bounds, "_stop_from", counted)
+    assert verify.agreement_sweep(10**5) == ([], [])
+    assert 0 < len(called) <= 6000
+
+
 def test_small_table_matches_reference():
     table = bounds._small_table()
     assert bounds.analytic_threshold(even_only=True).threshold == 8776
@@ -557,6 +590,48 @@ SCAN_WINDOWS = [(2, 3000), (10**30 - 1, 10**30 + 48),
 def test_scan_windows_match_the_cutoff_per_improvement_reference(scan_cap):
     for start, stop in SCAN_WINDOWS:
         _assert_scans_match_reference(start, stop, scan_cap)
+
+
+def test_stop_from_is_the_first_n_of_the_stop_test():
+    # per running minimum d/q and j = m + 1, the reference holds exactly from
+    # T = _stop_from(d, q, j) on: it equals n >= T on [T - 50, T + 50], so it
+    # fails at T - 1, where a witness starts (n = ceil(d^2/q^2)), and, strict,
+    # at and next to n = p^2 (a = 0) and at the zero discriminant
+    # 7n = 8p^2 - 4p + 4 (p = 2 mod 7); d lies on both sides of q*sqrt(n0)
+    seen = Counter()
+    for q in range(2, 13):
+        ds = {d for n0 in (2, 50, 10**6, (10**20 // q) ** 2)
+              for r in [isqrt(q * q * n0)] for d in range(r - 3, r + 4)}
+        ds |= {q * p for p in (*range(1, 12), 16, 23, 1000, 10**20 // q, 10**20 // q + 1)}
+        for j in range(q + 1, q + 13):
+            for d in ds:
+                t = bounds._stop_from(d, q, j)
+                ns = {*range(max(1, t - 50), t + 51), -(-d * d // (q * q))}
+                if d % q == 0:
+                    p = d // q
+                    seven_n = 8 * p * p - 4 * p + 4
+                    ns |= {p * p - 1, p * p, p * p + 1}
+                    holds = stop_test_reference(p * p, d, q, j)
+                    seen["a = 0 holds" if holds else "a = 0 fails"] += 1
+                    if seven_n % 7 == 0:
+                        ns.add(seven_n // 7)
+                        seen["zero discriminant"] += 1
+                for n in ns - {0}:
+                    assert stop_test_reference(n, d, q, j) == (n >= t), (n, d, q, j, t)
+                seen["strict" if d % q == 0 else "non-strict"] += 1
+                seen["d near 10^20"] += d > 10**19
+    assert all(seen[kind] for kind in ("zero discriminant", "strict", "non-strict",
+                                       "a = 0 holds", "a = 0 fails", "d near 10^20")), seen
+
+
+@pytest.mark.parametrize("scan_cap", [8, 9, 12, DEFAULT_SCAN_CAP])
+def test_scan_windows_equal_their_one_n_windows(scan_cap):
+    # a window keeps the state after each m and reads it while no degree at or
+    # below m moves; a one-N window keeps none, so a stale state would show
+    for start, stop in [(2, 20000), *SCAN_WINDOWS]:
+        window = list(bounds._certified_scans(start, stop, scan_cap))
+        assert window == [next(bounds._certified_scans(n, n, scan_cap))
+                          for n in range(start, stop + 1)], (start, stop, scan_cap)
 
 
 def _count_tail_cutoff(monkeypatch) -> list[tuple[int, Fraction]]:
