@@ -32,8 +32,8 @@ This module computes, entirely in exact integer arithmetic:
   * the per-multiplicity comparison f(N,m) >= f(N,7) for m >= 8, with a
     complete, certified list of violations where they exist;
   * one integer core for every tail witness (_tail_cutoff, which returns
-    the TailWitness it proves, or None), which certified_min and check_f7
-    both call;
+    the TailWitness it proves, or None), and both reports carry the witness
+    it returns;
   * the exact thresholds from which the minimum settles at m = 4: the
     analytic one, read once per parity off the table SQRT_LINEAR of analytic
     steps, and the sharp ceiling-aware one, with integer-polynomial certificates;
@@ -256,9 +256,10 @@ class BoundCertificate(NamedTuple):
     tail_witness is present, every m >= 2 satisfies d_min(n,m)/m >= value
     (scanned range checked explicitly, tail by the witness polynomial,
     cutoff <= scanned_to + 1).  argmins are the scanned minimizers.
+    tail_witness is _tail_cutoff's record at threshold value, and None
+    exactly when the result is uncertified.
     """
 
-    n: int
     value: Fraction
     argmins: frozenset[int]
     scanned_to: int
@@ -405,7 +406,7 @@ def certified_min(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundCertificate:
     value = Fraction(best_d, best_m)
     witness = _tail_cutoff(n, value) if certified else None
     assert not certified or witness.cutoff <= scanned_to + 1
-    return BoundCertificate(n, value, frozenset(argmins), scanned_to, witness)
+    return BoundCertificate(value, frozenset(argmins), scanned_to, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -421,23 +422,23 @@ class F7Report(NamedTuple):
                                      7*sqrt(58N) >= 8*sqrt(44N) + 8 plus
                                      monotonicity of the un-ceiled ratio in m
                                      on (4, oo);
-      "holds_scanned"             -- no violation up to scanned_to, tail
-                                     certified from cutoff <= scanned_to + 1;
+      "holds_scanned"             -- no violation among the scanned m in
+                                     [8, max(7, cutoff - 1)], tail certified
+                                     by tail_witness from cutoff on;
       "counterexamples_complete"  -- the violations listed are ALL of them
                                      (same certification as above);
       "uncertified"               -- no tail certificate within scan_cap (none
                                      exists when f(n,7) > sqrt(n)); nothing is
-                                     scanned, so violations is empty and
-                                     scanned_to is None.
+                                     scanned, so violations is empty.
 
-    violations lists each m with f(n,m) < threshold as (m, f(n,m)).
+    violations lists each m with f(n,m) < f(n,7) as (m, f(n,m)).
+    tail_witness is _tail_cutoff's record at threshold f(n,7) for the two
+    scanned statuses, and None for "holds_analytic" and "uncertified".
     """
 
-    n: int
-    threshold: Fraction  # f(n, 7), in lowest terms
     status: str
     violations: tuple[tuple[int, Fraction], ...]
-    scanned_to: int | None
+    tail_witness: TailWitness | None
 
 
 def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
@@ -446,28 +447,27 @@ def check_f7(n: int, scan_cap: int = DEFAULT_SCAN_CAP) -> F7Report:
     Where SQRT_LINEAR["f7"] holds (exactly, via sqrt_linear_cmp: for n >= 1072)
     the chain f(n,m) >= g(n,m) >= g(n,8) >= g(n,7) + 1/7 >= f(n,7) applies,
     so no scan is needed.  Otherwise the comparison is checked exactly per m, and the
-    tail-domination certificate at threshold f(n,7), whose cutoff _tail_cutoff
-    derives, bounds the search; where that certificate does not exist or
-    starts past scan_cap, nothing is scanned.
+    tail-domination certificate at threshold f(n,7), the TailWitness that
+    _tail_cutoff returns, bounds the search to m < its cutoff and is returned
+    with the report; where that certificate does not exist or starts past
+    scan_cap, nothing is scanned.
     """
     _require("self-intersection", n, 2)
     _require("scan_cap", scan_cap, MIN_SCAN_CAP)
     d7 = d_min(n, 7)
-    threshold = Fraction(d7, 7)
     if sqrt_linear_cmp(*SQRT_LINEAR["f7"], n):
-        return F7Report(n, threshold, "holds_analytic", (), None)
-    tail = _tail_cutoff(n, threshold)
+        return F7Report("holds_analytic", (), None)
+    tail = _tail_cutoff(n, Fraction(d7, 7))
     if tail is None or tail.cutoff - 1 > scan_cap:
         # a list of violations up to the cap would be an arbitrary prefix
-        return F7Report(n, threshold, "uncertified", (), None)
-    scan_to = max(7, tail.cutoff - 1)
+        return F7Report("uncertified", (), None)
     violations = tuple(
         (m, Fraction(dm, m))
-        for m in range(8, scan_to + 1)
+        for m in range(8, tail.cutoff)
         if 7 * (dm := d_min(n, m)) < d7 * m  # d_min(n,m)/m < d_min(n,7)/7
     )
     status = "counterexamples_complete" if violations else "holds_scanned"
-    return F7Report(n, threshold, status, violations, scan_to)
+    return F7Report(status, violations, tail)
 
 
 # ---------------------------------------------------------------------------

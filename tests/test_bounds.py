@@ -218,12 +218,12 @@ class TestCheckF7:
 
     def test_n2_uncertified_with_violations(self):
         report = check_f7(2, scan_cap=2000)
-        assert report.threshold == Fraction(10, 7)
+        assert Fraction(d_min(2, 7), 7) == Fraction(10, 7)
         assert report.status == "uncertified"
         # f(2,7) = 10/7 > sqrt(2), so infinitely many m violate and any list
         # would be arbitrary: nothing is scanned
         assert report.violations == ()
-        assert report.scanned_to is None
+        assert report.tail_witness is None
         # e.g. m = 10: ceil(sqrt(2*92)) = 14, and 14/10 < 10/7
         assert Fraction(d_min(2, 10), 10) < Fraction(10, 7)
 
@@ -232,9 +232,10 @@ class TestCheckF7:
         assert report.status == "counterexamples_complete"
         found = {m for m, _ in report.violations}
         assert {9, 10, 13}.issubset(found)
+        assert report.tail_witness.threshold == Fraction(d_min(3, 7), 7)
         for m, value in report.violations:
             assert value == Fraction(d_min(3, m), m)
-            assert value < report.threshold
+            assert value < Fraction(d_min(3, 7), 7)
 
     def test_violation_free_case(self):
         report = check_f7(5, scan_cap=10**4)
@@ -248,6 +249,23 @@ class TestCheckF7:
             with pytest.raises(ValueError):
                 check_f7(n, scan_cap=7)
         assert check_f7(5, scan_cap=8).status == "uncertified"
+        assert check_f7(5, scan_cap=8).tail_witness is None
+
+    def test_tail_witness_is_present_exactly_for_the_scanned_statuses(self):
+        # [2, 1200] has all four statuses: uncertified at 2, scanned up to
+        # 1071 and analytic from 1072 on; a scanned report carries the very
+        # witness _tail_cutoff proves at f(n,7)
+        statuses = set()
+        for n in range(2, 1201):
+            report = check_f7(n)
+            statuses.add(report.status)
+            if report.status in ("holds_analytic", "uncertified"):
+                assert report.tail_witness is None, n
+            else:
+                assert report.tail_witness == bounds._tail_cutoff(
+                    n, Fraction(d_min(n, 7), 7)), n
+        assert statuses == {"holds_analytic", "holds_scanned",
+                            "counterexamples_complete", "uncertified"}
 
     def test_analytic_case_is_exactly_the_1072_inequality(self):
         t = sqrt58_threshold()

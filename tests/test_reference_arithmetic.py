@@ -14,11 +14,11 @@ the n whose argmins are not {4}, and their references below call
 lower_bound_small, which shares no arithmetic with the kernel.
 certified_min and check_f7 take every witness polynomial and cutoff
 from one integer core, bounds._tail_cutoff; the reference scan takes its
-cutoffs from tail_cutoff_reference, so it shares none of it, and
-check_f7's violation lists are held equal to a brute scan far past the
-cutoff.  certified_min reads a one-N window of the integer scan
-bounds._certified_scans, and verify's agreement sweep reads one window
-over [2, stop]; both are held equal to the reference scan.  A window
+cutoffs from tail_cutoff_reference, so it shares none of it; the
+witness check_f7 returns is held equal to that reference, and its
+violation lists to a brute scan far past the cutoff.  certified_min
+reads a one-N window of the integer scan bounds._certified_scans, and
+verify's agreement sweep reads one window over [2, stop]; both are held equal to the reference scan.  A window
 takes d_min the first time it reaches an m and walks each degree up
 from its last value after that, so only windows over several N exercise
 the walk; they are held equal to the reference one N at a time.  The
@@ -979,20 +979,23 @@ def test_tail_cutoff_matches_search_reference_below_1e40():
 
 
 def test_check_f7_lists_every_violation_by_a_brute_scan():
-    # the cutoff check_f7 scans to comes from _tail_cutoff; the brute scan
-    # runs far past it, and the search reference places the cutoff
+    # the witness check_f7 returns is the search reference's at f(n,7), and
+    # its scan ends just below that cutoff; the brute scan runs far past it
     certified, deepest = 0, 0
     for n in range(2, 1071):
         report = check_f7(n, 10**5)
         if report.status == "uncertified":
             continue
         certified += 1
-        deepest = max(deepest, report.scanned_to)
         d7 = d_min(n, 7)
-        brute = [m for m in range(8, 4 * report.scanned_to + 51) if 7 * d_min(n, m) < d7 * m]
+        reference = tail_cutoff_reference(n, Fraction(d7, 7))
+        assert report.tail_witness == reference, n
+        scanned_to = max(7, report.tail_witness.cutoff - 1)
+        deepest = max(deepest, scanned_to)
+        brute = [m for m in range(8, 4 * scanned_to + 51) if 7 * d_min(n, m) < d7 * m]
         assert report.violations == tuple((m, Fraction(d_min(n, m), m)) for m in brute), n
         assert report.status == ("counterexamples_complete" if brute else "holds_scanned"), n
-        assert tail_cutoff_reference(n, report.threshold).cutoff <= report.scanned_to + 1, n
+        assert reference.cutoff <= scanned_to + 1, n
     assert (certified, deepest) == (1068, 56)
 
 
